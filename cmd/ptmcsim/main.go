@@ -43,8 +43,6 @@ func main() {
 		channels     = flag.Int("channels", 2, "DRAM channels")
 		l3MB         = flag.Int("l3mb", 8, "LLC size in MB")
 		seed         = flag.Int64("seed", 1, "deterministic run seed")
-		shards       = flag.Int("shards", 0, "epoch-engine shards (0/1 = serial reference loop)")
-		event        = flag.Bool("event", false, "run on the discrete-event engine (results identical, idle cycles free)")
 		list         = flag.Bool("list", false, "list workloads and schemes, then exit")
 		inject       = flag.Int("inject", 0, "run an N-trial fault-injection campaign instead of a simulation")
 		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0),
@@ -115,8 +113,6 @@ func main() {
 	cfg.DRAM.Channels = *channels
 	cfg.L3Bytes = *l3MB << 20
 	cfg.Seed = *seed
-	cfg.Shards = *shards
-	cfg.EventDriven = *event
 	if *metricsOut != "" {
 		cfg.MetricsInterval = *metricsIval
 	}

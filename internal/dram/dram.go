@@ -133,7 +133,7 @@ type channel struct {
 	// this channel can change its state: the earliest completion, the
 	// earliest cycle a queued request's bank frees up, or the tick after
 	// an enqueue. Between wakes the channel's queues and banks are
-	// provably static, so the epoch engine skips its per-bank scans.
+	// provably static, so engine mode skips its per-bank scans.
 	wakeAt int64
 }
 
@@ -156,14 +156,14 @@ type DRAM struct {
 	tRAS     int64
 	tBurst   int64
 
-	// O(1) occupancy counters: Tick's empty fast path and the epoch
-	// engine's idle accounting must not scan channels to learn nothing is
+	// O(1) occupancy counters: Tick's empty fast path and the skipped-tick
+	// idle accounting must not scan channels to learn nothing is
 	// pending.
 	queuedTotal   int // requests sitting in read/write queues
 	inflightTotal int // issued requests awaiting completion
 	emptyQChans   int // channels whose read AND write queues are empty
 
-	// Epoch-engine state (SetEngineMode). lastTick marks the bus cycle
+	// Engine-mode state (SetEngineMode). lastTick marks the bus cycle
 	// currently (or most recently) being processed and tickChanIdx the
 	// channel index the tick loop is at (-1 outside Tick); together they
 	// tell Enqueue whether a new request is still visible to this cycle's
@@ -342,12 +342,13 @@ func (d *DRAM) QueueDepth() int {
 	return d.queuedTotal + d.inflightTotal
 }
 
-// SetEngineMode enables the epoch engine's wake bookkeeping: Tick then
-// skips channels whose next possible state change lies in the future, and
-// NextEventCycle/SkippedTicks let the caller skip whole bus cycles. The
-// serial reference path keeps the straightforward scan-every-channel loop;
-// observable behavior (stats, completion order, timing) is identical in
-// both modes — a tested invariant.
+// SetEngineMode enables the wake bookkeeping the simulator's run loop
+// relies on (sim.New always turns it on): Tick then skips channels whose
+// next possible state change lies in the future, and NextEventCycle is the
+// O(1) cached aggregate. Left off, the model scans every channel on every
+// tick — the reference behavior the simulator's determinism tests compare
+// against. Observable behavior (stats, completion order, timing) is
+// identical in both modes — a tested invariant.
 func (d *DRAM) SetEngineMode(on bool) { d.engine = on }
 
 // Tick advances the model by one memory-bus cycle at CPU cycle now: fires
@@ -402,8 +403,8 @@ func (d *DRAM) Tick(now int64) {
 // hysteresis, then at most one FR-FCFS issue. Completion callbacks may
 // enqueue new requests (eviction writebacks, mispredict retries) onto any
 // channel mid-loop; processing channels strictly in index order is what
-// makes that interleaving deterministic, so the epoch engine reuses this
-// exact routine rather than reordering it across shards. It returns the
+// makes that interleaving deterministic, so engine mode reuses this exact
+// routine and only skips the channels that provably sleep. It returns the
 // queue the scheduler selected (nil when both were empty) and whether a
 // request issued, which is exactly what reschedule needs to bound the next
 // cycle this channel can make progress.
@@ -540,7 +541,7 @@ func (d *DRAM) NextEventCycle() int64 {
 }
 
 // SkippedTicks credits idle-channel accounting for n whole bus cycles the
-// epoch engine proved eventless and skipped. Queues are static while every
+// run loop proved eventless and skipped. Queues are static while every
 // channel sleeps, so each skipped tick would have counted exactly the
 // channels whose queues are empty — no more, no less.
 func (d *DRAM) SkippedTicks(n int64) {

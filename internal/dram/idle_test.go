@@ -7,8 +7,8 @@ import (
 	"ptmc/internal/mem"
 )
 
-// TestIdleAccountingSerialVsEngine pins the contract behind the epoch
-// engine's cycle skipping: Stats.IdleChannels counts one event per idle
+// TestIdleAccountingSerialVsEngine pins the contract behind the run loop's
+// cycle skipping: Stats.IdleChannels counts one event per idle
 // channel per bus cycle in BOTH execution modes — whether the cycle was
 // actually scanned (serial Tick loop, including its all-empty early exit),
 // individually slept through (engine-mode Tick with a future wakeAt), or
@@ -66,7 +66,7 @@ func TestIdleAccountingSerialVsEngine(t *testing.T) {
 			// Engine driver: jump to the next cycle anything can happen —
 			// a channel wake or a scheduled enqueue — crediting the
 			// skipped bus cycles to the idle accounting, exactly as the
-			// epoch engine does between epochs.
+			// simulator's run loop does.
 			wake := d.NextEventCycle()
 			if ei < len(schedule) && schedule[ei].at < wake {
 				wake = schedule[ei].at

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -149,4 +150,24 @@ func TestLazyGuards(t *testing.T) {
 	s.SetLazyFill(func(a LineAddr, buf []byte) {})
 	mustPanic("unaligned MarkLazy", func() { s.MarkLazy(3) })
 	mustPanic("Slab on lazily-filled store", func() { s.Slab(0) })
+}
+
+// BenchmarkStoreLazyRead times the read path every first touch of a lazily
+// initialized architectural page takes: ReadNoAlloc synthesizing a line
+// through the fill callback into caller scratch, without materializing the
+// page.
+func BenchmarkStoreLazyRead(b *testing.B) {
+	s := NewStore()
+	s.SetLazyFill(func(a LineAddr, buf []byte) {
+		binary.LittleEndian.PutUint64(buf, uint64(a))
+	})
+	var scratch [LineSize]byte
+	for pn := 0; pn < 16; pn++ {
+		s.MarkLazy(LineAddr(pn * SlabLines))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ReadNoAlloc(LineAddr(i%(16*SlabLines)), scratch[:])
+	}
 }

@@ -206,15 +206,8 @@ const SlabLines = linesPerPage
 
 // Slab is direct storage access to the allocation page holding line base:
 // Line(i) returns the writable backing array of line base+i. It exists for
-// the epoch engine's parallel page initialization, which fills a page's
-// lines from several shard workers at once.
-//
-// Concurrency contract: distinct lines of a Slab may be written
-// concurrently (they are disjoint fixed-size arrays in one allocation; no
-// map access, no slice-header mutation), but Slab creation itself touches
-// the page map and must happen on the coordinating goroutine, before
-// workers start and strictly between epochs — never while another goroutine
-// reads the Store.
+// first-touch page initialization, which synthesizes each line's value
+// straight into the store instead of into a buffer that is then copied.
 type Slab struct {
 	p *page
 }
@@ -245,7 +238,7 @@ func (s *Store) SetLazyFill(fill func(a LineAddr, buf []byte)) { s.fill = fill }
 // be slab-aligned — as initialized-on-demand: it is Touched and counts
 // toward FootprintBytes immediately, but its 4 KB of storage is allocated
 // only when something reads or writes it, and each line is synthesized only
-// when something reads it before writing it. The epoch engine uses this for
+// when something reads it before writing it. The simulator uses this for
 // first-touch page initialization of the architectural store, whose
 // contents are a pure function of each line's identity until the first
 // store to that line; lines that are initialized but never read back never
@@ -262,12 +255,3 @@ func (s *Store) MarkLazy(base LineAddr) {
 
 // Line returns the writable 64-byte backing slice of line i within the slab.
 func (sl Slab) Line(i int) []byte { return sl.p.lines[i][:] }
-
-// ShardOf maps a line address to its owning shard under the channel
-// interleave: groups of four lines (256 bytes) rotate across shards exactly
-// as dram.decode rotates them across channels, so shard-partitioned work
-// (page init, deferred verify) touches disjoint channel state. shards must
-// be a power of two.
-func ShardOf(a LineAddr, shards int) int {
-	return int((uint64(a) >> 2) & uint64(shards-1))
-}

@@ -9,10 +9,7 @@ type beatPage [mem.SlabLines]uint8
 // beatStore maps each touched line to its stored burst length. It replaces
 // the per-line map MemZip used to carry: array-backed pages mean the
 // steady-state write path (dirty evictions re-recording a line's length) is
-// one map read plus one byte store — no allocation — and the epoch engine's
-// first-touch fan-out can record disjoint lines of a page from several
-// shards at once without locks, because the page is pre-created serially
-// (MemZip.BeginPageInit) and each line's slot is its own fixed-offset byte.
+// one map read plus one byte store — no allocation.
 type beatStore struct {
 	pages map[mem.LineAddr]*beatPage
 }
@@ -21,9 +18,7 @@ func newBeatStore() beatStore {
 	return beatStore{pages: make(map[mem.LineAddr]*beatPage)}
 }
 
-// page returns (creating if needed) the page holding line a. Creation
-// mutates the map and is not concurrency-safe; parallel writers must have
-// the page pre-created on the coordinating goroutine.
+// page returns (creating if needed) the page holding line a.
 func (s *beatStore) page(a mem.LineAddr) *beatPage {
 	base := a &^ mem.LineAddr(mem.SlabLines-1)
 	p, ok := s.pages[base]

@@ -127,39 +127,21 @@ type Controller interface {
 	Stats() *Stats
 	// DRAM exposes the timing model (energy accounting, bus stats).
 	DRAM() *dram.DRAM
-}
 
-// ShardIniter is the optional Controller extension the epoch engine uses
-// for parallel first-touch page initialization. The engine synthesizes a
-// line's architectural value directly into its DRAM-image storage (obtained
-// via mem.Slab) and then asks InitLineReady whether those bytes are a valid
-// initial image as-is. The call runs concurrently across shards, so it must
-// touch no shared mutable controller state — read-only, or writes confined
-// to per-shard/per-line slots arranged through ShardPageIniter. It returns
-// false when the line needs the full serial InitLine path (e.g. a PTMC
-// marker collision requiring LIT maintenance); the caller must then re-run
-// those lines serially, in ascending address order, after the parallel
-// pass. Every built-in scheme implements it: uncompressed and the PTMC
-// family since the engine landed, table-tmc (raw in-place image, cold CSI
-// already correct) and memzip (burst lengths recorded via ShardPageIniter
-// slots) since the engine was widened to the comparator schemes.
-type ShardIniter interface {
+	// InitLineReady is first-touch initialization with the line's value
+	// already synthesized into its DRAM-image storage (data, obtained via
+	// mem.Slab): it reports whether those raw bytes are a valid initial
+	// image as-is, recording any derived per-line state. It returns false
+	// when the line needs the full InitLine path (a PTMC marker collision
+	// requiring LIT maintenance); the caller then runs InitLine on those
+	// lines after the page's pass, in ascending address order.
 	InitLineReady(a mem.LineAddr, data []byte) bool
-}
-
-// ShardPageIniter extends ShardIniter for controllers whose first-touch
-// initialization must record derived per-line state (e.g. MemZip's stored
-// burst lengths). The engine calls SetupShardInit once per run, before any
-// fan-out, with the shard count — the controller sizes per-shard scratch
-// here — and BeginPageInit serially before each page's fan-out, the one
-// place map-backed storage may grow. InitLineReady may then write the
-// line's own pre-created slot without locks: the fan-out partitions lines
-// by mem.ShardOf, so per-shard scratch indexed by ShardOf(a, shards) is
-// never shared either.
-type ShardPageIniter interface {
-	ShardIniter
-	SetupShardInit(shards int)
-	BeginPageInit(pageBase mem.LineAddr)
+	// NextEventCycle returns the earliest CPU cycle at which ticking the
+	// controller can change state; the run loop skips the cycles before it.
+	NextEventCycle(now int64) int64
+	// SkippedTicks credits the per-tick bookkeeping of n bus cycles the run
+	// loop proved eventless and skipped.
+	SkippedTicks(n int64)
 }
 
 // kind tags a DRAM request for stats accounting.
@@ -340,23 +322,20 @@ func (b *base) issue(a mem.LineAddr, write bool, k kind, now int64, done Done) (
 	return false
 }
 
-// NextEventCycle returns the earliest CPU cycle at which ticking the
-// controller can change state, for the epoch engine's cycle skipping: the
-// DRAM model's aggregated per-channel wake. A retry backlog adds no
-// earlier event, so it no longer forces the bus-ratio quantum it once did:
-// a rejected request only re-admits after its full target queue loses an
-// entry, which happens exclusively at an issue inside a scheduled DRAM
-// wake — and an issue always reschedules that channel for the very next
-// bus cycle, where the tick's drain (which runs before d.Tick) admits the
-// request at exactly the cycle the serial per-tick drain would have.
+// NextEventCycle implements Controller with the DRAM model's aggregated
+// per-channel wake. A retry backlog adds no earlier event: a rejected
+// request only re-admits after its full target queue loses an entry, which
+// happens exclusively at an issue inside a scheduled DRAM wake — and an
+// issue always reschedules that channel for the very next bus cycle, where
+// the tick's drain (which runs before d.Tick) admits the request at exactly
+// the cycle a per-tick drain would have.
 func (b *base) NextEventCycle(now int64) int64 {
 	return b.d.NextEventCycle()
 }
 
-// SkippedTicks credits the controller's per-tick bookkeeping for n bus
-// cycles the epoch engine proved eventless and skipped: the DRAM idle
+// SkippedTicks implements Controller: it credits the DRAM idle
 // accounting, plus — while a retry backlog exists — the one failed
-// re-enqueue attempt per tick the serial loop's drain would have counted.
+// re-enqueue attempt per tick a per-cycle loop's drain would have counted.
 // Those attempts provably fail (no channel issues inside a skipped span,
 // so the full target queue stays full), which is why skipping them is
 // sound; crediting RetriesFull keeps the stats byte-identical anyway.

@@ -26,13 +26,8 @@ type MemZip struct {
 	// line's stored burst length, 1-8. The value does not fit the table's
 	// 2-bit CSI encoding, so it lives here and metadata-cache traffic is
 	// charged through meta.Touch. Array-backed pages keep the eviction hot
-	// path allocation-free and let the epoch engine's first-touch fan-out
-	// record disjoint lines without locks (see beatStore).
+	// path allocation-free (see beatStore).
 	beats beatStore
-	// initScr is per-shard compression scratch for the engine's parallel
-	// first-touch init; indexed by mem.ShardOf, the same key the fan-out
-	// partitions lines by, so no two shards share a buffer.
-	initScr [][]byte
 }
 
 // NewMemZip builds the comparator; metaBase/mcacheBytes configure the
@@ -87,30 +82,14 @@ func (z *MemZip) InitLine(a mem.LineAddr) {
 	z.beats.set(a, z.lineBeats(a))
 }
 
-// SetupShardInit implements ShardPageIniter: size the per-shard
-// compression scratch the concurrent InitLineReady calls encode into.
-func (z *MemZip) SetupShardInit(shards int) {
-	z.initScr = make([][]byte, shards)
-}
-
-// BeginPageInit implements ShardPageIniter: pre-create the page's beat
-// slots on the coordinating goroutine, so the fan-out's set calls only
-// write disjoint bytes of an existing array.
-func (z *MemZip) BeginPageInit(pageBase mem.LineAddr) {
-	z.beats.page(pageBase)
-}
-
-// InitLineReady implements ShardIniter. A first-touch MemZip line is
+// InitLineReady implements Controller. A first-touch MemZip line is
 // stored compressed in place, but the bytes at its location are the raw
 // value either way — the reduced burst is a bus-protocol effect, not a
-// layout change — so the image the engine synthesized is already correct;
-// all that must be recorded is the line's burst length. That write is
-// race-free under the fan-out: the slot is this line's own byte of a page
-// BeginPageInit created, and the compression scratch is per-shard.
+// layout change — so the synthesized image is already correct; all that
+// must be recorded is the line's burst length.
 func (z *MemZip) InitLineReady(a mem.LineAddr, data []byte) bool {
-	sh := mem.ShardOf(a, len(z.initScr))
-	enc := z.alg.AppendCompress(z.initScr[sh][:0], data)
-	z.initScr[sh] = enc[:0]
+	enc := z.alg.AppendCompress(z.scr.groupBuf[:0], data)
+	z.scr.groupBuf = enc[:0]
 	z.beats.set(a, beatsOfLen(len(enc)))
 	return true
 }

@@ -22,10 +22,6 @@ type PTMC struct {
 	dyn        *core.Dynamic // nil => static PTMC (always compress)
 	rekeyDepth int
 
-	// sink, when set, defers compressed-fill integrity verification to
-	// epoch-boundary batch drains (see VerifySink). nil = inline checks.
-	sink *VerifySink
-
 	// oracle mode (Ideal-TMC): line locations are known for free and
 	// compression maintenance consumes no DRAM bandwidth.
 	oracle bool
@@ -93,26 +89,11 @@ func (p *PTMC) Markers() *core.MarkerGen { return p.markers }
 // Dynamic exposes the Dynamic-PTMC policy (nil for static PTMC).
 func (p *PTMC) Dynamic() *core.Dynamic { return p.dyn }
 
-// SetVerifySink attaches (or, with nil, detaches) a deferred-verification
-// sink. Timing, installs, and every non-integrity stat are identical with
-// and without a sink; only where the decode-and-compare work runs moves.
-func (p *PTMC) SetVerifySink(s *VerifySink) { p.sink = s }
-
-// AttachVerifySink builds a sink over the controller's own compression
-// algorithm, attaches it, and returns it for the caller to drain.
-func (p *PTMC) AttachVerifySink() *VerifySink {
-	s := NewVerifySink(p.alg)
-	p.sink = s
-	return s
-}
-
-// InitLineReady implements ShardIniter: the common first-touch case — no
+// InitLineReady implements Controller: the common first-touch case — no
 // marker collision — keeps the raw value already synthesized into the
-// line's image storage, touching nothing shared. The collision check itself
-// is read-only (marker generation state is immutable between re-keys, and
-// re-keys cannot happen mid-epoch). Collisions return false for serial
-// handling: they need LIT insertion and possibly a re-key, which mutate
-// controller state. A collision-free line needs no lit.Remove, unlike
+// line's image storage and changes no controller state. Collisions return
+// false for the InitLine fixup: they need LIT insertion and possibly a
+// re-key. A collision-free line needs no lit.Remove, unlike
 // writeRaw, because first touch means the address was never inverted
 // (internal/vm never reuses a physical page).
 func (p *PTMC) InitLineReady(a mem.LineAddr, data []byte) bool {
@@ -419,30 +400,6 @@ func (p *PTMC) fillCompressed(core_ int, a, home mem.LineAddr, level cache.Level
 	data []byte, counted, firstTry bool, now int64, done Done) {
 
 	first, n := core.MembersSpan(home, level)
-	if p.sink != nil {
-		// Deferred verification: identical installs, stats, training, and
-		// timing; the decode-and-compare moves to the sink's batch drain.
-		p.st.FillsCompressed++
-		p.llp.Record(a, level, counted, firstTry)
-		c := now + p.decompLat
-		var mask uint8
-		for i := 0; i < n; i++ {
-			m := first + mem.LineAddr(i)
-			if _, in := p.llc.Probe(m); in {
-				continue // LLC copy may be newer; never overwrite it
-			}
-			mask |= 1 << uint(i)
-			if m == a {
-				p.install(core_, m, false, false, level, c)
-			} else {
-				p.st.FreeInstalls++
-				p.install(core_, m, false, true, level, c)
-			}
-		}
-		p.sink.add(home, first, n, mask, data[:core.CompressedBudget], p.arch)
-		done(c)
-		return
-	}
 	lines, err := p.decodeGroup(data[:core.CompressedBudget], n)
 	if err != nil {
 		// Undecodable unit: a detected fault (ErrUndecodable class). Fall

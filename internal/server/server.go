@@ -383,7 +383,7 @@ func (s *Server) saveTrace(id string, events []obs.Event) {
 // job stays accepted in the WAL and the next boot replays it.
 func (s *Server) settleFailure(j *job, scheme string, err error) {
 	if s.baseCtx.Err() != nil {
-		// Drain (or shutdown) cancelled the run at its next epoch barrier.
+		// Drain (or shutdown) cancelled the run at its next cycle checkpoint.
 		j.emit("canceled", fmt.Sprintf("%s interrupted by drain; job will replay", scheme))
 		return
 	}
@@ -537,7 +537,7 @@ func (s *Server) buildSweepArtifact(sw *sweep) SweepArtifact {
 
 // Drain is the graceful-shutdown path: stop accepting (readyz and POST
 // /jobs flip to 503), cancel in-flight runs — sim.RunContext returns at
-// its next epoch barrier / cycle checkpoint — wait for the workers (and
+// its next cycle checkpoint — wait for the workers (and
 // sweep coordinators and requeue timers), checkpoint the queue, and close
 // the store. Interrupted jobs stay accepted in the WAL; the next boot
 // replays them. Returns nil on a clean drain; ctx bounds how long to wait
@@ -686,8 +686,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.m.accepted.Add(1)
 	j.emit("accepted", "")
-	s.queue.Commit(j)
+	// "queued" is emitted before the job becomes visible to workers, so a
+	// worker's "started" can never precede it in the event log.
 	j.emit("queued", "")
+	s.queue.Commit(j)
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
@@ -749,8 +751,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	for _, cj := range fresh {
 		cj.emit("accepted", "sweep "+id)
-		s.queue.EnqueueReplayed(cj)
 		cj.emit("queued", "")
+		s.queue.EnqueueReplayed(cj)
 	}
 	s.m.sweeps.Add(1)
 	s.workers.Add(1)

@@ -142,7 +142,6 @@ func TestSubmitValidation(t *testing.T) {
 		`{"workload":"nope-not-a-workload"}`,
 		`{"workload":"lbm06","schemes":["bogus"]}`,
 		`{"workload":"lbm06","schemes":["ptmc","ptmc"]}`,
-		`{"workload":"lbm06","shards":3}`,
 	} {
 		code, _ := submit(t, hs, bad)
 		if code != http.StatusBadRequest {

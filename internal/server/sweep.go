@@ -29,10 +29,6 @@ type SweepSpec struct {
 	Cores     int      `json:"cores,omitempty"`
 	Warmup    int64    `json:"warmup_instr,omitempty"`
 	Measure   int64    `json:"measure_instr,omitempty"`
-	Shards    int      `json:"shards,omitempty"`
-	// EventDriven runs every child on the discrete-event engine (see
-	// JobSpec.EventDriven).
-	EventDriven bool `json:"event_driven,omitempty"`
 	// TimeoutSec bounds each child point's simulation (0 = server default).
 	TimeoutSec int `json:"timeout_sec,omitempty"`
 	// Tenant attributes every child for quota accounting ("" = "default").
@@ -83,7 +79,7 @@ func (s *SweepSpec) Normalize() error {
 		}
 	}
 	first := specs[0]
-	s.Cores, s.Warmup, s.Measure, s.Shards = first.Cores, first.Warmup, first.Measure, first.Shards
+	s.Cores, s.Warmup, s.Measure = first.Cores, first.Warmup, first.Measure
 	return nil
 }
 
@@ -96,17 +92,15 @@ func (s *SweepSpec) children() (ids []string, specs []JobSpec) {
 		for _, sc := range s.Schemes {
 			for _, sd := range s.Seeds {
 				spec := JobSpec{
-					Workload:    w,
-					Schemes:     []string{sc},
-					Cores:       s.Cores,
-					Warmup:      s.Warmup,
-					Measure:     s.Measure,
-					Seed:        sd,
-					Shards:      s.Shards,
-					EventDriven: s.EventDriven,
-					TimeoutSec:  s.TimeoutSec,
-					Tenant:      s.Tenant,
-					Priority:    PrioritySweepChild,
+					Workload:   w,
+					Schemes:    []string{sc},
+					Cores:      s.Cores,
+					Warmup:     s.Warmup,
+					Measure:    s.Measure,
+					Seed:       sd,
+					TimeoutSec: s.TimeoutSec,
+					Tenant:     s.Tenant,
+					Priority:   PrioritySweepChild,
 				}
 				ids = append(ids, spec.Key())
 				specs = append(specs, spec)

@@ -337,7 +337,7 @@ func TestSweepResumesAfterKillWithoutRerunning(t *testing.T) {
 		key := (&JobSpec{
 			Workload: c.Workload, Schemes: []string{c.Scheme},
 			Cores: c.Cores, Warmup: c.WarmupInstr, Measure: c.MeasureInstr,
-			Seed: c.Seed, Shards: c.Shards, Tenant: "default",
+			Seed: c.Seed, Tenant: "default",
 			Priority: PrioritySweepChild, Trace: c.Trace,
 		}).Key()
 		if preDone[key] {

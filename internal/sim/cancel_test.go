@@ -1,18 +1,13 @@
 package sim
 
-// Epoch-barrier cancellation: the daemon's graceful drain (internal/server)
+// Checkpoint cancellation: the daemon's graceful drain (internal/server)
 // relies on a cancelled context stopping a live simulation at its next
-// checkpoint — every 4096 cycles in the serial loop, every epoch in the
-// shard engine — with the controller's compressed image left consistent
-// and no goroutine left behind. These tests pin that contract at the
-// simulator layer for the serial path (Shards 0) and the epoch engine
-// (Shards 2 and 8).
+// checkpoint (every 4096 loop iterations) with the controller's compressed
+// image left consistent.
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -20,37 +15,31 @@ import (
 	"ptmc/internal/memctrl"
 )
 
-// waitGoroutinesSettle polls until the goroutine count returns to (near)
-// the baseline, failing if shard workers outlive the cancelled run.
-func waitGoroutinesSettle(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		runtime.GC() // nudge finished goroutines off the scheduler
-		n := runtime.NumGoroutine()
-		if n <= baseline+1 { // +1: runtime housekeeping may lag
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines never settled: %d now vs %d baseline", n, baseline)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
+// TestCancellationAtEpochBarriers cancels a mid-flight run on the
+// per-cycle reference loop, on the production cycle-skipping loop, and on
+// the production loop with eight heterogeneous cores (mix1, every core's
+// pages initialized lazily), then verifies the compressed image.
 func TestCancellationAtEpochBarriers(t *testing.T) {
-	for _, shards := range []int{0, 2, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-
-			cfg := quickCfg("lbm06", SchemeDynamicPTMC)
+	cases := []struct {
+		name      string
+		workload  string
+		cores     int
+		reference bool
+	}{
+		{"reference", "lbm06", 2, true},
+		{"production", "lbm06", 2, false},
+		{"mix1", "mix1", 8, false},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			cfg := quickCfg(c.workload, SchemeDynamicPTMC)
+			cfg.Cores = c.cores
 			cfg.WarmupInstr = 0
 			// Far more work than can finish before the cancel lands: the
-			// run must die at a barrier, not at the finish line.
+			// run must die at a checkpoint, not at the finish line.
 			cfg.MeasureInstr = 50_000_000
-			cfg.Shards = shards
-			s, err := New(cfg)
+			s, err := newSimulator(cfg, c.reference)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,10 +60,6 @@ func TestCancellationAtEpochBarriers(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("RunContext did not return within 5s of cancellation")
 			}
-
-			// No leaked shard workers: the engine's fanout goroutines must
-			// be gone, not parked mid-epoch.
-			waitGoroutinesSettle(t, baseline)
 
 			// No store corruption: the controller's compressed image still
 			// verifies end to end. Lines resident in the (inclusive) LLC are
@@ -123,15 +108,17 @@ func TestCancellationDuringWarmup(t *testing.T) {
 }
 
 // TestCancellationAlreadyDone: a pre-cancelled context aborts before any
-// cycle executes, for both loop implementations.
+// cycle executes, on both the production and the reference loop.
 func TestCancellationAlreadyDone(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		cfg := quickCfg("lbm06", SchemePTMC)
-		cfg.Shards = shards
+	for _, reference := range []bool{false, true} {
+		s, err := newSimulator(quickCfg("lbm06", SchemePTMC), reference)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d: pre-cancelled run returned %v", shards, err)
+		if _, err := s.RunContext(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("reference=%t: pre-cancelled run returned %v", reference, err)
 		}
 	}
 }

@@ -48,8 +48,14 @@ type Simulator struct {
 	ctrl    memctrl.Controller
 	obs     prefetchObserver
 	mshr    map[mem.LineAddr][]waiter
-	eng     *shardEngine // non-nil when cfg.Shards >= 2 (epoch engine)
-	evq     *eventSched  // non-nil when cfg.EventDriven (discrete-event engine)
+
+	// reference selects the test-only reference path (newSimulator): the
+	// per-cycle runReference loop, eager page initialization through
+	// InitLine, and the DRAM model's scan-every-channel mode.
+	reference bool
+	// origins records each lazily-initialized architectural page's stream
+	// and virtual base for archLine; nil when pages are mirrored eagerly.
+	origins map[mem.LineAddr]pageOrigin
 
 	now         int64
 	windowStart int64
@@ -104,11 +110,15 @@ func (l llcAdapter) Drop(a mem.LineAddr) (cache.Entry, bool) {
 }
 
 // New assembles a simulator.
-func New(cfg Config) (*Simulator, error) {
+func New(cfg Config) (*Simulator, error) { return newSimulator(cfg, false) }
+
+// newSimulator assembles a simulator; reference selects the test-only
+// reference path the determinism tests compare the production path with.
+func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, mshr: make(map[mem.LineAddr][]waiter)}
+	s := &Simulator{cfg: cfg, reference: reference, mshr: make(map[mem.LineAddr][]waiter)}
 
 	// Workload streams: rate mode (one workload, all cores), a mix, or
 	// caller-provided sources (trace replay).
@@ -233,19 +243,22 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.obs, _ = s.ctrl.(prefetchObserver)
 
-	// Epoch engine (Config.Shards >= 2): cycle skipping plus sharded page
-	// init and deferred verification. Shards <= 1 keeps the reference
-	// serial loop untouched.
-	if cfg.Shards >= 2 {
-		s.eng = newShardEngine(s, cfg.Shards)
-	}
-	// Discrete-event engine (Config.EventDriven): replaces the run loop
-	// with runEvent. Composes with the epoch engine — page-init fan-out
-	// and the verify sink stay with shardEngine; only the loop changes.
-	// The DRAM model needs engine mode for its O(1) wake schedule; the
-	// epoch engine already enabled it when present.
-	if cfg.EventDriven && s.eng == nil {
+	// The run loop needs the DRAM model's O(1) wake schedule. Architectural
+	// pages are synthesized on demand when every stream can synthesize a
+	// first-touch line without its version map (trace replay cannot).
+	if !reference {
 		s.ctrl.DRAM().SetEngineMode(true)
+		lazy := true
+		for _, src := range s.streams {
+			if _, ok := src.(fillIniter); !ok {
+				lazy = false
+				break
+			}
+		}
+		if lazy {
+			s.origins = make(map[mem.LineAddr]pageOrigin)
+			s.arch.SetLazyFill(s.archLine)
+		}
 	}
 
 	// Observability wiring. The tracer attaches to the controller (every
@@ -278,9 +291,6 @@ func New(cfg Config) (*Simulator, error) {
 		s.cores = append(s.cores, cpu.New(i, cfg.Core, s.streams[i], s.access))
 	}
 	s.tlb = make([]tlbEntry, cfg.Cores*tlbSize)
-	if cfg.EventDriven {
-		s.evq = newEventSched(s) // needs cores + controller assembled
-	}
 	return s, nil
 }
 
@@ -384,8 +394,8 @@ func (s *Simulator) translate(coreID int, vaddr uint64) (mem.LineAddr, bool) {
 		s.pageInits++
 		pageBase := paddr &^ (vm.PageLines - 1)
 		vlineBase := (vaddr >> 6) &^ (vm.PageLines - 1)
-		if s.eng != nil && s.eng.initer != nil {
-			s.eng.initPage(coreID, pageBase, vlineBase)
+		if !s.reference {
+			s.initPage(coreID, pageBase, vlineBase)
 		} else {
 			buf := make([]byte, mem.LineSize)
 			for i := uint64(0); i < vm.PageLines; i++ {
@@ -496,49 +506,20 @@ func (s *Simulator) fillDone(coreID int, paddr mem.LineAddr, c int64) {
 	for _, w := range waiters {
 		w.done(end)
 	}
-	if s.evq != nil {
-		// The event engine caches per-core wakes; every ROB this fill just
-		// wrote must be re-registered after the delivering controller tick.
-		for _, w := range waiters {
-			s.evq.markDirty(w.coreID)
-		}
-	}
 }
 
-// run advances the system until every core retires `limit` instructions
-// (from its current window), maxCycles elapse, or ctx is cancelled. The
-// context is polled every 4096 loop iterations — cheap enough to be
-// invisible, and what lets a per-point timeout (cmd/sweep -timeout,
-// exec.JobOptions) actually interrupt a pathological simulation instead
-// of hanging a worker forever. The poll is iteration-counted, not keyed
-// on s.now & 4095: the serial loop executes every cycle so the cadence is
-// the same, but keying on the clock would alias in any engine that skips
-// cycles (a jump can step over every multiple of 4096), and all three run
-// loops share one polling convention.
-func (s *Simulator) run(ctx context.Context, limit, maxCycles int64) error {
+// runReference is the test-only reference loop run is checked against: it
+// executes every cycle — each core, then the controller on bus multiples,
+// then metrics snapshots — with the same termination checks as run.
+func (s *Simulator) runReference(ctx context.Context, limit, maxCycles int64) error {
 	for i := range s.cores {
 		s.cores[i].ResetWindow(limit)
 	}
 	s.windowStart = s.now
 	deadline := s.now + maxCycles
 	for iter := 0; ; iter++ {
-		allDone := true
-		for _, c := range s.cores {
-			if !c.Done() {
-				allDone = false
-			}
-		}
-		if allDone {
-			return nil
-		}
-		if s.fatal != nil {
-			return s.fatal
-		}
-		if s.now >= deadline {
-			return fmt.Errorf("sim: exceeded %d cycles without finishing", maxCycles)
-		}
-		if iter&4095 == 0 && ctx.Err() != nil {
-			return fmt.Errorf("sim: interrupted at cycle %d: %w", s.now, ctx.Err())
+		if done, err := s.stopped(ctx, iter, deadline, maxCycles); done || err != nil {
+			return err
 		}
 		s.now++
 		for _, c := range s.cores {
@@ -584,20 +565,15 @@ func (s *Simulator) Run() (*Result, error) {
 }
 
 // RunContext is Run with cancellation: the simulation aborts (returning
-// ctx's error) at the next 4096-cycle checkpoint after ctx is done.
+// ctx's error) at the next 4096-iteration checkpoint after ctx is done.
+// The poll is what lets a per-point timeout (cmd/sweep -timeout,
+// exec.JobOptions) interrupt a pathological simulation instead of hanging
+// a worker forever.
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	const cyclesPerInstr = 400 // generous safety budget
 	runFn := s.run
-	switch {
-	case s.evq != nil:
-		// Discrete-event loop; the epoch engine, when also configured,
-		// keeps contributing page-init fan-out and the verify sink.
-		runFn = s.runEvent
-	case s.eng != nil:
-		runFn = s.runSharded
-	}
-	if s.eng != nil {
-		defer s.eng.stop()
+	if s.reference {
+		runFn = s.runReference
 	}
 	if s.cfg.WarmupInstr > 0 {
 		if err := runFn(ctx, s.cfg.WarmupInstr, s.cfg.WarmupInstr*cyclesPerInstr+10_000_000); err != nil {

@@ -1,57 +1,13 @@
 package sim
 
-import (
-	"bytes"
-	"testing"
-
-	"ptmc/internal/trace"
-	"ptmc/internal/workload"
-)
+import "testing"
 
 // TestTraceReplayThroughSimulator records a workload's access stream, then
 // replays it through the full simulator: the replay must be deterministic
 // and integrity-clean under PTMC.
 func TestTraceReplayThroughSimulator(t *testing.T) {
-	wl, err := workload.Lookup("libquantum06")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, wl.Mix, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cap := trace.NewCapture(wl.NewStream(5), w)
-	for i := 0; i < 60_000; i++ {
-		cap.Next()
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
+	cfg := traceReplayCfg(t, SchemePTMC)
 	run := func() *Result {
-		cfg := Default()
-		cfg.Workload = "trace-test"
-		cfg.Scheme = SchemePTMC
-		cfg.Cores = 2
-		cfg.L3Bytes = 1 << 20
-		cfg.WarmupInstr = 20_000
-		cfg.MeasureInstr = 50_000
-		cfg.Sources = func(core int, seed int64) (workload.Source, error) {
-			r, err := trace.NewReader(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			rep, err := trace.NewReplay(r)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < core*rep.Len()/2; i++ {
-				rep.Next() // stagger cores
-			}
-			return rep, nil
-		}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

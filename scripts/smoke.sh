@@ -44,28 +44,19 @@ go run ./cmd/obscheck -trace "$out.trace" -metrics "$out.metrics"
 rm -f "$out.metrics" "$out.trace"
 echo "smoke: observability artifacts valid"
 
-# Determinism stage: the epoch engine must stay byte-identical to the
-# serial loop for every scheme, and under the race detector so any
-# cross-shard ordering leak in the first-touch init fan-out is caught, not
-# just its numeric consequences.
-go test -race -run 'TestShardDeterminism' ./internal/sim/ > /dev/null
-echo "smoke: all-scheme shard determinism clean under -race"
+# Determinism stage: the production path (cycle-skipping run loop, lazy
+# first-touch pages, DRAM engine mode) must stay byte-identical to the
+# per-cycle reference path for every scheme, an 8-core mix and a trace
+# replay, each point run twice with the same seed, under the race detector.
+go test -race -run 'TestEventDeterminismMatrix' ./internal/sim/ > /dev/null
+echo "smoke: all-scheme determinism matrix clean under -race"
 
-# Event-engine determinism stage: the discrete-event engine must stay
-# byte-identical to the serial per-cycle loop for every scheme, alone and
-# composed with sharding (event on/off x shards 0/2/4/8, run twice), under
-# the race detector so the epoch fan-out it composes with stays clean.
-go test -race -run 'TestEventDeterminism' ./internal/sim/ > /dev/null
-echo "smoke: all-scheme event-engine determinism clean under -race"
-
-# Bench stage: the committed benchmark-trajectory artifacts must parse,
-# carry every required series (wall/ at >=2 shard counts, speedup/,
-# micro/), and advance the PR trajectory in order (ordered by recorded PR,
-# so the glob picks up every future artifact automatically). This validates
-# schema presence only — a slower number is a conversation, a missing
-# series is a regression.
-go run ./cmd/benchtrend -check 'BENCH_*.json'
-echo "smoke: benchmark trajectory artifacts valid"
+# Benchmark stage: the perfbench harness's own tests, including
+# TestTracedRunMatchesPinnedFingerprint — the default configuration must
+# reproduce the pinned mix1 and lowmlp result fingerprints, traced and
+# untraced.
+go -C perfbench test ./... > /dev/null
+echo "smoke: perfbench fingerprints match"
 
 # Chaos stage: the durable job queue's full campaign — 200 randomized
 # crash / torn-write / cancellation trials, each adjudicated
