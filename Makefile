@@ -55,6 +55,7 @@ smoke:
 
 fuzz-smoke:
 	$(GO) test ./internal/core/ -run FuzzMarkerClassify -fuzz FuzzMarkerClassify -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server/ -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
 
 trace-smoke:
 	out=$$(mktemp -d) && \

@@ -24,16 +24,13 @@ import (
 // benchOptions is the reduced horizon used by the benchmark suite.
 func benchOptions() paper.Options {
 	return paper.Options{
-		Cores:   4,
-		Warmup:  400_000,
-		Measure: 150_000,
-		Seed:    1,
-		Spec:    []string{"libquantum06", "lbm06", "mcf06"},
-		Graph:   []string{"pr-twitter", "bfs-web"},
-		Mixes:   []string{},
-		All:     []string{"libquantum06", "lbm06", "mcf06", "pr-twitter", "leela17"},
-		L3MB:    4,
-		Silent:  true,
+		Run:    sim.Spec{Cores: 4, Warmup: 400_000, Measure: 150_000, Seed: 1},
+		Spec:   []string{"libquantum06", "lbm06", "mcf06"},
+		Graph:  []string{"pr-twitter", "bfs-web"},
+		Mixes:  []string{},
+		All:    []string{"libquantum06", "lbm06", "mcf06", "pr-twitter", "leela17"},
+		L3MB:   4,
+		Silent: true,
 	}
 }
 
@@ -323,9 +320,9 @@ func BenchmarkDecompressInto(b *testing.B) {
 // machine; the rendered bytes are identical either way.
 func BenchmarkFigure4Parallel(b *testing.B) {
 	opts := benchOptions()
-	opts.Warmup = 60_000
-	opts.Measure = 30_000
-	opts.Cores = 2
+	opts.Run.Warmup = 60_000
+	opts.Run.Measure = 30_000
+	opts.Run.Cores = 2
 	opts.L3MB = 1
 	for _, workers := range []int{1, 4} {
 		workers := workers

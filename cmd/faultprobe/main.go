@@ -14,19 +14,21 @@
 //	faultprobe -metrics m.json -trace t.trace -pprof localhost:6060
 //
 // The campaign is deterministic in (-seed, -trials, -ops, -lines): a
-// failing seed is a reproducer.
+// failing seed is a reproducer. -metrics writes the per-trial
+// detection-counter windows.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
 
 	"ptmc"
+	"ptmc/internal/obs"
+	"ptmc/internal/sim"
 )
 
 func main() {
@@ -42,21 +44,12 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "overall deadline (0 = none)")
 		verbose = flag.Bool("v", false, "print every trial")
 		list    = flag.Bool("list", false, "list fault kinds, then exit")
-
-		metricsOut = flag.String("metrics", "", "write per-trial detection-counter windows to this JSON file")
-		traceOut   = flag.String("trace", "", "write controller events to this Chrome trace-event JSON file")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
+	var out obs.Flags
+	out.BindArtifacts(flag.CommandLine)
+	out.BindPprof(flag.CommandLine)
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		addr, err := ptmc.StartPprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultprobe:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
-	}
+	out.ServePprof()
 
 	if *list {
 		names := make([]string, 0, len(ptmc.FaultKinds()))
@@ -86,8 +79,8 @@ func main() {
 		LLCBytes:    *llcKB << 10,
 		Seed:        *seed,
 		Dynamic:     *dynamic,
-		Trace:       *traceOut != "",
-		Metrics:     *metricsOut != "",
+		Trace:       out.Trace != "",
+		Metrics:     out.Metrics != "",
 	}
 	for _, name := range strings.Split(*kinds, ",") {
 		if name = strings.TrimSpace(name); name == "" {
@@ -120,16 +113,7 @@ func main() {
 		rep.Stats.UndecodableUnits, rep.Stats.FallbackReads, rep.Stats.LITSpills,
 		rep.Stats.IntegrityErrs, rep.Stats.ReKeys)
 	fmt.Printf("final image verification: %d lines OK\n", rep.Verified)
-	if *metricsOut != "" {
-		writeFile(*metricsOut, "metrics", rep.Metrics.WriteJSON)
-	}
-	if *traceOut != "" {
-		writeFile(*traceOut, "trace", func(w io.Writer) error {
-			return ptmc.WriteChromeTrace(w, rep.TraceEvents)
-		})
-		fmt.Printf("trace: %d events (%d dropped) -> %s\n",
-			len(rep.TraceEvents), rep.TraceDropped, *traceOut)
-	}
+	out.Write(rep.Metrics, rep.TraceEvents, rep.TraceDropped)
 	if rep.Silent != 0 {
 		fmt.Fprintf(os.Stderr, "faultprobe: %d SILENT corruptions — soundness bug\n", rep.Silent)
 		os.Exit(1)
@@ -138,13 +122,10 @@ func main() {
 }
 
 func runNoHurt(ctx context.Context) {
-	cfg := ptmc.DefaultConfig()
-	cfg.Cores = 2
+	cfg := sim.Spec{Cores: 2, Warmup: 120_000, Measure: 120_000, Seed: 1}.Config(ptmc.SchemeDynamicPTMC)
 	cfg.L3Bytes = 256 << 10
 	cfg.L3Assoc = 8
 	cfg.SampleFrac = 0.05
-	cfg.WarmupInstr = 120_000
-	cfg.MeasureInstr = 120_000
 	rep, err := ptmc.RunNoHurt(ctx, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultprobe:", err)
@@ -156,20 +137,4 @@ func runNoHurt(ctx context.Context) {
 		os.Exit(1)
 	}
 	fmt.Println("no-hurt guarantee held")
-}
-
-// writeFile writes one observability artifact, exiting on failure so a
-// requested -metrics/-trace file is never silently missing or truncated.
-func writeFile(path, what string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err == nil {
-		err = write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "faultprobe: write %s: %v\n", what, err)
-		os.Exit(1)
-	}
 }

@@ -77,17 +77,11 @@ func serve(args []string) error {
 		backoff  = fs.Duration("backoff", 100*time.Millisecond, "base jittered retry backoff")
 		segBytes = fs.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes (0 = default 4MiB)")
 		drainT   = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
-		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address")
 	)
+	var out obs.Flags
+	out.BindPprof(fs)
 	fs.Parse(args)
-
-	if *pprof != "" {
-		paddr, err := obs.StartPprof(*pprof)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", paddr)
-	}
+	out.ServePprof()
 
 	srv, err := server.New(server.Config{
 		Dir:          *dir,

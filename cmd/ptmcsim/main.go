@@ -24,44 +24,32 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
 
 	"ptmc"
+	"ptmc/internal/obs"
+	"ptmc/internal/sim"
 )
 
 func main() {
+	run := sim.Spec{Cores: 8, Warmup: 700_000, Measure: 400_000, Seed: 1}
+	run.BindFlags(flag.CommandLine)
+	flag.StringVar(&run.Workload, "workload", "lbm06", "workload or mix name (-list to enumerate)")
+	var out obs.Flags
+	out.BindFlags(flag.CommandLine)
 	var (
-		workloadName = flag.String("workload", "lbm06", "workload or mix name (-list to enumerate)")
-		scheme       = flag.String("scheme", ptmc.SchemeDynamicPTMC, "memory-controller scheme")
-		baseline     = flag.Bool("baseline", false, "also run the uncompressed baseline and report speedup")
-		insts        = flag.Int64("insts", 400_000, "measured instructions per core")
-		warmup       = flag.Int64("warmup", 700_000, "warmup instructions per core")
-		cores        = flag.Int("cores", 8, "number of cores (rate mode)")
-		channels     = flag.Int("channels", 2, "DRAM channels")
-		l3MB         = flag.Int("l3mb", 8, "LLC size in MB")
-		seed         = flag.Int64("seed", 1, "deterministic run seed")
-		list         = flag.Bool("list", false, "list workloads and schemes, then exit")
-		inject       = flag.Int("inject", 0, "run an N-trial fault-injection campaign instead of a simulation")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"max concurrent scheme simulations")
-		metricsOut  = flag.String("metrics", "", "write the metrics snapshot time series to this JSON file")
-		metricsIval = flag.Int64("metrics-interval", 10_000, "snapshot window in CPU cycles (with -metrics)")
-		traceOut    = flag.String("trace", "", "write controller events to this Chrome trace-event JSON file")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		scheme   = flag.String("scheme", ptmc.SchemeDynamicPTMC, "memory-controller scheme")
+		baseline = flag.Bool("baseline", false, "also run the uncompressed baseline and report speedup")
+		channels = flag.Int("channels", 2, "DRAM channels")
+		l3MB     = flag.Int("l3mb", 8, "LLC size in MB")
+		list     = flag.Bool("list", false, "list workloads and schemes, then exit")
+		inject   = flag.Int("inject", 0, "run an N-trial fault-injection campaign instead of a simulation")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent scheme simulations")
 	)
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		addr, err := ptmc.StartPprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ptmcsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
-	}
+	out.ServePprof()
 
 	if *list {
 		fmt.Println("schemes: ", strings.Join(ptmc.Schemes(), " "))
@@ -75,27 +63,18 @@ func main() {
 	if *inject > 0 {
 		rep, err := ptmc.RunFaultCampaign(context.Background(), ptmc.FaultConfig{
 			Trials:  *inject,
-			Seed:    *seed,
+			Seed:    run.Seed,
 			Dynamic: *scheme == ptmc.SchemeDynamicPTMC,
-			Trace:   *traceOut != "",
-			Metrics: *metricsOut != "",
+			Trace:   out.Trace != "",
+			Metrics: out.Metrics != "",
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ptmcsim:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("fault campaign: %d trials, seed %d\n", len(rep.Trials), *seed)
+		fmt.Printf("fault campaign: %d trials, seed %d\n", len(rep.Trials), run.Seed)
 		fmt.Print(rep.Summary())
-		if *metricsOut != "" {
-			writeFile(*metricsOut, "metrics", rep.Metrics.WriteJSON)
-		}
-		if *traceOut != "" {
-			writeFile(*traceOut, "trace", func(w io.Writer) error {
-				return ptmc.WriteChromeTrace(w, rep.TraceEvents)
-			})
-			fmt.Printf("trace: %d events (%d dropped) -> %s\n",
-				len(rep.TraceEvents), rep.TraceDropped, *traceOut)
-		}
+		out.Write(rep.Metrics, rep.TraceEvents, rep.TraceDropped)
 		if rep.Silent != 0 {
 			fmt.Fprintf(os.Stderr, "ptmcsim: %d SILENT corruptions\n", rep.Silent)
 			os.Exit(1)
@@ -104,19 +83,11 @@ func main() {
 		return
 	}
 
-	cfg := ptmc.DefaultConfig()
-	cfg.Workload = *workloadName
-	cfg.Scheme = *scheme
-	cfg.MeasureInstr = *insts
-	cfg.WarmupInstr = *warmup
-	cfg.Cores = *cores
+	run.Trace = out.Trace != ""
+	cfg := run.Config(*scheme)
 	cfg.DRAM.Channels = *channels
 	cfg.L3Bytes = *l3MB << 20
-	cfg.Seed = *seed
-	if *metricsOut != "" {
-		cfg.MetricsInterval = *metricsIval
-	}
-	cfg.Trace = *traceOut != ""
+	cfg.MetricsInterval = out.MetricsInterval()
 
 	schemes := []string{*scheme}
 	if *baseline && *scheme != ptmc.SchemeUncompressed {
@@ -129,16 +100,7 @@ func main() {
 	}
 
 	r := results[*scheme]
-	if *metricsOut != "" {
-		writeFile(*metricsOut, "metrics", r.Metrics.WriteJSON)
-	}
-	if *traceOut != "" {
-		writeFile(*traceOut, "trace", func(w io.Writer) error {
-			return ptmc.WriteChromeTrace(w, r.TraceEvents)
-		})
-		fmt.Printf("trace: %d events (%d dropped) -> %s\n",
-			len(r.TraceEvents), r.TraceDropped, *traceOut)
-	}
+	out.Write(r.Metrics, r.TraceEvents, r.TraceDropped)
 	fmt.Println(r)
 	fmt.Printf("cycles=%d instructions=%d\n", r.Cycles, r.Instructions)
 	fmt.Printf("bandwidth: demandR=%d mispredictR=%d metadataR=%d prefetchR=%d\n",
@@ -156,21 +118,5 @@ func main() {
 	if base, ok := results[ptmc.SchemeUncompressed]; ok && *scheme != ptmc.SchemeUncompressed {
 		fmt.Printf("weighted speedup over uncompressed: %.3f\n", r.WeightedSpeedupOver(base))
 		fmt.Printf("bandwidth vs uncompressed: %.3f\n", r.BandwidthOver(base))
-	}
-}
-
-// writeFile writes one observability artifact, exiting on failure so a
-// requested -metrics/-trace file is never silently missing or truncated.
-func writeFile(path, what string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err == nil {
-		err = write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ptmcsim: write %s: %v\n", what, err)
-		os.Exit(1)
 	}
 }

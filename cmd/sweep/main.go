@@ -15,6 +15,9 @@
 // checkpoint), reported in the end-of-run summary as timed out, and the
 // rest of the sweep continues.
 //
+// -metrics m.json and -trace t.trace write one file per point, with the
+// point label before the extension: m-channels=1.json, t-channels=1.trace.
+//
 // Usage:
 //
 //	sweep -kind channels -workload lbm06
@@ -28,7 +31,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -37,6 +39,8 @@ import (
 
 	"ptmc"
 	"ptmc/internal/exec"
+	"ptmc/internal/obs"
+	"ptmc/internal/sim"
 )
 
 type point struct {
@@ -45,43 +49,21 @@ type point struct {
 }
 
 func main() {
+	run := sim.Spec{Cores: 8, Warmup: 200_000, Measure: 400_000, Seed: 1}
+	run.BindFlags(flag.CommandLine)
+	flag.StringVar(&run.Workload, "workload", "lbm06", "workload name")
+	var out obs.Flags
+	out.BindFlags(flag.CommandLine)
 	var (
-		kind         = flag.String("kind", "channels", "sweep: channels | llc | llp | mcache | decomp | seeds")
-		workloadName = flag.String("workload", "lbm06", "workload name")
-		scheme       = flag.String("scheme", ptmc.SchemeDynamicPTMC, "scheme under test")
-		insts        = flag.Int64("insts", 400_000, "measured instructions per core")
-		warmup       = flag.Int64("warmup", 200_000, "warmup instructions per core")
-		cores        = flag.Int("cores", 8, "cores")
-		seed         = flag.Int64("seed", 1, "base seed")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0),
+		kind     = flag.String("kind", "channels", "sweep: channels | llc | llp | mcache | decomp | seeds")
+		scheme   = flag.String("scheme", ptmc.SchemeDynamicPTMC, "scheme under test")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent simulations (output is identical at any value)")
 		timeout = flag.Duration("timeout", 0,
 			"per-point deadline (0 = none); timed-out points are reported, the sweep continues")
-
-		metricsOut = flag.String("metrics", "",
-			"write each point's metrics snapshot series to <name>-<label>.json")
-		metricsIval = flag.Int64("metrics-interval", 10_000, "snapshot window in CPU cycles (with -metrics)")
-		traceOut    = flag.String("trace", "",
-			"write each point's controller events to <name>-<label>.trace (Chrome trace-event JSON)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		addr, err := ptmc.StartPprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
-	}
-
-	base := ptmc.DefaultConfig()
-	base.Workload = *workloadName
-	base.MeasureInstr = *insts
-	base.WarmupInstr = *warmup
-	base.Cores = *cores
-	base.Seed = *seed
+	out.ServePprof()
 
 	var points []point
 	switch *kind {
@@ -127,7 +109,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("sweep %s on %s (%s vs uncompressed)\n", *kind, *workloadName, *scheme)
+	run.Trace = out.Trace != ""
+	base := run.Config(*scheme)
+	base.MetricsInterval = out.MetricsInterval()
+
+	fmt.Printf("sweep %s on %s (%s vs uncompressed)\n", *kind, run.Workload, *scheme)
 
 	// Every point runs to completion even if another fails: the two schemes
 	// of one point share the point's pool slot (CompareParallel at 1) so
@@ -149,10 +135,6 @@ func main() {
 				}
 				cfg := base
 				p.mutate(&cfg)
-				if *metricsOut != "" {
-					cfg.MetricsInterval = *metricsIval
-				}
-				cfg.Trace = *traceOut != ""
 				rs, err := ptmc.CompareParallel(ctx, 1, cfg,
 					ptmc.SchemeUncompressed, *scheme)
 				if err != nil {
@@ -160,18 +142,9 @@ func main() {
 				}
 				r := rs[*scheme]
 				b := rs[ptmc.SchemeUncompressed]
-				if *metricsOut != "" {
-					if err := writeFile(pointPath(*metricsOut, p.label), r.Metrics.WriteJSON); err != nil {
-						return err
-					}
-				}
-				if *traceOut != "" {
-					err := writeFile(pointPath(*traceOut, p.label), func(w io.Writer) error {
-						return ptmc.WriteChromeTrace(w, r.TraceEvents)
-					})
-					if err != nil {
-						return err
-					}
+				pout := obs.Flags{Metrics: pointPath(out.Metrics, p.label), Trace: pointPath(out.Trace, p.label)}
+				if err := pout.WriteFiles(r.Metrics, r.TraceEvents); err != nil {
+					return err
 				}
 				rows[i] = fmt.Sprintf("%-12s speedup=%.3f ipc=%.3f bw=%.3f llp=%.1f%% mpki=%.1f",
 					p.label, r.WeightedSpeedupOver(b), r.IPC(), r.BandwidthOver(b),
@@ -211,23 +184,12 @@ func main() {
 }
 
 // pointPath derives a per-point output file from the flag value by
-// inserting the point label before the extension.
+// inserting the point label before the extension ("" stays "": the
+// artifact was not requested).
 func pointPath(base, label string) string {
+	if base == "" {
+		return ""
+	}
 	ext := filepath.Ext(base)
 	return strings.TrimSuffix(base, ext) + "-" + label + ext
-}
-
-// writeFile writes one observability artifact for a sweep point.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err == nil {
-		err = write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"runtime"
 
 	"ptmc"
+	"ptmc/internal/sim"
 	"ptmc/internal/trace"
 	"ptmc/internal/workload"
 )
@@ -126,9 +127,8 @@ func replay(args []string) error {
 	in := fs.String("in", "trace.trc", "trace file")
 	scheme := fs.String("scheme", ptmc.SchemeDynamicPTMC, "scheme")
 	baseline := fs.Bool("baseline", false, "also run uncompressed and report speedup")
-	cores := fs.Int("cores", 8, "cores (each replays the trace with its own offset seed)")
-	insts := fs.Int64("insts", 400_000, "measured instructions per core")
-	warmup := fs.Int64("warmup", 400_000, "warmup instructions per core")
+	run := sim.Spec{Cores: 8, Warmup: 400_000, Measure: 400_000, Seed: 1}
+	run.BindHorizon(fs)
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent scheme simulations")
 	fs.Parse(args)
 
@@ -137,11 +137,8 @@ func replay(args []string) error {
 		return err
 	}
 
-	cfg := ptmc.DefaultConfig()
-	cfg.Workload = "trace:" + *in
-	cfg.Cores = *cores
-	cfg.MeasureInstr = *insts
-	cfg.WarmupInstr = *warmup
+	run.Workload = "trace:" + *in
+	cfg := run.Config(*scheme)
 	cfg.Sources = func(core int, seed int64) (workload.Source, error) {
 		r, err := trace.NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -153,7 +150,7 @@ func replay(args []string) error {
 		}
 		// Stagger cores through the recording so rate mode does not run
 		// in lockstep.
-		for i := 0; i < core*rep.Len()/max(*cores, 1); i++ {
+		for i := 0; i < core*rep.Len()/max(run.Cores, 1); i++ {
 			rep.Next()
 		}
 		return rep, nil
@@ -173,11 +170,4 @@ func replay(args []string) error {
 		fmt.Printf("weighted speedup over uncompressed: %.3f\n", r.WeightedSpeedupOver(base))
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

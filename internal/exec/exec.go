@@ -16,7 +16,7 @@
 //
 // The engine is panic-safe: a job that panics is converted into a
 // *PanicError carrying the panic value and stack, its worker slot is
-// released, and (for Cache.Do) every waiter on the flight is unblocked
+// released, and (for Cache.DoJob) every waiter on the flight is unblocked
 // with that error. One bad configuration can fail its own job but can
 // never deadlock or shrink the pool.
 package exec
@@ -319,11 +319,12 @@ type flight[V any] struct {
 	err  error
 }
 
-// Cache memoizes computations by string key. Concurrent Do calls for the
-// same key collapse into a single execution (singleflight): one caller
-// becomes the leader and runs the function on the pool; the rest block
-// until the leader finishes and then share its result. Successful results
-// are cached forever; failures are forgotten so a later call may retry.
+// Cache memoizes computations by string key. Concurrent DoJob calls for
+// the same key collapse into a single execution (singleflight): one
+// caller becomes the leader and runs the function on the pool; the rest
+// block until the leader finishes and then share its result. Successful
+// results are cached forever; failures are forgotten so a later call may
+// retry.
 type Cache[V any] struct {
 	pool *Pool
 	mu   sync.Mutex
@@ -335,83 +336,16 @@ func NewCache[V any](pool *Pool) *Cache[V] {
 	return &Cache[V]{pool: pool, m: make(map[string]*flight[V])}
 }
 
-// Cached returns the stored value for key without computing anything.
-func (c *Cache[V]) Cached(key string) (V, bool) {
-	c.mu.Lock()
-	f, ok := c.m[key]
-	c.mu.Unlock()
-	if !ok {
-		return *new(V), false
-	}
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return *new(V), false
-		}
-		return f.val, true
-	default:
-		return *new(V), false
-	}
-}
-
-// Do returns the value for key, computing it with fn at most once across
-// all concurrent callers. ran reports whether this call executed fn (false
-// for cache hits and for waiters that joined an in-flight computation).
-// The leader holds a pool slot while fn runs; waiters hold none, so a
-// thousand goroutines asking for the same key cost one worker. If fn
-// panics, the leader and every waiter receive a *PanicError, the flight is
-// forgotten (a later Do retries), and the pool slot is released.
-func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, ran bool, err error) {
-	c.mu.Lock()
-	if f, ok := c.m[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.val, false, f.err
-		case <-ctx.Done():
-			return *new(V), false, ctx.Err()
-		}
-	}
-	f := &flight[V]{done: make(chan struct{})}
-	c.m[key] = f
-	c.mu.Unlock()
-
-	if err := c.pool.acquire(ctx); err != nil {
-		f.err = err
-		c.forget(key)
-		close(f.done)
-		return *new(V), false, err
-	}
-	// The deferred closure is the flight's single point of settlement: it
-	// converts a panic in fn, releases the slot, forgets failed flights,
-	// and closes done exactly once — in that order — so waiters can never
-	// be left blocked and the pool can never leak a slot, whatever fn did.
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				f.err = &PanicError{Value: v, Stack: debug.Stack()}
-			}
-			c.pool.release()
-			if f.err != nil {
-				c.forget(key)
-			}
-			close(f.done)
-		}()
-		defer func(start time.Time) {
-			c.pool.runTime.Observe(time.Since(start).Nanoseconds())
-		}(time.Now())
-		f.val, f.err = fn()
-	}()
-	return f.val, true, f.err
-}
-
-// DoJob is Do with per-attempt options: the leader executes fn on the
-// pool under opts — per-attempt timeout via a derived context fn must
-// honor, and bounded jittered retry for attempts returning a retryable
-// error (see Retryable) — while waiters share the final outcome. Panics
-// convert to *PanicError for the leader and every waiter and are not
-// retried. Like Do, failed flights are forgotten so a later call may try
-// again.
+// DoJob returns the value for key, computing it with fn at most once
+// across all concurrent callers. ran reports whether this call executed
+// fn (false for cache hits and for waiters that joined an in-flight
+// computation). The leader holds a pool slot while fn runs under opts —
+// per-attempt timeout via a derived context fn must honor, and bounded
+// jittered retry for attempts returning a retryable error (see
+// Retryable); waiters hold none, so a thousand goroutines asking for the
+// same key cost one worker. If fn panics, the leader and every waiter
+// receive a *PanicError (not retried), the flight is forgotten (a later
+// call retries), and the pool slot is released.
 func (c *Cache[V]) DoJob(ctx context.Context, key string, opts JobOptions, fn func(ctx context.Context) (V, error)) (v V, ran bool, err error) {
 	c.mu.Lock()
 	if f, ok := c.m[key]; ok {
@@ -433,6 +367,10 @@ func (c *Cache[V]) DoJob(ctx context.Context, key string, opts JobOptions, fn fu
 		close(f.done)
 		return *new(V), false, err
 	}
+	// The deferred closure is the flight's single point of settlement: it
+	// converts a panic, releases the slot, forgets failed flights, and
+	// closes done exactly once — in that order — so waiters can never be
+	// left blocked and the pool can never leak a slot, whatever fn did.
 	func() {
 		defer func() {
 			if v := recover(); v != nil {
@@ -458,7 +396,7 @@ func (c *Cache[V]) DoJob(ctx context.Context, key string, opts JobOptions, fn fu
 	return f.val, true, f.err
 }
 
-// forget removes a failed flight so the next Do retries it.
+// forget removes a failed flight so the next DoJob retries it.
 func (c *Cache[V]) forget(key string) {
 	c.mu.Lock()
 	delete(c.m, key)

@@ -86,13 +86,13 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, ran, err := c.Do(context.Background(), "k", func() (int, error) {
+			v, ran, err := c.DoJob(context.Background(), "k", JobOptions{}, func(context.Context) (int, error) {
 				computed.Add(1)
 				time.Sleep(2 * time.Millisecond)
 				return 42, nil
 			})
 			if err != nil || v != 42 {
-				t.Errorf("Do = %d, %v", v, err)
+				t.Errorf("DoJob = %d, %v", v, err)
 			}
 			if ran {
 				ranCount.Add(1)
@@ -106,8 +106,11 @@ func TestCacheSingleflight(t *testing.T) {
 	if ranCount.Load() != 1 {
 		t.Errorf("%d callers reported ran=true, want exactly 1", ranCount.Load())
 	}
-	if v, ok := c.Cached("k"); !ok || v != 42 {
-		t.Errorf("Cached = %d, %v", v, ok)
+	v, ran, err := c.DoJob(context.Background(), "k", JobOptions{}, func(context.Context) (int, error) {
+		return 0, errors.New("cache hit must not recompute")
+	})
+	if err != nil || v != 42 || ran {
+		t.Errorf("cached DoJob = %d, ran=%v, %v; want 42 from the cache", v, ran, err)
 	}
 }
 
@@ -115,14 +118,14 @@ func TestCacheErrorsAreRetried(t *testing.T) {
 	p := NewPool(1)
 	c := NewCache[int](p)
 	calls := 0
-	_, _, err := c.Do(context.Background(), "k", func() (int, error) {
+	_, _, err := c.DoJob(context.Background(), "k", JobOptions{}, func(context.Context) (int, error) {
 		calls++
 		return 0, errors.New("transient")
 	})
 	if err == nil {
 		t.Fatal("want error")
 	}
-	v, ran, err := c.Do(context.Background(), "k", func() (int, error) {
+	v, ran, err := c.DoJob(context.Background(), "k", JobOptions{}, func(context.Context) (int, error) {
 		calls++
 		return 7, nil
 	})
@@ -138,7 +141,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	p := NewPool(1)
 	c := NewCache[int](p)
 	release := make(chan struct{})
-	go c.Do(context.Background(), "slow", func() (int, error) {
+	go c.DoJob(context.Background(), "slow", JobOptions{}, func(context.Context) (int, error) {
 		<-release
 		return 1, nil
 	})
@@ -146,7 +149,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.Do(ctx, "slow", func() (int, error) { return 2, nil })
+	_, _, err := c.DoJob(ctx, "slow", JobOptions{}, func(context.Context) (int, error) { return 2, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("waiter error = %v, want context.Canceled", err)
 	}
@@ -209,10 +212,10 @@ func TestForEachPanicIsIsolated(t *testing.T) {
 	}
 }
 
-// TestCacheDoPanicUnblocksWaiters panics the singleflight leader and
+// TestCacheDoJobPanicUnblocksWaiters panics the singleflight leader and
 // asserts every waiter returns a PanicError instead of deadlocking, the
-// slot is released, and a later Do retries the key.
-func TestCacheDoPanicUnblocksWaiters(t *testing.T) {
+// slot is released, and a later DoJob retries the key.
+func TestCacheDoJobPanicUnblocksWaiters(t *testing.T) {
 	p := NewPool(1) // one slot: a leaked slot would deadlock the retry below
 	c := NewCache[int](p)
 	start := make(chan struct{})
@@ -223,7 +226,7 @@ func TestCacheDoPanicUnblocksWaiters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			_, _, err := c.Do(context.Background(), "boom", func() (int, error) {
+			_, _, err := c.DoJob(context.Background(), "boom", JobOptions{}, func(context.Context) (int, error) {
 				time.Sleep(2 * time.Millisecond) // let waiters join the flight
 				panic("leader exploded")
 			})
@@ -241,7 +244,7 @@ func TestCacheDoPanicUnblocksWaiters(t *testing.T) {
 		t.Errorf("%d callers saw the PanicError, want 8", n)
 	}
 	// The failed flight must be forgotten and the slot released.
-	v, ran, err := c.Do(context.Background(), "boom", func() (int, error) { return 9, nil })
+	v, ran, err := c.DoJob(context.Background(), "boom", JobOptions{}, func(context.Context) (int, error) { return 9, nil })
 	if err != nil || v != 9 || !ran {
 		t.Fatalf("retry after panic: v=%d ran=%v err=%v", v, ran, err)
 	}

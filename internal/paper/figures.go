@@ -88,7 +88,7 @@ func (r *Runner) Figure6() error {
 		if err != nil {
 			return err
 		}
-		s := w.NewStream(r.Opts.Seed)
+		s := w.NewStream(r.Opts.Run.Seed)
 		const pairs = 4000
 		fit64, fit60 := 0, 0
 		l0, l1 := make([]byte, 64), make([]byte, 64)

@@ -26,10 +26,9 @@ import (
 
 // Options scopes an experiment run.
 type Options struct {
-	Cores   int
-	Warmup  int64
-	Measure int64
-	Seed    int64
+	// Run is the horizon, core count and seed every simulation shares;
+	// each job supplies its own workload.
+	Run sim.Spec
 
 	// Workload subsets (names). A nil slice selects the full paper set;
 	// an empty non-nil slice selects none.
@@ -46,10 +45,7 @@ type Options struct {
 // -insts in cmd/paperbench.
 func Quick() Options {
 	return Options{
-		Cores:   8,
-		Warmup:  700_000,
-		Measure: 350_000,
-		Seed:    1,
+		Run: sim.Spec{Cores: 8, Warmup: 700_000, Measure: 350_000, Seed: 1},
 		Spec: []string{"libquantum06", "lbm06", "mcf06", "soplex06",
 			"lbm17", "xz17"},
 		Graph: []string{"pr-twitter", "bfs-web", "cc-sk"},
@@ -64,8 +60,8 @@ func Quick() Options {
 // cmd/paperbench -full).
 func Full() Options {
 	o := Quick()
-	o.Warmup = 1_000_000
-	o.Measure = 1_000_000
+	o.Run.Warmup = 1_000_000
+	o.Run.Measure = 1_000_000
 	o.Spec = nil
 	o.Graph = nil
 	o.Mixes = nil
@@ -158,8 +154,6 @@ type Job struct {
 	Mutate   func(*sim.Config)
 }
 
-func (j Job) key() string { return j.Workload + "|" + j.Scheme + "|" + j.Variant }
-
 // jobsFor builds the cross product of workloads × schemes (no variants),
 // in deterministic workload-major order.
 func jobsFor(wls []string, schemes ...string) []Job {
@@ -172,26 +166,24 @@ func jobsFor(wls []string, schemes ...string) []Job {
 	return jobs
 }
 
-// config builds the base simulation config for a workload/scheme pair.
-func (r *Runner) config(wl, scheme string) sim.Config {
-	cfg := sim.Default()
-	cfg.Workload = wl
-	cfg.Scheme = scheme
-	cfg.Cores = r.Opts.Cores
-	cfg.WarmupInstr = r.Opts.Warmup
-	cfg.MeasureInstr = r.Opts.Measure
-	cfg.Seed = r.Opts.Seed
-	if r.Opts.L3MB > 0 {
-		cfg.L3Bytes = r.Opts.L3MB << 20
-	}
-	return cfg
+// spec is the runner's shared run spec applied to one workload.
+func (r *Runner) spec(wl string) sim.Spec {
+	s := r.Opts.Run
+	s.Workload = wl
+	return s
 }
+
+// key is j's cache key: the canonical run key plus the variant label.
+func (r *Runner) key(j Job) string { return r.spec(j.Workload).Key(j.Scheme) + "|" + j.Variant }
 
 // run executes (or recalls) one job through the deduplicated cache. ran
 // reports whether this call performed the simulation.
 func (r *Runner) run(ctx context.Context, j Job) (res *sim.Result, ran bool, err error) {
-	return r.cache.Do(ctx, j.key(), func() (*sim.Result, error) {
-		cfg := r.config(j.Workload, j.Scheme)
+	return r.cache.DoJob(ctx, r.key(j), exec.JobOptions{}, func(context.Context) (*sim.Result, error) {
+		cfg := r.spec(j.Workload).Config(j.Scheme)
+		if r.Opts.L3MB > 0 {
+			cfg.L3Bytes = r.Opts.L3MB << 20
+		}
 		if j.Mutate != nil {
 			j.Mutate(&cfg)
 		}
@@ -246,8 +238,8 @@ func (r *Runner) Prefetch(jobs ...Job) error {
 	uniq := make([]Job, 0, len(jobs))
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
-		if !seen[j.key()] {
-			seen[j.key()] = true
+		if k := r.key(j); !seen[k] {
+			seen[k] = true
 			uniq = append(uniq, j)
 		}
 	}

@@ -4,22 +4,21 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ptmc/internal/sim"
 )
 
 // tinyOptions keeps the smoke tests fast: 2 cores, one workload per suite,
 // a very short horizon.
 func tinyOptions() Options {
 	return Options{
-		Cores:   2,
-		Warmup:  15_000,
-		Measure: 40_000,
-		Seed:    1,
-		Spec:    []string{"libquantum06", "mcf06"},
-		Graph:   []string{"pr-twitter"},
-		Mixes:   []string{},
-		All:     []string{"libquantum06", "pr-twitter"},
-		L3MB:    1,
-		Silent:  true,
+		Run:    sim.Spec{Cores: 2, Warmup: 15_000, Measure: 40_000, Seed: 1},
+		Spec:   []string{"libquantum06", "mcf06"},
+		Graph:  []string{"pr-twitter"},
+		Mixes:  []string{},
+		All:    []string{"libquantum06", "pr-twitter"},
+		L3MB:   1,
+		Silent: true,
 	}
 }
 

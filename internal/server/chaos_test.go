@@ -174,11 +174,10 @@ func (c *chaosTrial) submitSome(hs *httptest.Server) {
 	}
 	for n := 1 + c.rng.Intn(3); n > 0; n-- {
 		spec := JobSpec{
-			Workload: workloads[c.rng.Intn(len(workloads))],
-			Schemes:  schemeSets[c.rng.Intn(len(schemeSets))],
-			Cores:    2, Warmup: 100, Measure: 200,
-			Seed:   int64(1 + c.rng.Intn(6)),
-			Tenant: "chaos",
+			Spec: sim.Spec{Workload: workloads[c.rng.Intn(len(workloads))],
+				Cores: 2, Warmup: 100, Measure: 200, Seed: int64(1 + c.rng.Intn(6))},
+			Schemes: schemeSets[c.rng.Intn(len(schemeSets))],
+			Tenant:  "chaos",
 		}
 		body, _ := json.Marshal(spec)
 		resp, err := http.Post(hs.URL+"/jobs", "application/json",

@@ -27,18 +27,15 @@ import (
 	"ptmc/internal/workload"
 )
 
-// JobSpec is the wire form of one experiment job: a workload, a scheme
-// matrix, and the config knobs a remote caller may vary. Zero fields take
-// the paper's defaults (sim.Default). The normalized spec — not the raw
-// request bytes — is what gets keyed, stored, and replayed, so two
-// requests that mean the same experiment share one job.
+// JobSpec is the wire form of one experiment job: a run spec (workload,
+// cores, horizon, seed, trace), a scheme matrix, and service-only fields.
+// Zero run fields take the paper's defaults (sim.Spec.Normalize). The
+// normalized spec — not the raw request bytes — is what gets keyed,
+// stored, and replayed, so two requests that mean the same experiment
+// share one job.
 type JobSpec struct {
-	Workload string   `json:"workload"`
-	Schemes  []string `json:"schemes"`
-	Cores    int      `json:"cores,omitempty"`
-	Warmup   int64    `json:"warmup_instr,omitempty"`
-	Measure  int64    `json:"measure_instr,omitempty"`
-	Seed     int64    `json:"seed,omitempty"`
+	sim.Spec
+	Schemes []string `json:"schemes"`
 	// TimeoutSec bounds each scheme's simulation (0 = server default).
 	TimeoutSec int `json:"timeout_sec,omitempty"`
 	// Tenant attributes the job for quota accounting ("" = "default").
@@ -49,11 +46,6 @@ type JobSpec struct {
 	// different priority joins the existing job rather than re-running it.
 	// Persisted with the spec, so a replayed job keeps its class.
 	Priority string `json:"priority,omitempty"`
-	// Trace records simulation events (internal/obs) during each scheme
-	// run; the per-job Chrome trace served at /jobs/{id}/trace then carries
-	// the cycle-stamped simulator events alongside the per-scheme job
-	// spans. Part of the job key: a traced run is a different artifact.
-	Trace bool `json:"trace,omitempty"`
 }
 
 // Normalize fills defaults in place and validates the spec against the
@@ -87,19 +79,7 @@ func (s *JobSpec) Normalize() error {
 	if s.TimeoutSec < 0 {
 		return badRequest("timeout_sec must be >= 0")
 	}
-	def := sim.Default()
-	if s.Cores == 0 {
-		s.Cores = def.Cores
-	}
-	if s.Warmup == 0 {
-		s.Warmup = def.WarmupInstr
-	}
-	if s.Measure == 0 {
-		s.Measure = def.MeasureInstr
-	}
-	if s.Seed == 0 {
-		s.Seed = def.Seed
-	}
+	s.Spec.Normalize()
 	// Validate once per scheme with the simulator's own rules, so the
 	// daemon rejects at accept time what the worker would reject at run
 	// time (a rejected request costs no WAL write).
@@ -119,47 +99,27 @@ func (s *JobSpec) Normalize() error {
 	return nil
 }
 
-// Config maps the normalized spec to one scheme's simulator config.
-func (s *JobSpec) Config(scheme string) sim.Config {
-	cfg := sim.Default()
-	cfg.Workload = s.Workload
-	cfg.Scheme = scheme
-	cfg.Cores = s.Cores
-	cfg.WarmupInstr = s.Warmup
-	cfg.MeasureInstr = s.Measure
-	cfg.Seed = s.Seed
-	cfg.Trace = s.Trace
-	return cfg
-}
-
-// Key is the job's content-derived identity: workload and scheme matrix
-// plus a short hash of every other knob, in the same spirit (and the same
-// "|"-joined shape) as the paper runner's singleflight cache key
-// (workload|scheme|variant). Identical specs — across requests, tenants,
-// and daemon restarts — share one key, one WAL entry, and one persistent
-// result; that is what makes repeated sweeps across restarts free.
-// Priority deliberately does not participate (scheduling metadata); Trace
-// does (a traced run is a different artifact).
+// Key is the job's content-derived identity: a short hash of the
+// workload, the scheme matrix and every run field, plus TimeoutSec.
+// Identical specs — across requests, tenants, and daemon restarts — share
+// one key, one WAL entry, and one persistent result; that is what makes
+// repeated sweeps across restarts free. Priority deliberately does not
+// participate (scheduling metadata); Trace does (a traced run is a
+// different artifact). TimeoutSec does too, although it cannot change a
+// result: a failed job is kept for good and answers an identical
+// resubmission, so a longer timeout is how a client retries a run that
+// timed out (DESIGN.md §8).
 //
 // The constant "sh0|evfalse" fields are the retired engine knobs (shards,
-// event_driven) at their defaults: keeping them in the hashed string keeps
-// every id minted before the knobs were removed stable, so resubmitted
-// experiments still dedupe against their persisted results.
+// event_driven) at their defaults, as in sim.Spec.Key: keeping them in the
+// hashed string keeps every id minted before the knobs were removed
+// stable, so resubmitted experiments still dedupe against their persisted
+// results.
 func (s *JobSpec) Key() string {
 	variant := fmt.Sprintf("c%d|w%d|m%d|s%d|sh0|evfalse|t%d|tr%t",
 		s.Cores, s.Warmup, s.Measure, s.Seed, s.TimeoutSec, s.Trace)
 	h := sha256.Sum256([]byte(s.Workload + "|" + strings.Join(s.Schemes, ",") + "|" + variant))
 	return "j" + hex.EncodeToString(h[:8])
-}
-
-// SchemeKey is the per-scheme singleflight key used to deduplicate the
-// actual simulations across concurrently-running jobs (two jobs sharing a
-// (workload, scheme, variant) point run it once). Tenant and scheme-matrix
-// membership deliberately do not participate; "sh0|evfalse" is kept for
-// the same stability reason as in Key.
-func (s *JobSpec) SchemeKey(scheme string) string {
-	return fmt.Sprintf("%s|%s|c%d|w%d|m%d|s%d|sh0|evfalse|tr%t",
-		s.Workload, scheme, s.Cores, s.Warmup, s.Measure, s.Seed, s.Trace)
 }
 
 // Job states. The daemon's crash-recovery state machine (DESIGN.md) allows

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ptmc/internal/sim"
 )
 
 // TestKeysStableAcrossEngineKnobRemoval pins job, scheme and sweep ids
@@ -18,13 +20,13 @@ func TestKeysStableAcrossEngineKnobRemoval(t *testing.T) {
 		spec            JobSpec
 		key, schemeKey0 string
 	}{
-		{JobSpec{Workload: "lbm06"},
+		{JobSpec{Spec: sim.Spec{Workload: "lbm06"}},
 			"jc18146cd6bcaacc2", "lbm06|dynamic-ptmc|c8|w700000|m500000|s1|sh0|evfalse|trfalse"},
-		{JobSpec{Workload: "mix1", Schemes: []string{"uncompressed", "dynamic-ptmc"}, Cores: 8,
-			Warmup: 1000, Measure: 2000, Seed: 7, TimeoutSec: 30},
+		{JobSpec{Spec: sim.Spec{Workload: "mix1", Cores: 8, Warmup: 1000, Measure: 2000, Seed: 7},
+			Schemes: []string{"uncompressed", "dynamic-ptmc"}, TimeoutSec: 30},
 			"j6fd33a255a3f8846", "mix1|uncompressed|c8|w1000|m2000|s7|sh0|evfalse|trfalse"},
-		{JobSpec{Workload: "lbm06", Schemes: []string{"ptmc"}, Cores: 2, Warmup: 100, Measure: 200,
-			Seed: 3, Trace: true, Tenant: "alice", Priority: PriorityInteractive},
+		{JobSpec{Spec: sim.Spec{Workload: "lbm06", Cores: 2, Warmup: 100, Measure: 200, Seed: 3, Trace: true},
+			Schemes: []string{"ptmc"}, Tenant: "alice", Priority: PriorityInteractive},
 			"j7acc7e499a2bfbbb", "lbm06|ptmc|c2|w100|m200|s3|sh0|evfalse|trtrue"},
 	}
 	for _, c := range jobs {
@@ -35,8 +37,8 @@ func TestKeysStableAcrossEngineKnobRemoval(t *testing.T) {
 		if got := s.Key(); got != c.key {
 			t.Errorf("%s Key = %s, want %s", s.Workload, got, c.key)
 		}
-		if got := s.SchemeKey(s.Schemes[0]); got != c.schemeKey0 {
-			t.Errorf("%s SchemeKey = %s, want %s", s.Workload, got, c.schemeKey0)
+		if got := s.Spec.Key(s.Schemes[0]); got != c.schemeKey0 {
+			t.Errorf("%s Spec.Key = %s, want %s", s.Workload, got, c.schemeKey0)
 		}
 	}
 

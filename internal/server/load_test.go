@@ -177,9 +177,9 @@ func TestLoadKillRestart(t *testing.T) {
 	imu.Lock()
 	for _, c := range invoked {
 		key := (&JobSpec{
-			Workload: c.Workload, Schemes: []string{c.Scheme},
-			Cores: c.Cores, Warmup: c.WarmupInstr, Measure: c.MeasureInstr,
-			Seed: c.Seed, Tenant: "default", Trace: c.Trace,
+			Spec: sim.Spec{Workload: c.Workload, Cores: c.Cores, Warmup: c.WarmupInstr,
+				Measure: c.MeasureInstr, Seed: c.Seed, Trace: c.Trace},
+			Schemes: []string{c.Scheme}, Tenant: "default",
 		}).Key()
 		if preDone[key] {
 			t.Errorf("point %s/%s/%d re-simulated despite a surviving artifact",

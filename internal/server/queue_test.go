@@ -7,10 +7,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ptmc/internal/sim"
 )
 
 func qjob(id, tenant, priority string) *job {
-	return newJob(id, JobSpec{Workload: "lbm06", Schemes: []string{"ptmc"},
+	return newJob(id, JobSpec{Spec: sim.Spec{Workload: "lbm06"}, Schemes: []string{"ptmc"},
 		Tenant: tenant, Priority: priority})
 }
 

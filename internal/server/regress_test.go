@@ -65,7 +65,7 @@ func TestFinishTerminalEventVisibleOnDone(t *testing.T) {
 	const iters = 100
 	var missing atomic.Int64
 	for i := 0; i < iters; i++ {
-		j := newJob("j", JobSpec{Workload: "lbm06", Schemes: []string{"ptmc"}})
+		j := newJob("j", JobSpec{Spec: sim.Spec{Workload: "lbm06"}, Schemes: []string{"ptmc"}})
 		ch := make(chan Event, 16)
 		j.subscribe(0, ch)
 

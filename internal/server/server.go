@@ -324,7 +324,7 @@ func (s *Server) runJob(j *job) {
 		scheme := scheme
 		tries := 0
 		t0 := time.Now()
-		res, _, err := s.flights.DoJob(s.baseCtx, j.spec.SchemeKey(scheme),
+		res, _, err := s.flights.DoJob(s.baseCtx, j.spec.Spec.Key(scheme),
 			exec.JobOptions{Timeout: timeout, Attempts: s.cfg.Retries, Backoff: s.cfg.Backoff},
 			func(ctx context.Context) (*sim.Result, error) {
 				if tries++; tries > 1 {
@@ -507,30 +507,25 @@ func (s *Server) sweepCoordinator(sw *sweep) {
 // order from the children's terminal states and on-disk artifacts.
 func (s *Server) buildSweepArtifact(sw *sweep) SweepArtifact {
 	art := SweepArtifact{ID: sw.id, Spec: sw.spec}
-	idx := 0
-	for _, w := range sw.spec.Workloads {
-		for _, sc := range sw.spec.Schemes {
-			for _, sd := range sw.spec.Seeds {
-				cid := sw.children[idx]
-				idx++
-				p := SweepPoint{Workload: w, Scheme: sc, Seed: sd, JobID: cid}
-				j := s.lookup(cid)
-				if j == nil {
-					p.State, p.FailKind, p.Error = StateFailed, "internal", "child job missing"
+	_, specs := sw.spec.children()
+	for i, spec := range specs {
+		cid := sw.children[i]
+		p := SweepPoint{Workload: spec.Workload, Scheme: spec.Schemes[0], Seed: spec.Seed, JobID: cid}
+		j := s.lookup(cid)
+		if j == nil {
+			p.State, p.FailKind, p.Error = StateFailed, "internal", "child job missing"
+		} else {
+			st := j.status()
+			p.State, p.FailKind, p.Error = st.State, st.FailKind, st.Error
+			if st.State == StateDone {
+				if data, err := s.store.Result(cid); err == nil {
+					p.Result = json.RawMessage(data)
 				} else {
-					st := j.status()
-					p.State, p.FailKind, p.Error = st.State, st.FailKind, st.Error
-					if st.State == StateDone {
-						if data, err := s.store.Result(cid); err == nil {
-							p.Result = json.RawMessage(data)
-						} else {
-							p.State, p.FailKind, p.Error = StateFailed, "artifact", err.Error()
-						}
-					}
+					p.State, p.FailKind, p.Error = StateFailed, "artifact", err.Error()
 				}
-				art.Points = append(art.Points, p)
 			}
 		}
+		art.Points = append(art.Points, p)
 	}
 	return art
 }

@@ -142,6 +142,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"workload":"nope-not-a-workload"}`,
 		`{"workload":"lbm06","schemes":["bogus"]}`,
 		`{"workload":"lbm06","schemes":["ptmc","ptmc"]}`,
+		`{"workload":"lbm06","cores":100000}`,
 	} {
 		code, _ := submit(t, hs, bad)
 		if code != http.StatusBadRequest {

@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ptmc/internal/sim"
 )
 
 func testSpec(workload string) JobSpec {
-	s := JobSpec{Workload: workload, Schemes: []string{"uncompressed"},
-		Cores: 2, Warmup: 1000, Measure: 2000, Seed: 1, Tenant: "t"}
+	s := JobSpec{Spec: sim.Spec{Workload: workload, Cores: 2, Warmup: 1000, Measure: 2000, Seed: 1},
+		Schemes: []string{"uncompressed"}, Tenant: "t"}
 	return s
 }
 

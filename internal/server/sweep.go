@@ -37,7 +37,9 @@ type SweepSpec struct {
 
 // Normalize fills defaults and validates the matrix, including running
 // every child spec through JobSpec.Normalize so a sweep is rejected at
-// submit time for exactly the reasons any of its points would be.
+// submit time for exactly the reasons any of its points would be. The
+// shared knobs and each seed go through sim.Spec.Normalize, like a job's:
+// seed 0 is the default seed, so seeds [0, 1] collide.
 func (s *SweepSpec) Normalize() error {
 	if len(s.Workloads) == 0 {
 		return badRequest("workloads is required")
@@ -56,11 +58,12 @@ func (s *SweepSpec) Normalize() error {
 		seenW[w] = true
 	}
 	seenSd := map[int64]bool{}
-	for _, sd := range s.Seeds {
-		if seenSd[sd] {
-			return badRequest(fmt.Sprintf("duplicate seed %d", sd))
+	for i := range s.Seeds {
+		s.Seeds[i] = s.run(s.Seeds[i]).Seed
+		if seenSd[s.Seeds[i]] {
+			return badRequest(fmt.Sprintf("duplicate seed %d", s.Seeds[i]))
 		}
-		seenSd[sd] = true
+		seenSd[s.Seeds[i]] = true
 	}
 	if s.Tenant == "" {
 		s.Tenant = "default"
@@ -69,39 +72,44 @@ func (s *SweepSpec) Normalize() error {
 	if n > maxSweepPoints {
 		return badRequest(fmt.Sprintf("sweep has %d points (max %d)", n, maxSweepPoints))
 	}
+	run := s.run(0)
+	s.Cores, s.Warmup, s.Measure = run.Cores, run.Warmup, run.Measure
 	// Child validation covers scheme names, knob ranges, and workload
-	// resolution; it also normalizes the shared knobs in place via the
-	// first child (all children share them).
+	// resolution.
 	_, specs := s.children()
 	for i := range specs {
 		if err := specs[i].Normalize(); err != nil {
 			return err
 		}
 	}
-	first := specs[0]
-	s.Cores, s.Warmup, s.Measure = first.Cores, first.Warmup, first.Measure
 	return nil
+}
+
+// run is the normalized run spec the sweep's shared knobs and seed
+// describe (workload left to the caller).
+func (s *SweepSpec) run(seed int64) sim.Spec {
+	r := sim.Spec{Cores: s.Cores, Warmup: s.Warmup, Measure: s.Measure, Seed: seed}
+	r.Normalize()
+	return r
 }
 
 // children derives the deterministic fan-out: workloads outermost, then
 // schemes, then seeds. Each point is a single-scheme job at sweep-child
 // priority; its id is the ordinary content key, which is what makes
-// resumed (or overlapping) sweeps dedupe for free.
+// resumed (or overlapping) sweeps dedupe for free. Every child's run spec
+// is normalized, also for a sweep persisted before seeds were.
 func (s *SweepSpec) children() (ids []string, specs []JobSpec) {
 	for _, w := range s.Workloads {
 		for _, sc := range s.Schemes {
 			for _, sd := range s.Seeds {
 				spec := JobSpec{
-					Workload:   w,
+					Spec:       s.run(sd),
 					Schemes:    []string{sc},
-					Cores:      s.Cores,
-					Warmup:     s.Warmup,
-					Measure:    s.Measure,
-					Seed:       sd,
 					TimeoutSec: s.TimeoutSec,
 					Tenant:     s.Tenant,
 					Priority:   PrioritySweepChild,
 				}
+				spec.Workload = w
 				ids = append(ids, spec.Key())
 				specs = append(specs, spec)
 			}

@@ -90,6 +90,7 @@ func TestSweepSpecNormalizeDefaultsAndBounds(t *testing.T) {
 		{Workloads: []string{"lbm06"}, Seeds: []int64{3, 3}},
 		{Workloads: []string{"no-such-workload"}},
 		{Workloads: []string{"lbm06"}, Schemes: []string{"no-such-scheme"}},
+		{Workloads: []string{"lbm06"}, Cores: 100000},
 	}
 	for i, sp := range bad {
 		if err := sp.Normalize(); err == nil {
@@ -200,6 +201,43 @@ func TestSweepEndToEnd(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&jobs)
 	if len(jobs) != 8 {
 		t.Fatalf("listed %d jobs, want the 8 children", len(jobs))
+	}
+}
+
+// TestSweepSeedZeroIsTheDefaultSeed: seed 0 means the default seed on a
+// sweep exactly as on a job, so the two dedupe, and seeds that collide
+// after normalization are rejected. A sweep persisted with seed 0 (before
+// sweeps normalized their seeds) derives its children with the default
+// seed too.
+func TestSweepSeedZeroIsTheDefaultSeed(t *testing.T) {
+	s, hs := newTestServer(t, nil, nil)
+	code, jst := submit(t, hs, `{"workload":"lbm06","schemes":["ptmc"],"cores":2,"warmup_instr":100,"measure_instr":200,"seed":0}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	waitState(t, hs, jst.ID, StateDone)
+	if code, _ := submitSweep(t, hs, `{"workloads":["lbm06"],"schemes":["ptmc"],"seeds":[0,1],"cores":2,"warmup_instr":100,"measure_instr":200}`); code != http.StatusBadRequest {
+		t.Fatalf("seeds [0,1] = %d, want 400 (they collide)", code)
+	}
+
+	before := s.m.simsRun.Load()
+	_, st := submitSweep(t, hs, `{"workloads":["lbm06"],"schemes":["ptmc"],"seeds":[0],"cores":2,"warmup_instr":100,"measure_instr":200}`)
+	waitSweep(t, hs, st.ID)
+	var art SweepArtifact
+	json.Unmarshal(sweepArtifactBytes(t, hs, st.ID), &art)
+	if len(art.Points) != 1 || art.Points[0].JobID != jst.ID || art.Points[0].Seed != sim.Default().Seed {
+		t.Fatalf("seed-0 sweep point = %+v, want job %s at the default seed", art.Points, jst.ID)
+	}
+	if got := s.m.simsRun.Load(); got != before {
+		t.Fatalf("seed-0 sweep re-ran %d sims of the seed-0 job", got-before)
+	}
+
+	persisted := SweepSpec{Workloads: []string{"lbm06"}, Schemes: []string{"ptmc"}, Seeds: []int64{0},
+		Cores: 2, Warmup: 100, Measure: 200, Tenant: "default"}
+	ids, specs := persisted.children()
+	if specs[0].Seed != sim.Default().Seed || ids[0] != jst.ID {
+		t.Fatalf("persisted seed-0 child = seed %d id %s, want seed %d id %s",
+			specs[0].Seed, ids[0], sim.Default().Seed, jst.ID)
 	}
 }
 
@@ -335,10 +373,9 @@ func TestSweepResumesAfterKillWithoutRerunning(t *testing.T) {
 	defer mu.Unlock()
 	for _, c := range invoked {
 		key := (&JobSpec{
-			Workload: c.Workload, Schemes: []string{c.Scheme},
-			Cores: c.Cores, Warmup: c.WarmupInstr, Measure: c.MeasureInstr,
-			Seed: c.Seed, Tenant: "default",
-			Priority: PrioritySweepChild, Trace: c.Trace,
+			Spec: sim.Spec{Workload: c.Workload, Cores: c.Cores, Warmup: c.WarmupInstr,
+				Measure: c.MeasureInstr, Seed: c.Seed, Trace: c.Trace},
+			Schemes: []string{c.Scheme}, Tenant: "default", Priority: PrioritySweepChild,
 		}).Key()
 		if preDone[key] {
 			t.Errorf("point %s/%s/%d re-simulated despite its artifact surviving the kill",

@@ -75,6 +75,12 @@ type Config struct {
 	TraceCapacity   int
 }
 
+// MaxCores bounds Config.Cores. Each core costs about 127 KB of simulator
+// state before any workload memory, and the paper's system has 8, so 64
+// leaves headroom while keeping an untrusted job spec (internal/server)
+// from asking for gigabytes.
+const MaxCores = 64
+
 // Default returns the paper's Table I system configuration with a
 // laptop-scale measurement horizon.
 func Default() Config {
@@ -110,8 +116,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Workload == "" && c.Custom == nil && c.Sources == nil:
 		return fmt.Errorf("sim: no workload selected")
-	case c.Cores <= 0:
-		return fmt.Errorf("sim: cores must be positive")
+	case c.Cores <= 0 || c.Cores > MaxCores:
+		return fmt.Errorf("sim: cores must be in [1, %d]", MaxCores)
 	case c.MeasureInstr <= 0:
 		return fmt.Errorf("sim: MeasureInstr must be positive")
 	case c.CPUFreqGHz <= 0:
