@@ -12,6 +12,7 @@ package ptmc
 // (workload, scheme) simulation once.
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -24,12 +25,12 @@ import (
 // benchOptions is the reduced horizon used by the benchmark suite.
 func benchOptions() paper.Options {
 	return paper.Options{
-		Run:    sim.Spec{Cores: 4, Warmup: 400_000, Measure: 150_000, Seed: 1},
+		Run: sim.Spec{Cores: 4, Warmup: 400_000, Measure: 150_000, Seed: 1,
+			Point: sim.Point{L3MB: 4}},
 		Spec:   []string{"libquantum06", "lbm06", "mcf06"},
 		Graph:  []string{"pr-twitter", "bfs-web"},
 		Mixes:  []string{},
 		All:    []string{"libquantum06", "lbm06", "mcf06", "pr-twitter", "leela17"},
-		L3MB:   4,
 		Silent: true,
 	}
 }
@@ -50,11 +51,11 @@ func runner() *paper.Runner {
 // speedup fetches the cached weighted speedup of scheme over baseline.
 func speedup(b *testing.B, wl, scheme string) float64 {
 	b.Helper()
-	base, err := runner().Result(wl, sim.SchemeUncompressed, "", nil)
+	base, err := runner().Result(paper.Job{Workload: wl, Scheme: sim.SchemeUncompressed})
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := runner().Result(wl, scheme, "", nil)
+	res, err := runner().Result(paper.Job{Workload: wl, Scheme: scheme})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func BenchmarkTableI_Config(b *testing.B) {
 
 func BenchmarkTableII_WorkloadCharacteristics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := runner().Result("mcf06", sim.SchemeUncompressed, "", nil)
+		res, err := runner().Result(paper.Job{Workload: "mcf06", Scheme: sim.SchemeUncompressed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,11 +81,11 @@ func BenchmarkTableII_WorkloadCharacteristics(b *testing.B) {
 
 func BenchmarkFigure4_MetadataBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := runner().Result("pr-twitter", sim.SchemeUncompressed, "", nil)
+		base, err := runner().Result(paper.Job{Workload: "pr-twitter", Scheme: sim.SchemeUncompressed})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tt, err := runner().Result("pr-twitter", sim.SchemeTableTMC, "", nil)
+		tt, err := runner().Result(paper.Job{Workload: "pr-twitter", Scheme: sim.SchemeTableTMC})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,11 +112,11 @@ func BenchmarkFigure6_PairCompressibility(b *testing.B) {
 
 func BenchmarkFigure9_LLPAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pt, err := runner().Result("lbm06", sim.SchemePTMC, "", nil)
+		pt, err := runner().Result(paper.Job{Workload: "lbm06", Scheme: sim.SchemePTMC})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tt, err := runner().Result("lbm06", sim.SchemeTableTMC, "", nil)
+		tt, err := runner().Result(paper.Job{Workload: "lbm06", Scheme: sim.SchemeTableTMC})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,11 +134,11 @@ func BenchmarkFigure12_PTMCvsTMC(b *testing.B) {
 
 func BenchmarkFigure14_PTMCBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := runner().Result("pr-twitter", sim.SchemeUncompressed, "", nil)
+		base, err := runner().Result(paper.Job{Workload: "pr-twitter", Scheme: sim.SchemeUncompressed})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pt, err := runner().Result("pr-twitter", sim.SchemePTMC, "", nil)
+		pt, err := runner().Result(paper.Job{Workload: "pr-twitter", Scheme: sim.SchemePTMC})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,11 +187,11 @@ func BenchmarkFigure17_AllWorkloads(b *testing.B) {
 
 func BenchmarkFigure18_Energy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := runner().Result("lbm06", sim.SchemeUncompressed, "", nil)
+		base, err := runner().Result(paper.Job{Workload: "lbm06", Scheme: sim.SchemeUncompressed})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dyn, err := runner().Result("lbm06", sim.SchemeDynamicPTMC, "", nil)
+		dyn, err := runner().Result(paper.Job{Workload: "lbm06", Scheme: sim.SchemeDynamicPTMC})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,29 +203,27 @@ func BenchmarkFigure18_Energy(b *testing.B) {
 func BenchmarkTableIV_Channels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, ch := range []int{1, 2, 4} {
-			ch := ch
-			variant := "ch" + string(rune('0'+ch))
-			mutate := func(c *sim.Config) { c.DRAM.Channels = ch }
-			base, err := runner().Result("lbm06", sim.SchemeUncompressed, variant, mutate)
+			p := sim.Point{Channels: ch}
+			base, err := runner().Result(paper.Job{Workload: "lbm06", Scheme: sim.SchemeUncompressed, Point: p})
 			if err != nil {
 				b.Fatal(err)
 			}
-			dyn, err := runner().Result("lbm06", sim.SchemeDynamicPTMC, variant, mutate)
+			dyn, err := runner().Result(paper.Job{Workload: "lbm06", Scheme: sim.SchemeDynamicPTMC, Point: p})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(dyn.WeightedSpeedupOver(base), "speedup-ch"+string(rune('0'+ch)))
+			b.ReportMetric(dyn.WeightedSpeedupOver(base), fmt.Sprintf("speedup-ch%d", ch))
 		}
 	}
 }
 
 func BenchmarkTableV_L3HitRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := runner().Result("libquantum06", sim.SchemeUncompressed, "", nil)
+		base, err := runner().Result(paper.Job{Workload: "libquantum06", Scheme: sim.SchemeUncompressed})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dyn, err := runner().Result("libquantum06", sim.SchemeDynamicPTMC, "", nil)
+		dyn, err := runner().Result(paper.Job{Workload: "libquantum06", Scheme: sim.SchemeDynamicPTMC})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -323,7 +322,7 @@ func BenchmarkFigure4Parallel(b *testing.B) {
 	opts.Run.Warmup = 60_000
 	opts.Run.Measure = 30_000
 	opts.Run.Cores = 2
-	opts.L3MB = 1
+	opts.Run.L3MB = 1
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		b.Run(string(rune('0'+workers)), func(b *testing.B) {

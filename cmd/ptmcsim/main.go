@@ -7,6 +7,8 @@
 //
 // With -baseline, the uncompressed baseline runs too and the weighted
 // speedup is reported. -list prints the available workloads and schemes.
+// -channels and -l3mb set the run's design point (sim.Point); 0 keeps the
+// Table I value (2 channels, 8 MB).
 //
 // With -inject N, ptmcsim instead runs an N-trial fault-injection campaign
 // against the controller (seeded by -seed) and fails if any injected fault
@@ -37,13 +39,13 @@ func main() {
 	run := sim.Spec{Cores: 8, Warmup: 700_000, Measure: 400_000, Seed: 1}
 	run.BindFlags(flag.CommandLine)
 	flag.StringVar(&run.Workload, "workload", "lbm06", "workload or mix name (-list to enumerate)")
+	flag.IntVar(&run.Channels, "channels", 2, "DRAM channels (0 = Table I)")
+	flag.IntVar(&run.L3MB, "l3mb", 8, "LLC size in MB (0 = Table I)")
 	var out obs.Flags
 	out.BindFlags(flag.CommandLine)
 	var (
 		scheme   = flag.String("scheme", ptmc.SchemeDynamicPTMC, "memory-controller scheme")
 		baseline = flag.Bool("baseline", false, "also run the uncompressed baseline and report speedup")
-		channels = flag.Int("channels", 2, "DRAM channels")
-		l3MB     = flag.Int("l3mb", 8, "LLC size in MB")
 		list     = flag.Bool("list", false, "list workloads and schemes, then exit")
 		inject   = flag.Int("inject", 0, "run an N-trial fault-injection campaign instead of a simulation")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent scheme simulations")
@@ -85,8 +87,6 @@ func main() {
 
 	run.Trace = out.Trace != ""
 	cfg := run.Config(*scheme)
-	cfg.DRAM.Channels = *channels
-	cfg.L3Bytes = *l3MB << 20
 	cfg.MetricsInterval = out.MetricsInterval()
 
 	schemes := []string{*scheme}

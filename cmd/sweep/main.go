@@ -4,16 +4,21 @@
 // scheme choice). Each sweep reports Dynamic-PTMC's (or the named scheme's)
 // weighted speedup over the uncompressed baseline at every point.
 //
+// A point is a labelled sim.Spec laid over the command-line run spec: the
+// seeds kind varies the seed, every other kind the design point
+// (sim.Point), so a point runs exactly the configuration a job with that
+// point would.
+//
 // Points run concurrently up to -parallel workers; output prints in sweep
 // order once every point has settled, so the report is identical at any
 // worker count. A failing point does not abort the sweep: every point
 // runs, completed rows print, the failures are listed afterwards, and only
 // then does the process exit non-zero.
 //
-// -timeout bounds each point's wall-clock time: a point that exceeds its
-// deadline is cancelled (the simulation aborts at its next cycle
-// checkpoint), reported in the end-of-run summary as timed out, and the
-// rest of the sweep continues.
+// -timeout bounds each point's wall-clock time (exec.JobOptions.Timeout):
+// a point that exceeds its deadline is cancelled (the simulation aborts at
+// its next cycle checkpoint), reported in the end-of-run summary as timed
+// out, and the rest of the sweep continues.
 //
 // -metrics m.json and -trace t.trace write one file per point, with the
 // point label before the extension: m-channels=1.json, t-channels=1.trace.
@@ -43,9 +48,56 @@ import (
 	"ptmc/internal/sim"
 )
 
+// point is one labelled sweep point: the spec fields it varies, over the
+// command-line run spec.
 type point struct {
-	label  string
-	mutate func(*ptmc.Config)
+	label string
+	spec  sim.Spec
+}
+
+// kinds is every sweep's point table. The seeds kind varies the seed;
+// every other kind varies the design point.
+var kinds = map[string][]point{
+	"channels": {
+		{"channels=1", sim.Spec{Point: sim.Point{Channels: 1}}},
+		{"channels=2", sim.Spec{Point: sim.Point{Channels: 2}}},
+		{"channels=4", sim.Spec{Point: sim.Point{Channels: 4}}},
+	},
+	"llc": {
+		{"llc=2MB", sim.Spec{Point: sim.Point{L3MB: 2}}},
+		{"llc=4MB", sim.Spec{Point: sim.Point{L3MB: 4}}},
+		{"llc=8MB", sim.Spec{Point: sim.Point{L3MB: 8}}},
+		{"llc=16MB", sim.Spec{Point: sim.Point{L3MB: 16}}},
+	},
+	"llp": {
+		{"llp=64", sim.Spec{Point: sim.Point{LLPEntries: 64}}},
+		{"llp=128", sim.Spec{Point: sim.Point{LLPEntries: 128}}},
+		{"llp=256", sim.Spec{Point: sim.Point{LLPEntries: 256}}},
+		{"llp=512", sim.Spec{Point: sim.Point{LLPEntries: 512}}},
+		{"llp=1024", sim.Spec{Point: sim.Point{LLPEntries: 1024}}},
+		{"llp=4096", sim.Spec{Point: sim.Point{LLPEntries: 4096}}},
+	},
+	"mcache": {
+		{"mcache=8KB", sim.Spec{Point: sim.Point{MCacheKB: 8}}},
+		{"mcache=16KB", sim.Spec{Point: sim.Point{MCacheKB: 16}}},
+		{"mcache=32KB", sim.Spec{Point: sim.Point{MCacheKB: 32}}},
+		{"mcache=64KB", sim.Spec{Point: sim.Point{MCacheKB: 64}}},
+		{"mcache=128KB", sim.Spec{Point: sim.Point{MCacheKB: 128}}},
+	},
+	"decomp": {
+		{"decomp=2", sim.Spec{Point: sim.Point{DecompCycles: 2}}},
+		{"decomp=5", sim.Spec{Point: sim.Point{DecompCycles: 5}}},
+		{"decomp=10", sim.Spec{Point: sim.Point{DecompCycles: 10}}},
+		{"decomp=20", sim.Spec{Point: sim.Point{DecompCycles: 20}}},
+		{"decomp=40", sim.Spec{Point: sim.Point{DecompCycles: 40}}},
+	},
+	"seeds": {
+		{"seed=1", sim.Spec{Seed: 1}},
+		{"seed=2", sim.Spec{Seed: 2}},
+		{"seed=3", sim.Spec{Seed: 3}},
+		{"seed=4", sim.Spec{Seed: 4}},
+		{"seed=5", sim.Spec{Seed: 5}},
+	},
 }
 
 func main() {
@@ -65,53 +117,16 @@ func main() {
 	flag.Parse()
 	out.ServePprof()
 
-	var points []point
-	switch *kind {
-	case "channels":
-		for _, ch := range []int{1, 2, 4} {
-			ch := ch
-			points = append(points, point{fmt.Sprintf("channels=%d", ch),
-				func(c *ptmc.Config) { c.DRAM.Channels = ch }})
-		}
-	case "llc":
-		for _, mb := range []int{2, 4, 8, 16} {
-			mb := mb
-			points = append(points, point{fmt.Sprintf("llc=%dMB", mb),
-				func(c *ptmc.Config) { c.L3Bytes = mb << 20 }})
-		}
-	case "llp":
-		for _, n := range []int{64, 128, 256, 512, 1024, 4096} {
-			n := n
-			points = append(points, point{fmt.Sprintf("llp=%d", n),
-				func(c *ptmc.Config) { c.LLPEntries = n }})
-		}
-	case "mcache":
-		*scheme = ptmc.SchemeTableTMC // metadata cache only exists there
-		for _, kb := range []int{8, 16, 32, 64, 128} {
-			kb := kb
-			points = append(points, point{fmt.Sprintf("mcache=%dKB", kb),
-				func(c *ptmc.Config) { c.MCacheBytes = kb << 10 }})
-		}
-	case "decomp":
-		for _, lat := range []int64{2, 5, 10, 20, 40} {
-			lat := lat
-			points = append(points, point{fmt.Sprintf("decomp=%d", lat),
-				func(c *ptmc.Config) { c.DecompCycles = lat }})
-		}
-	case "seeds":
-		for s := int64(1); s <= 5; s++ {
-			s := s
-			points = append(points, point{fmt.Sprintf("seed=%d", s),
-				func(c *ptmc.Config) { c.Seed = s }})
-		}
-	default:
+	points, ok := kinds[*kind]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "sweep: unknown kind %q\n", *kind)
 		os.Exit(1)
 	}
+	if *kind == "mcache" {
+		*scheme = ptmc.SchemeTableTMC // metadata cache only exists there
+	}
 
 	run.Trace = out.Trace != ""
-	base := run.Config(*scheme)
-	base.MetricsInterval = out.MetricsInterval()
 
 	fmt.Printf("sweep %s on %s (%s vs uncompressed)\n", *kind, run.Workload, *scheme)
 
@@ -126,15 +141,9 @@ func main() {
 		wg.Add(1)
 		go func(i int, p point) {
 			defer wg.Done()
-			if err := pool.Run(context.Background(), func() error {
-				ctx := context.Background()
-				if *timeout > 0 {
-					var cancel context.CancelFunc
-					ctx, cancel = context.WithTimeout(ctx, *timeout)
-					defer cancel()
-				}
-				cfg := base
-				p.mutate(&cfg)
+			if err := pool.RunJob(context.Background(), exec.JobOptions{Timeout: *timeout}, func(ctx context.Context) error {
+				cfg := p.spec.Or(run).Config(*scheme)
+				cfg.MetricsInterval = out.MetricsInterval()
 				rs, err := ptmc.CompareParallel(ctx, 1, cfg,
 					ptmc.SchemeUncompressed, *scheme)
 				if err != nil {

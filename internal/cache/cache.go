@@ -82,19 +82,30 @@ type Cache struct {
 	Stats   Stats
 }
 
-// New builds a cache; SizeBytes/(64*Assoc) must be a power of two.
-func New(cfg Config) (*Cache, error) {
+// CheckGeometry reports whether New accepts cfg: positive size and
+// associativity, and SizeBytes/(64*Assoc) sets, a power of two.
+func CheckGeometry(cfg Config) error {
 	if cfg.Assoc <= 0 || cfg.SizeBytes <= 0 {
-		return nil, fmt.Errorf("cache: size and associativity must be positive")
+		return fmt.Errorf("cache: size and associativity must be positive")
 	}
 	lines := cfg.SizeBytes / mem.LineSize
 	if lines%cfg.Assoc != 0 {
-		return nil, fmt.Errorf("cache: %d lines not divisible by assoc %d", lines, cfg.Assoc)
+		return fmt.Errorf("cache: %d lines not divisible by assoc %d", lines, cfg.Assoc)
 	}
 	sets := lines / cfg.Assoc
 	if sets == 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d must be a power of two", sets)
+		return fmt.Errorf("cache: set count %d must be a power of two", sets)
 	}
+	return nil
+}
+
+// New builds a cache; cfg must pass CheckGeometry.
+func New(cfg Config) (*Cache, error) {
+	if err := CheckGeometry(cfg); err != nil {
+		return nil, err
+	}
+	lines := cfg.SizeBytes / mem.LineSize
+	sets := lines / cfg.Assoc
 	return &Cache{
 		entries: make([]Entry, lines),
 		assoc:   cfg.Assoc,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"ptmc/internal/cache"
 	"ptmc/internal/mem"
 	"ptmc/internal/vm"
@@ -21,11 +23,21 @@ type LLP struct {
 	Correct     uint64
 }
 
-// NewLLP builds a predictor with n entries (use LLPEntries for the paper's
-// configuration; cmd/sweep ablates this).
-func NewLLP(n int) *LLP {
+// CheckLLPEntries reports whether NewLLP accepts n entries: a positive
+// power of two.
+func CheckLLPEntries(n int) error {
 	if n <= 0 || n&(n-1) != 0 {
-		panic("core: LLP entries must be a positive power of two")
+		return fmt.Errorf("core: LLP entries must be a positive power of two, got %d", n)
+	}
+	return nil
+}
+
+// NewLLP builds a predictor with n entries (use LLPEntries for the paper's
+// configuration; cmd/sweep ablates this). n must pass CheckLLPEntries,
+// which sim.Config.Validate applies before any predictor is built.
+func NewLLP(n int) *LLP {
+	if err := CheckLLPEntries(n); err != nil {
+		panic(err)
 	}
 	return &LLP{lct: make([]cache.Level, n)}
 }

@@ -171,21 +171,12 @@ func safeCall(fn func() error) (err error) {
 	return fn()
 }
 
-// Run executes fn on the pool, blocking until a slot is free. It returns
-// ctx's error without running fn if the context is cancelled first. A
-// panic in fn is returned as a *PanicError; the slot is always released.
-func (p *Pool) Run(ctx context.Context, fn func() error) error {
-	if err := p.acquire(ctx); err != nil {
-		return err
-	}
-	defer p.release()
-	return p.callOnce(ctx, 0, func(context.Context) error { return fn() })
-}
-
-// RunJob executes fn on the pool under opts: a per-attempt timeout (via a
-// derived context fn must honor) and bounded retry-with-backoff for
-// attempts that return a retryable error (see Retryable). Panics convert
-// to *PanicError and are not retried. The slot is held across retries.
+// RunJob executes fn on the pool under opts, blocking until a slot is
+// free; it returns ctx's error without running fn if the context is
+// cancelled first. opts adds a per-attempt timeout (via a derived context
+// fn must honor) and bounded retry-with-backoff for attempts that return
+// a retryable error (see Retryable). Panics convert to *PanicError and are
+// not retried. The slot is held across retries and always released.
 func (p *Pool) RunJob(ctx context.Context, opts JobOptions, fn func(ctx context.Context) error) error {
 	if err := p.acquire(ctx); err != nil {
 		return err

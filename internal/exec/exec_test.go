@@ -255,7 +255,7 @@ func TestCacheDoJobPanicUnblocksWaiters(t *testing.T) {
 
 func TestRunConvertsPanic(t *testing.T) {
 	p := NewPool(2)
-	err := p.Run(context.Background(), func() error { panic(42) })
+	err := p.RunJob(context.Background(), JobOptions{}, func(context.Context) error { panic(42) })
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Value != 42 {
 		t.Fatalf("err = %v, want PanicError{42}", err)

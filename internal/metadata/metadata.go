@@ -17,6 +17,9 @@ import (
 // metadata cache its locality.
 const LinesPerMetaLine = 256
 
+// CacheAssoc is the metadata cache's associativity.
+const CacheAssoc = 8
+
 // Traffic describes the DRAM accesses a metadata operation requires.
 type Traffic struct {
 	ReadAddr  mem.LineAddr // metadata line to fetch
@@ -41,7 +44,7 @@ type Table struct {
 // reserved region) with a metadata cache of cacheBytes (the paper's
 // baseline uses 32 KB).
 func New(base mem.LineAddr, cacheBytes int) (*Table, error) {
-	mc, err := cache.New(cache.Config{SizeBytes: cacheBytes, Assoc: 8})
+	mc, err := cache.New(cache.Config{SizeBytes: cacheBytes, Assoc: CacheAssoc})
 	if err != nil {
 		return nil, err
 	}

@@ -23,11 +23,11 @@ func (r *Runner) Figure4() error {
 		return err
 	}
 	for _, wl := range wls {
-		base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
+		base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
 		if err != nil {
 			return err
 		}
-		tt, err := r.Result(wl, sim.SchemeTableTMC, "", nil)
+		tt, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeTableTMC})
 		if err != nil {
 			return err
 		}
@@ -138,11 +138,11 @@ func (r *Runner) Figure9() error {
 	}
 	var mc, llp []float64
 	for _, wl := range wls {
-		tt, err := r.Result(wl, sim.SchemeTableTMC, "", nil)
+		tt, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeTableTMC})
 		if err != nil {
 			return err
 		}
-		pt, err := r.Result(wl, sim.SchemePTMC, "", nil)
+		pt, err := r.Result(Job{Workload: wl, Scheme: sim.SchemePTMC})
 		if err != nil {
 			return err
 		}
@@ -206,11 +206,11 @@ func (r *Runner) Figure14() error {
 		return err
 	}
 	for _, wl := range wls {
-		base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
+		base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
 		if err != nil {
 			return err
 		}
-		pt, err := r.Result(wl, sim.SchemePTMC, "", nil)
+		pt, err := r.Result(Job{Workload: wl, Scheme: sim.SchemePTMC})
 		if err != nil {
 			return err
 		}
@@ -294,11 +294,11 @@ func (r *Runner) Figure18() error {
 		return err
 	}
 	for _, wl := range wls {
-		base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
+		base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
 		if err != nil {
 			return err
 		}
-		dyn, err := r.Result(wl, sim.SchemeDynamicPTMC, "", nil)
+		dyn, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeDynamicPTMC})
 		if err != nil {
 			return err
 		}
@@ -322,22 +322,18 @@ func (r *Runner) LLPAblation(sizes []int) error {
 	wl := r.Opts.spec()[0]
 	jobs := []Job{{Workload: wl, Scheme: sim.SchemeUncompressed}}
 	for _, n := range sizes {
-		n := n
 		jobs = append(jobs, Job{Workload: wl, Scheme: sim.SchemePTMC,
-			Variant: fmt.Sprintf("llp%d", n),
-			Mutate:  func(c *sim.Config) { c.LLPEntries = n }})
+			Point: sim.Point{LLPEntries: n}})
 	}
 	if err := r.Prefetch(jobs...); err != nil {
 		return err
 	}
-	base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
+	base, err := r.Result(jobs[0])
 	if err != nil {
 		return err
 	}
-	for _, n := range sizes {
-		n := n
-		res, err := r.Result(wl, sim.SchemePTMC, fmt.Sprintf("llp%d", n),
-			func(c *sim.Config) { c.LLPEntries = n })
+	for i, n := range sizes {
+		res, err := r.Result(jobs[1+i])
 		if err != nil {
 			return err
 		}

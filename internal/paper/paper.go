@@ -5,9 +5,9 @@
 // (who wins, rough factors, crossovers) are the reproduction target, not
 // absolute numbers — see EXPERIMENTS.md.
 //
-// The Runner caches simulation results by (workload, scheme, variant), so
-// experiments that share runs (most share the uncompressed baseline) pay
-// for them once per process.
+// The Runner caches simulation results by run key (workload, scheme, run
+// spec and design point), so experiments that share runs (most share the
+// uncompressed baseline) pay for them once per process.
 package paper
 
 import (
@@ -26,8 +26,9 @@ import (
 
 // Options scopes an experiment run.
 type Options struct {
-	// Run is the horizon, core count and seed every simulation shares;
-	// each job supplies its own workload.
+	// Run is the horizon, core count, seed and design point every
+	// simulation shares; each job supplies its own workload and may
+	// override point fields.
 	Run sim.Spec
 
 	// Workload subsets (names). A nil slice selects the full paper set;
@@ -36,7 +37,6 @@ type Options struct {
 	Graph  []string // GAP set
 	Mixes  []string // multiprogrammed mixes
 	All    []string // Figure 17 population (defaults to every workload+mix)
-	L3MB   int      // LLC size in MB (Table I: 8)
 	Silent bool     // suppress per-run progress lines
 }
 
@@ -52,7 +52,6 @@ func Quick() Options {
 		Mixes: []string{"mix1", "mix3"},
 		All: []string{"libquantum06", "lbm06", "mcf06", "soplex06", "sphinx306",
 			"leela17", "xz17", "pr-twitter", "bfs-web", "mix1"},
-		L3MB: 8,
 	}
 }
 
@@ -111,9 +110,9 @@ func (o *Options) all() []string {
 
 // Runner executes experiments against a shared, goroutine-safe result
 // cache. Simulations fan out over a bounded worker pool (see Prefetch);
-// concurrent requests for the same (workload, scheme, variant) key are
-// singleflight-deduplicated so each simulation runs exactly once per
-// process, however many artifacts or goroutines ask for it.
+// concurrent requests for the same run key are singleflight-deduplicated
+// so each simulation runs exactly once per process, however many
+// artifacts or goroutines ask for it.
 type Runner struct {
 	Opts  Options
 	Out   io.Writer
@@ -145,17 +144,16 @@ func (r *Runner) Parallelism() int { return r.pool.Size() }
 // (cmd/paperbench -poolstats).
 func (r *Runner) Pool() *exec.Pool { return r.pool }
 
-// Job names one simulation: the (workload, scheme, variant) cache key plus
-// the config mutation the variant implies. Mutate may be nil.
+// Job names one simulation: a workload and scheme under the runner's run
+// spec, with Point's non-zero fields overriding the run's point.
 type Job struct {
 	Workload string
 	Scheme   string
-	Variant  string
-	Mutate   func(*sim.Config)
+	Point    sim.Point
 }
 
-// jobsFor builds the cross product of workloads × schemes (no variants),
-// in deterministic workload-major order.
+// jobsFor builds the cross product of workloads × schemes at the run's
+// point, in deterministic workload-major order.
 func jobsFor(wls []string, schemes ...string) []Job {
 	jobs := make([]Job, 0, len(wls)*len(schemes))
 	for _, wl := range wls {
@@ -166,34 +164,27 @@ func jobsFor(wls []string, schemes ...string) []Job {
 	return jobs
 }
 
-// spec is the runner's shared run spec applied to one workload.
-func (r *Runner) spec(wl string) sim.Spec {
-	s := r.Opts.Run
-	s.Workload = wl
+// spec is j's normalized run spec: the runner's shared spec for j's
+// workload, with j's point over the run's. Normalizing zeroes Table I
+// values, so a job at a Table I point is the same run as the default job.
+func (r *Runner) spec(j Job) sim.Spec {
+	s := sim.Spec{Workload: j.Workload, Point: j.Point}.Or(r.Opts.Run)
+	s.Normalize()
 	return s
 }
-
-// key is j's cache key: the canonical run key plus the variant label.
-func (r *Runner) key(j Job) string { return r.spec(j.Workload).Key(j.Scheme) + "|" + j.Variant }
 
 // run executes (or recalls) one job through the deduplicated cache. ran
 // reports whether this call performed the simulation.
 func (r *Runner) run(ctx context.Context, j Job) (res *sim.Result, ran bool, err error) {
-	return r.cache.DoJob(ctx, r.key(j), exec.JobOptions{}, func(context.Context) (*sim.Result, error) {
-		cfg := r.spec(j.Workload).Config(j.Scheme)
-		if r.Opts.L3MB > 0 {
-			cfg.L3Bytes = r.Opts.L3MB << 20
-		}
-		if j.Mutate != nil {
-			j.Mutate(&cfg)
-		}
-		res, err := sim.Run(cfg)
+	s := r.spec(j)
+	return r.cache.DoJob(ctx, s.Key(j.Scheme), exec.JobOptions{}, func(context.Context) (*sim.Result, error) {
+		res, err := sim.Run(s.Config(j.Scheme))
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s%s: %w", j.Workload, j.Scheme, j.Variant, err)
+			return nil, fmt.Errorf("%s/%s%s: %w", j.Workload, j.Scheme, s.Point.Key(), err)
 		}
 		if res.Mem.IntegrityErrs > 0 {
 			return nil, fmt.Errorf("%s/%s%s: %d integrity errors",
-				j.Workload, j.Scheme, j.Variant, res.Mem.IntegrityErrs)
+				j.Workload, j.Scheme, s.Point.Key(), res.Mem.IntegrityErrs)
 		}
 		return res, nil
 	})
@@ -210,12 +201,10 @@ func (r *Runner) printRan(res *sim.Result) {
 	r.outMu.Unlock()
 }
 
-// Result runs (or recalls) one simulation. variant distinguishes modified
-// configs (e.g. channel sweeps); mutate may adjust the config before the
-// run. Result is goroutine-safe and deduplicates concurrent calls for the
-// same key.
-func (r *Runner) Result(wl, scheme, variant string, mutate func(*sim.Config)) (*sim.Result, error) {
-	res, ran, err := r.run(context.Background(), Job{wl, scheme, variant, mutate})
+// Result runs (or recalls) one job's simulation. Result is goroutine-safe
+// and deduplicates concurrent calls for the same run key.
+func (r *Runner) Result(j Job) (*sim.Result, error) {
+	res, ran, err := r.run(context.Background(), j)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +227,7 @@ func (r *Runner) Prefetch(jobs ...Job) error {
 	uniq := make([]Job, 0, len(jobs))
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
-		if k := r.key(j); !seen[k] {
+		if k := r.spec(j).Key(j.Scheme); !seen[k] {
 			seen[k] = true
 			uniq = append(uniq, j)
 		}
@@ -279,11 +268,11 @@ func (r *Runner) Prefetch(jobs ...Job) error {
 // speedup returns the weighted speedup of scheme over the uncompressed
 // baseline for one workload.
 func (r *Runner) speedup(wl, scheme string) (float64, error) {
-	base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
+	base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
 	if err != nil {
 		return 0, err
 	}
-	res, err := r.Result(wl, scheme, "", nil)
+	res, err := r.Result(Job{Workload: wl, Scheme: scheme})
 	if err != nil {
 		return 0, err
 	}

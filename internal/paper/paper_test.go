@@ -12,12 +12,12 @@ import (
 // a very short horizon.
 func tinyOptions() Options {
 	return Options{
-		Run:    sim.Spec{Cores: 2, Warmup: 15_000, Measure: 40_000, Seed: 1},
+		Run: sim.Spec{Cores: 2, Warmup: 15_000, Measure: 40_000, Seed: 1,
+			Point: sim.Point{L3MB: 1}},
 		Spec:   []string{"libquantum06", "mcf06"},
 		Graph:  []string{"pr-twitter"},
 		Mixes:  []string{},
 		All:    []string{"libquantum06", "pr-twitter"},
-		L3MB:   1,
 		Silent: true,
 	}
 }
@@ -95,16 +95,60 @@ func TestAblationsSmoke(t *testing.T) {
 
 func TestResultCacheReuses(t *testing.T) {
 	r, _ := tinyRunner(t)
-	a, err := r.Result("libquantum06", "uncompressed", "", nil)
+	j := Job{Workload: "libquantum06", Scheme: sim.SchemeUncompressed}
+	a, err := r.Result(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Result("libquantum06", "uncompressed", "", nil)
+	b, err := r.Result(j)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("cache should return the identical result object")
+	}
+}
+
+// TestTablePointsDedupeDefaults: a design point equal to Table I is the
+// default run, so once the default jobs are cached, Table IV's 2-channel
+// jobs and the LLP ablation's 512-entry job run no simulation, and a job
+// whose point only restates the run's point is the run's own job.
+func TestTablePointsDedupeDefaults(t *testing.T) {
+	opts := tinyOptions()
+	opts.Spec = []string{"libquantum06"}
+	opts.Silent = false
+	var buf bytes.Buffer
+	r := NewRunner(opts, &buf)
+	if err := r.Prefetch(jobsFor(opts.Spec,
+		sim.SchemeUncompressed, sim.SchemeDynamicPTMC, sim.SchemePTMC)...); err != nil {
+		t.Fatal(err)
+	}
+	ran := func() int {
+		n := strings.Count(buf.String(), "[ran]")
+		buf.Reset()
+		return n
+	}
+	if n := ran(); n != 3 {
+		t.Fatalf("default jobs ran %d simulations, want 3", n)
+	}
+	if err := r.LLPAblation([]int{512}); err != nil {
+		t.Fatal(err)
+	}
+	if n := ran(); n != 0 {
+		t.Errorf("LLP ablation at Table I's 512 entries ran %d simulations, want 0", n)
+	}
+	if err := r.TableIV(); err != nil {
+		t.Fatal(err)
+	}
+	if n := ran(); n != 4 {
+		t.Errorf("Table IV ran %d simulations, want 4 (1 and 4 channels; 2 is cached)", n)
+	}
+	if _, err := r.Result(Job{Workload: "libquantum06", Scheme: sim.SchemePTMC,
+		Point: sim.Point{L3MB: 1, Channels: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := ran(); n != 0 {
+		t.Errorf("a job restating the run's point ran %d simulations, want 0", n)
 	}
 }
 

@@ -29,7 +29,7 @@ func TestResultConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, k := range keys {
-				res, err := r.Result(k.wl, k.scheme, "", nil)
+				res, err := r.Result(Job{Workload: k.wl, Scheme: k.scheme})
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

@@ -36,7 +36,7 @@ func (r *Runner) TableII() error {
 		return err
 	}
 	for _, wl := range wls {
-		res, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
+		res, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
 		if err != nil {
 			return err
 		}
@@ -80,31 +80,28 @@ func (r *Runner) TableIII() {
 func (r *Runner) TableIV() error {
 	r.header("Table IV: sensitivity to number of memory channels")
 	fmt.Fprintf(r.Out, "%10s %12s\n", "channels", "avg speedup")
+	channels := []int{1, 2, 4}
 	var jobs []Job
-	for _, ch := range []int{1, 2, 4} {
-		ch := ch
-		variant := fmt.Sprintf("ch%d", ch)
-		mutate := func(c *sim.Config) { c.DRAM.Channels = ch }
+	for _, ch := range channels {
 		for _, wl := range r.Opts.spec() {
+			p := sim.Point{Channels: ch}
 			jobs = append(jobs,
-				Job{Workload: wl, Scheme: sim.SchemeUncompressed, Variant: variant, Mutate: mutate},
-				Job{Workload: wl, Scheme: sim.SchemeDynamicPTMC, Variant: variant, Mutate: mutate})
+				Job{Workload: wl, Scheme: sim.SchemeUncompressed, Point: p},
+				Job{Workload: wl, Scheme: sim.SchemeDynamicPTMC, Point: p})
 		}
 	}
 	if err := r.Prefetch(jobs...); err != nil {
 		return err
 	}
-	for _, ch := range []int{1, 2, 4} {
-		ch := ch
+	perCh := len(jobs) / len(channels)
+	for i, ch := range channels {
 		var vs []float64
-		for _, wl := range r.Opts.spec() {
-			variant := fmt.Sprintf("ch%d", ch)
-			mutate := func(c *sim.Config) { c.DRAM.Channels = ch }
-			base, err := r.Result(wl, sim.SchemeUncompressed, variant, mutate)
+		for k := i * perCh; k < (i+1)*perCh; k += 2 {
+			base, err := r.Result(jobs[k])
 			if err != nil {
 				return err
 			}
-			dyn, err := r.Result(wl, sim.SchemeDynamicPTMC, variant, mutate)
+			dyn, err := r.Result(jobs[k+1])
 			if err != nil {
 				return err
 			}
@@ -147,11 +144,11 @@ func (r *Runner) TableV() error {
 		}
 		var b, d, free float64
 		for _, wl := range s.wls {
-			base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
+			base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
 			if err != nil {
 				return err
 			}
-			dyn, err := r.Result(wl, sim.SchemeDynamicPTMC, "", nil)
+			dyn, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeDynamicPTMC})
 			if err != nil {
 				return err
 			}

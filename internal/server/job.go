@@ -28,8 +28,9 @@ import (
 )
 
 // JobSpec is the wire form of one experiment job: a run spec (workload,
-// cores, horizon, seed, trace), a scheme matrix, and service-only fields.
-// Zero run fields take the paper's defaults (sim.Spec.Normalize). The
+// cores, horizon, seed, trace, design point), a scheme matrix, and
+// service-only fields. Zero run fields take the paper's defaults and a
+// point field equal to Table I becomes zero (sim.Spec.Normalize). The
 // normalized spec — not the raw request bytes — is what gets keyed,
 // stored, and replayed, so two requests that mean the same experiment
 // share one job.
@@ -100,7 +101,8 @@ func (s *JobSpec) Normalize() error {
 }
 
 // Key is the job's content-derived identity: a short hash of the
-// workload, the scheme matrix and every run field, plus TimeoutSec.
+// workload, the scheme matrix, every run field and the design point, plus
+// TimeoutSec.
 // Identical specs — across requests, tenants, and daemon restarts — share
 // one key, one WAL entry, and one persistent result; that is what makes
 // repeated sweeps across restarts free. Priority deliberately does not
@@ -114,10 +116,10 @@ func (s *JobSpec) Normalize() error {
 // event_driven) at their defaults, as in sim.Spec.Key: keeping them in the
 // hashed string keeps every id minted before the knobs were removed
 // stable, so resubmitted experiments still dedupe against their persisted
-// results.
+// results. The point's suffix is empty at Table I for the same reason.
 func (s *JobSpec) Key() string {
 	variant := fmt.Sprintf("c%d|w%d|m%d|s%d|sh0|evfalse|t%d|tr%t",
-		s.Cores, s.Warmup, s.Measure, s.Seed, s.TimeoutSec, s.Trace)
+		s.Cores, s.Warmup, s.Measure, s.Seed, s.TimeoutSec, s.Trace) + s.Point.Key()
 	h := sha256.Sum256([]byte(s.Workload + "|" + strings.Join(s.Schemes, ",") + "|" + variant))
 	return "j" + hex.EncodeToString(h[:8])
 }

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"ptmc/internal/sim"
@@ -72,6 +77,67 @@ func TestKeysStableAcrossEngineKnobRemoval(t *testing.T) {
 				t.Errorf("sweep %s child %d = %s, want %s", c.key, i, ids[i], c.children[i])
 			}
 		}
+	}
+}
+
+// TestPointKeys: a design point equal to Table I is no point, so it keeps
+// the pinned id of a spec without one; any other point is a different job
+// and a different run, including for the daemon's in-flight dedup.
+func TestPointKeys(t *testing.T) {
+	spec := func(body string) JobSpec {
+		var s JobSpec
+		if err := json.Unmarshal([]byte(body), &s); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	tableI := spec(`{"workload":"lbm06","channels":2,"l3_mb":8}`)
+	if got := tableI.Key(); got != "jc18146cd6bcaacc2" {
+		t.Errorf("Table I point Key = %s, want the pinned jc18146cd6bcaacc2", got)
+	}
+	plain := spec(`{"workload":"lbm06"}`)
+	one := spec(`{"workload":"lbm06","channels":1}`)
+	if one.Key() == plain.Key() {
+		t.Errorf("channels:1 shares job id %s with the default point", one.Key())
+	}
+	if a, b := one.Spec.Key(sim.SchemeDynamicPTMC), plain.Spec.Key(sim.SchemeDynamicPTMC); a == b {
+		t.Errorf("channels:1 shares run key %s with the default point", a)
+	}
+
+	var mu sync.Mutex
+	var channels []int
+	s, hs := newTestServer(t, nil, func(ctx context.Context, c sim.Config) (*sim.Result, error) {
+		mu.Lock()
+		channels = append(channels, c.DRAM.Channels)
+		mu.Unlock()
+		return fakeResult(c), nil
+	})
+	before := s.m.simsRun.Load()
+	var ids []string
+	for _, body := range []string{
+		`{"workload":"lbm06","schemes":["ptmc"],"cores":2,"warmup_instr":100,"measure_instr":200}`,
+		`{"workload":"lbm06","schemes":["ptmc"],"cores":2,"warmup_instr":100,"measure_instr":200,"channels":1}`,
+	} {
+		code, st := submit(t, hs, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s = %d", body, code)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		waitState(t, hs, id, StateDone)
+	}
+	if n := s.m.simsRun.Load() - before; n != 2 {
+		t.Errorf("two jobs at different points ran %d simulations, want 2", n)
+	}
+	mu.Lock()
+	sort.Ints(channels)
+	mu.Unlock()
+	if !reflect.DeepEqual(channels, []int{1, 2}) {
+		t.Errorf("simulated channel counts %v, want [1 2]", channels)
 	}
 }
 

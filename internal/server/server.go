@@ -61,8 +61,8 @@ type Server struct {
 	store *Store
 	queue *Queue
 	pool  *exec.Pool
-	// flights deduplicates identical (workload, scheme, variant) points
-	// across concurrently-running jobs — the in-memory singleflight layer
+	// flights deduplicates identical runs (equal sim.Spec.Key: workload,
+	// scheme, run fields and design point) across concurrently-running jobs — the in-memory singleflight layer
 	// above the on-disk result cache.
 	flights *exec.Cache[*sim.Result]
 

@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 
+	"ptmc/internal/cache"
 	"ptmc/internal/core"
 	"ptmc/internal/cpu"
 	"ptmc/internal/dram"
+	"ptmc/internal/metadata"
 	"ptmc/internal/workload"
 )
 
@@ -81,6 +83,18 @@ type Config struct {
 // from asking for gigabytes.
 const MaxCores = 64
 
+// Upper bounds on the parameters a design point (Point) sets, for the same
+// reason as MaxCores: each is well above the paper's sensitivity sweeps,
+// and together they keep an untrusted job from asking for gigabytes of
+// cache or predictor state.
+const (
+	MaxChannels     = 16
+	MaxL3Bytes      = 64 << 20
+	MaxLLPEntries   = 1 << 16
+	MaxMCacheBytes  = 1 << 20
+	MaxDecompCycles = 1000
+)
+
 // Default returns the paper's Table I system configuration with a
 // laptop-scale measurement horizon.
 func Default() Config {
@@ -111,7 +125,8 @@ func Default() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, including every geometry New
+// would reject, so a bad configuration fails before a run starts.
 func (c *Config) Validate() error {
 	switch {
 	case c.Workload == "" && c.Custom == nil && c.Sources == nil:
@@ -122,6 +137,29 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: MeasureInstr must be positive")
 	case c.CPUFreqGHz <= 0:
 		return fmt.Errorf("sim: CPU frequency must be positive")
+	case c.DRAM.Channels > MaxChannels:
+		return fmt.Errorf("sim: channels must be at most %d", MaxChannels)
+	case c.L3Bytes > MaxL3Bytes:
+		return fmt.Errorf("sim: L3 must be at most %d MB", MaxL3Bytes>>20)
+	case c.LLPEntries > MaxLLPEntries:
+		return fmt.Errorf("sim: LLP entries must be at most %d", MaxLLPEntries)
+	case c.MCacheBytes > MaxMCacheBytes:
+		return fmt.Errorf("sim: metadata cache must be at most %d KB", MaxMCacheBytes>>10)
+	case c.DecompCycles < 0 || c.DecompCycles > MaxDecompCycles:
+		return fmt.Errorf("sim: decompression cycles must be in [0, %d]", MaxDecompCycles)
+	}
+	for _, g := range []cache.Config{
+		{SizeBytes: c.L1Bytes, Assoc: c.L1Assoc},
+		{SizeBytes: c.L2Bytes, Assoc: c.L2Assoc},
+		{SizeBytes: c.L3Bytes, Assoc: c.L3Assoc},
+		{SizeBytes: c.MCacheBytes, Assoc: metadata.CacheAssoc},
+	} {
+		if err := cache.CheckGeometry(g); err != nil {
+			return err
+		}
+	}
+	if err := core.CheckLLPEntries(c.LLPEntries); err != nil {
+		return err
 	}
 	ok := false
 	for _, s := range Schemes() {

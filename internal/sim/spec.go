@@ -3,13 +3,17 @@ package sim
 import (
 	"flag"
 	"fmt"
+	"math"
+
+	"ptmc/internal/memctrl"
 )
 
 // Spec is what a caller outside the simulator chooses about one run:
 // the workload, the core count, the warmup and measured horizons, the
-// seed, and whether to trace. Every other Config field keeps its Table I
-// value unless a command sets it on the Config that Spec.Config returns.
-// The JSON names are the job service's wire names (internal/server).
+// seed, whether to trace, and the design point. Every other Config field
+// keeps its Table I value unless a command sets it on the Config that
+// Spec.Config returns. The JSON names are the job service's wire names
+// (internal/server); the point's fields sit beside the run fields.
 type Spec struct {
 	Workload string `json:"workload"`
 	Cores    int    `json:"cores,omitempty"`
@@ -19,37 +23,84 @@ type Spec struct {
 	// Trace records controller events (Config.Trace). A traced run
 	// yields a different artifact, so Trace is part of Key.
 	Trace bool `json:"trace,omitempty"`
+	Point
 }
 
-// Or returns s with every zero field taken from def.
+// Point is a design point: the Table I parameters the paper's sensitivity
+// studies vary (Table IV's channel count, the LLC, LLP and metadata-cache
+// sizes, the decompression latency). A zero field means the Table I value,
+// and Spec.Normalize maps a field set to its Table I value to zero, so a
+// point equal to Table I is the zero Point and keys like one.
+type Point struct {
+	Channels     int   `json:"channels,omitempty"`
+	L3MB         int   `json:"l3_mb,omitempty"`
+	LLPEntries   int   `json:"llp_entries,omitempty"`
+	MCacheKB     int   `json:"mcache_kb,omitempty"`
+	DecompCycles int64 `json:"decomp_cycles,omitempty"`
+}
+
+// Key is the point's suffix of a run key: empty for Table I, so keys and
+// job ids minted before points existed keep their values.
+func (p Point) Key() string {
+	if p == (Point{}) {
+		return ""
+	}
+	return fmt.Sprintf("|ch%d|l3mb%d|llp%d|mckb%d|dc%d",
+		p.Channels, p.L3MB, p.LLPEntries, p.MCacheKB, p.DecompCycles)
+}
+
+// Or returns s with every zero field, point fields included, taken from
+// def.
 func (s Spec) Or(def Spec) Spec {
-	if s.Workload == "" {
-		s.Workload = def.Workload
-	}
-	if s.Cores == 0 {
-		s.Cores = def.Cores
-	}
-	if s.Warmup == 0 {
-		s.Warmup = def.Warmup
-	}
-	if s.Measure == 0 {
-		s.Measure = def.Measure
-	}
-	if s.Seed == 0 {
-		s.Seed = def.Seed
-	}
-	s.Trace = s.Trace || def.Trace
+	s.Workload = or(s.Workload, def.Workload)
+	s.Cores = or(s.Cores, def.Cores)
+	s.Warmup = or(s.Warmup, def.Warmup)
+	s.Measure = or(s.Measure, def.Measure)
+	s.Seed = or(s.Seed, def.Seed)
+	s.Trace = or(s.Trace, def.Trace)
+	s.Channels = or(s.Channels, def.Channels)
+	s.L3MB = or(s.L3MB, def.L3MB)
+	s.LLPEntries = or(s.LLPEntries, def.LLPEntries)
+	s.MCacheKB = or(s.MCacheKB, def.MCacheKB)
+	s.DecompCycles = or(s.DecompCycles, def.DecompCycles)
 	return s
 }
 
-// Normalize gives every zero field Default()'s value.
+// or is v, or def when v is the zero value.
+func or[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
+	}
+	return v
+}
+
+// Normalize gives every zero run field Default()'s value and zeroes every
+// point field that equals its Table I value.
 func (s *Spec) Normalize() {
 	d := Default()
 	*s = s.Or(Spec{Cores: d.Cores, Warmup: d.WarmupInstr, Measure: d.MeasureInstr, Seed: d.Seed})
+	p := &s.Point
+	if p.Channels == d.DRAM.Channels {
+		p.Channels = 0
+	}
+	if p.L3MB == d.L3Bytes>>20 {
+		p.L3MB = 0
+	}
+	if p.LLPEntries == d.LLPEntries {
+		p.LLPEntries = 0
+	}
+	if p.MCacheKB == d.MCacheBytes>>10 {
+		p.MCacheKB = 0
+	}
+	if p.DecompCycles == memctrl.DecompressCycles {
+		p.DecompCycles = 0
+	}
 }
 
-// Config is the Table I machine (Default) running s under scheme. It maps
-// the fields as they are; call Normalize first for zero-means-default.
+// Config is the Table I machine (Default) running s under scheme, with
+// s's non-zero point fields applied. It maps the fields as they are; call
+// Normalize first for zero-means-default, and Validate to bound the point.
 func (s Spec) Config(scheme string) Config {
 	cfg := Default()
 	cfg.Workload = s.Workload
@@ -59,17 +110,32 @@ func (s Spec) Config(scheme string) Config {
 	cfg.MeasureInstr = s.Measure
 	cfg.Seed = s.Seed
 	cfg.Trace = s.Trace
+	cfg.DRAM.Channels = or(s.Channels, cfg.DRAM.Channels)
+	cfg.L3Bytes = or(scaled(s.L3MB, 20), cfg.L3Bytes)
+	cfg.LLPEntries = or(s.LLPEntries, cfg.LLPEntries)
+	cfg.MCacheBytes = or(scaled(s.MCacheKB, 10), cfg.MCacheBytes)
+	cfg.DecompCycles = or(s.DecompCycles, cfg.DecompCycles)
 	return cfg
+}
+
+// scaled is n<<shift, or -1 (which Validate rejects) when that overflows:
+// a point from an untrusted job must not wrap around to a valid size.
+func scaled(n, shift int) int {
+	if n > math.MaxInt>>shift || n < math.MinInt>>shift {
+		return -1
+	}
+	return n << shift
 }
 
 // Key is the canonical key of one scheme's run of s: two runs with equal
 // keys produce the same result. The constant "sh0|evfalse" stands for the
 // retired engine knobs (shards, event_driven) at their defaults, so keys
 // and the job ids hashed from them stay as they were before the knobs
-// were removed.
+// were removed; the point's suffix is empty for Table I for the same
+// reason.
 func (s Spec) Key(scheme string) string {
 	return fmt.Sprintf("%s|%s|c%d|w%d|m%d|s%d|sh0|evfalse|tr%t",
-		s.Workload, scheme, s.Cores, s.Warmup, s.Measure, s.Seed, s.Trace)
+		s.Workload, scheme, s.Cores, s.Warmup, s.Measure, s.Seed, s.Trace) + s.Point.Key()
 }
 
 // BindFlags binds -cores, -warmup, -insts and -seed to s. Each flag's

@@ -60,3 +60,78 @@ func TestValidateBoundsCores(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestValidateRejectsBeforeRun: every geometry New (or the LLP) would
+// reject, and every design point above its bound, fails Validate, so a
+// job is refused at submit instead of failing or panicking mid-run.
+func TestValidateRejectsBeforeRun(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    Point
+		ok   bool
+	}{
+		{"table I", Point{}, true},
+		{"sweep extremes", Point{Channels: 4, L3MB: 16, LLPEntries: 4096, MCacheKB: 128, DecompCycles: 40}, true},
+		{"at the bounds", Point{Channels: MaxChannels, L3MB: MaxL3Bytes >> 20, LLPEntries: MaxLLPEntries,
+			MCacheKB: MaxMCacheBytes >> 10, DecompCycles: MaxDecompCycles}, true},
+		{"llp not a power of two", Point{LLPEntries: 100}, false},
+		{"llp negative", Point{LLPEntries: -512}, false},
+		{"l3 sets not a power of two", Point{L3MB: 3}, false},
+		{"l3 negative", Point{L3MB: -8}, false},
+		{"mcache sets not a power of two", Point{MCacheKB: 3}, false},
+		{"channels not a power of two", Point{Channels: 3}, false},
+		{"channels above bound", Point{Channels: 2 * MaxChannels}, false},
+		{"l3 above bound", Point{L3MB: 2 * MaxL3Bytes >> 20}, false},
+		{"l3 shift overflows to 8 MB", Point{L3MB: 1<<44 + 8}, false},
+		{"llp above bound", Point{LLPEntries: 2 * MaxLLPEntries}, false},
+		{"mcache above bound", Point{MCacheKB: 2 * MaxMCacheBytes >> 10}, false},
+		{"decomp above bound", Point{DecompCycles: MaxDecompCycles + 1}, false},
+		{"decomp negative", Point{DecompCycles: -1}, false},
+	} {
+		cfg := Spec{Workload: "lbm06", Cores: 1, Measure: 1, Point: c.p}.Config(SchemePTMC)
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want ok=%t", c.name, err, c.ok)
+		}
+	}
+	// Table I's own LLP size, zeroed on the Config rather than the point,
+	// panicked in sim.Run before Validate checked it.
+	cfg := Default()
+	cfg.Workload = "lbm06"
+	cfg.LLPEntries = 0
+	if cfg.Validate() == nil {
+		t.Error("LLPEntries 0 validated")
+	}
+}
+
+func TestPointNormalizeAndKey(t *testing.T) {
+	d := Default()
+	tableI := Point{Channels: d.DRAM.Channels, L3MB: d.L3Bytes >> 20, LLPEntries: d.LLPEntries,
+		MCacheKB: d.MCacheBytes >> 10, DecompCycles: 5}
+	s := Spec{Workload: "lbm06", Point: tableI}
+	s.Normalize()
+	if s.Point != (Point{}) {
+		t.Fatalf("Table I point normalized to %+v, want zero", s.Point)
+	}
+	plain := Spec{Workload: "lbm06"}
+	plain.Normalize()
+	if s.Key(SchemePTMC) != plain.Key(SchemePTMC) {
+		t.Fatalf("Table I point keys as %s, plain spec as %s", s.Key(SchemePTMC), plain.Key(SchemePTMC))
+	}
+
+	one := Spec{Workload: "lbm06", Point: Point{Channels: 1, L3MB: 8}}
+	one.Normalize()
+	if one.Point != (Point{Channels: 1}) {
+		t.Fatalf("normalized point %+v, want only channels 1", one.Point)
+	}
+	if got, want := one.Key(SchemePTMC), plain.Key(SchemePTMC)+"|ch1|l3mb0|llp0|mckb0|dc0"; got != want {
+		t.Fatalf("Key = %s, want %s", got, want)
+	}
+	cfg := Spec{Point: Point{Channels: 1, L3MB: 4, LLPEntries: 64, MCacheKB: 8, DecompCycles: 10}}.Config(SchemePTMC)
+	if cfg.DRAM.Channels != 1 || cfg.L3Bytes != 4<<20 || cfg.LLPEntries != 64 ||
+		cfg.MCacheBytes != 8<<10 || cfg.DecompCycles != 10 {
+		t.Fatalf("Config does not carry the point: %+v", cfg)
+	}
+	if got := (Spec{Point: Point{L3MB: 4}}).Or(Spec{Point: Point{L3MB: 1, Channels: 1}}).Point; got != (Point{Channels: 1, L3MB: 4}) {
+		t.Fatalf("Or point = %+v", got)
+	}
+}
