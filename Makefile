@@ -56,6 +56,7 @@ smoke:
 fuzz-smoke:
 	$(GO) test ./internal/core/ -run FuzzMarkerClassify -fuzz FuzzMarkerClassify -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/ -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mem/ -run FuzzStore -fuzz FuzzStore -fuzztime $(FUZZTIME)
 
 trace-smoke:
 	out=$$(mktemp -d) && \

@@ -206,6 +206,20 @@ func (g *MarkerGen) CollidesWithMarkers(a mem.LineAddr, data []byte) bool {
 	return isMarkerIL(g, a, data, false)
 }
 
+// MayCollide is CollidesWithMarkers screened from two words of the line:
+// w0 (bytes 0-7) and tail (bytes 60-63). It is true whenever the tail
+// matches a compression marker or word 0 matches Marker-IL's, hence for
+// every colliding line, so a false result proves the line can be stored
+// raw without building it; CollidesWithMarkers on the whole line settles a
+// true one.
+func (g *MarkerGen) MayCollide(a mem.LineAddr, w0 uint64, tail uint32) bool {
+	m2, m4 := g.markers(a)
+	if tail == m2 || tail == m4 {
+		return true
+	}
+	return w0 == mix(mix(uint64(a)^g.keyIL)+0x9E3779B97F4A7C15)
+}
+
 // Invert returns the bitwise complement of a line.
 func Invert(data []byte) []byte {
 	out := make([]byte, len(data))

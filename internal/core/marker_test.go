@@ -188,3 +188,40 @@ func TestInvertLength(t *testing.T) {
 		t.Errorf("Invert = %x, want %x", out, want)
 	}
 }
+
+// TestMayCollideScreensEveryCollision: the two-word screen never misses a
+// collision — engineered ones (each compression marker in the tail, the
+// Marker-IL line itself) and any line CollidesWithMarkers flags — and
+// passes ordinary data.
+func TestMayCollideScreensEveryCollision(t *testing.T) {
+	g := NewMarkerGen(5)
+	rng := rand.New(rand.NewSource(3))
+	screen := func(a mem.LineAddr, line []byte) bool {
+		return g.MayCollide(a, binary.LittleEndian.Uint64(line), binary.LittleEndian.Uint32(line[CompressedBudget:]))
+	}
+	for i := 0; i < 2000; i++ {
+		a := mem.LineAddr(rng.Uint64() >> 6)
+		line := make([]byte, mem.LineSize)
+		rng.Read(line)
+		if screen(a, line) {
+			t.Fatalf("line %d: random data screened in", a)
+		}
+		for _, m := range []uint32{g.Marker2(a), g.Marker4(a)} {
+			binary.LittleEndian.PutUint32(line[CompressedBudget:], m)
+			if !g.CollidesWithMarkers(a, line) || !screen(a, line) {
+				t.Fatalf("line %d: marker %#x in the tail not screened in", a, m)
+			}
+		}
+		il := g.MarkerIL(a)
+		if !g.CollidesWithMarkers(a, il[:]) || !screen(a, il[:]) {
+			t.Fatalf("line %d: Marker-IL not screened in", a)
+		}
+		// Word 0 of Marker-IL alone screens in (CollidesWithMarkers then
+		// clears it); the rest of the line cannot screen out a collision.
+		rng.Read(line)
+		copy(line, il[:8])
+		if !screen(a, line) || g.CollidesWithMarkers(a, line) {
+			t.Fatalf("line %d: Marker-IL word 0 must screen in and check out clean", a)
+		}
+	}
+}

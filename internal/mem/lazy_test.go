@@ -93,7 +93,11 @@ func TestLazyWritePartialSynthesizesRest(t *testing.T) {
 	}
 }
 
-func TestReadNoAllocKeepsSentinel(t *testing.T) {
+// TestReadNoAllocNeverMaterializes: ReadNoAlloc synthesizes an
+// unmaterialized line of a lazy page into the caller's scratch every time,
+// without allocating or storing it, whether or not other lines of the page
+// are materialized; a materialized line it reads in place.
+func TestReadNoAllocNeverMaterializes(t *testing.T) {
 	s := NewStore()
 	cf := newCountingFill()
 	s.SetLazyFill(cf.fill)
@@ -101,38 +105,112 @@ func TestReadNoAllocKeepsSentinel(t *testing.T) {
 
 	var scratch [LineSize]byte
 	a := LineAddr(11)
-	got := s.ReadNoAlloc(a, scratch[:])
-	if !bytes.Equal(got, cf.want(a)) {
-		t.Fatal("ReadNoAlloc must synthesize the lazy value")
-	}
-	if &got[0] != &scratch[0] {
-		t.Error("sentinel-page ReadNoAlloc must return the caller's scratch")
-	}
-	// The page must still be the shared sentinel: a later ReadNoAlloc
-	// synthesizes again instead of reading materialized storage.
-	s.ReadNoAlloc(a, scratch[:])
-	if cf.calls[a] != 2 {
-		t.Errorf("fill ran %d times across two sentinel reads, want 2", cf.calls[a])
-	}
-	// And it must not allocate: that is its contract (integrity checks and
-	// eviction gathers inspect pages that may never be stored to).
-	if n := testing.AllocsPerRun(100, func() {
+	for round, other := range []LineAddr{0, 12} {
+		if round > 0 {
+			s.Write(other, make([]byte, LineSize)) // materialize a neighbour
+		}
+		before := cf.calls[a]
+		got := s.ReadNoAlloc(a, scratch[:])
+		if !bytes.Equal(got, cf.want(a)) {
+			t.Fatal("ReadNoAlloc must synthesize the lazy value")
+		}
+		if &got[0] != &scratch[0] {
+			t.Error("ReadNoAlloc of an unmaterialized line must return the caller's scratch")
+		}
 		s.ReadNoAlloc(a, scratch[:])
-	}); n != 0 {
-		t.Errorf("sentinel ReadNoAlloc allocates %.1f/op, want 0", n)
+		if cf.calls[a] != before+2 {
+			t.Errorf("round %d: fill ran %d times across two reads, want 2", round, cf.calls[a]-before)
+		}
+		if s.Materialized(a) {
+			t.Fatalf("round %d: ReadNoAlloc materialized the line", round)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			s.ReadNoAlloc(a, scratch[:])
+		}); n != 0 {
+			t.Errorf("round %d: ReadNoAlloc allocates %.1f/op, want 0", round, n)
+		}
+	}
+	if s.MaterializedLines() != 1 {
+		t.Errorf("MaterializedLines = %d, want 1 (the written neighbour)", s.MaterializedLines())
 	}
 
-	// After a write materializes the page, ReadNoAlloc reads (and
-	// memoizes) real storage like Read.
-	s.Write(a+1, make([]byte, LineSize))
-	got = s.ReadNoAlloc(a, scratch[:])
-	if &got[0] == &scratch[0] {
-		t.Error("materialized-page ReadNoAlloc must alias internal storage")
+	// Once Read materializes the line, ReadNoAlloc aliases its storage.
+	stored := s.Read(a)
+	got := s.ReadNoAlloc(a, scratch[:])
+	if &got[0] == &scratch[0] || &got[0] != &stored[0] {
+		t.Error("ReadNoAlloc of a materialized line must alias internal storage")
 	}
-	before := cf.calls[a]
-	s.ReadNoAlloc(a, scratch[:])
-	if cf.calls[a] != before {
-		t.Error("materialized-page ReadNoAlloc must memoize")
+}
+
+// TestLazyPagesStoreOnlyMaterializedLines: a lazily registered page
+// counts in full toward the footprint and TouchedLines but stores only
+// the lines read or written, and a non-lazy page's unwritten lines read
+// zero without being stored.
+func TestLazyPagesStoreOnlyMaterializedLines(t *testing.T) {
+	s := NewStore()
+	cf := newCountingFill()
+	s.SetLazyFill(cf.fill)
+	for pn := 0; pn < 10; pn++ {
+		s.MarkLazy(LineAddr(pn * PageLines))
+	}
+	s.Read(3)
+	s.Read(3)
+	s.Write(PageLines+5, make([]byte, LineSize))
+	s.WritePartial(2*PageLines, 8, []byte{7})
+	s.Write(100*PageLines, make([]byte, LineSize)) // a non-lazy page
+	if !bytes.Equal(s.Read(100*PageLines+1), make([]byte, LineSize)) {
+		t.Error("unwritten line of a non-lazy page must read zero")
+	}
+	if got := s.MaterializedLines(); got != 4 {
+		t.Errorf("MaterializedLines = %d, want 4", got)
+	}
+	if got, want := s.FootprintBytes(), uint64(11*PageLines*LineSize); got != want {
+		t.Errorf("FootprintBytes = %d, want %d (page-granular)", got, want)
+	}
+	if got := len(s.TouchedLines()); got != 11*PageLines {
+		t.Errorf("TouchedLines = %d lines, want %d", got, 11*PageLines)
+	}
+	for _, a := range []LineAddr{3, PageLines + 5, 2 * PageLines, 100 * PageLines} {
+		if !s.Materialized(a) {
+			t.Errorf("line %d not materialized", a)
+		}
+	}
+	if s.Materialized(4) || s.Materialized(100*PageLines+1) {
+		t.Error("unread lines must not be materialized")
+	}
+}
+
+// TestReadSliceSurvivesInserts: a slice Read returned keeps its value
+// while every other line of the page materializes around it (growing the
+// page's slot list through every capacity) and other pages fill the arena.
+func TestReadSliceSurvivesInserts(t *testing.T) {
+	s := NewStore()
+	cf := newCountingFill()
+	s.SetLazyFill(cf.fill)
+	s.MarkLazy(0)
+	mid := s.Read(31)
+	want := cf.want(31)
+	line := make([]byte, LineSize)
+	for i := 0; i < PageLines; i++ {
+		if i == 31 {
+			continue
+		}
+		line[0] = byte(i)
+		s.Write(LineAddr(i), line)
+		s.Write(LineAddr(PageLines*(i+1)+i), line) // another page, interleaved
+	}
+	if !bytes.Equal(mid, want) {
+		t.Fatal("Read slice changed after inserts into the same page")
+	}
+	for i := 0; i < PageLines; i++ {
+		if i != 31 && s.Read(LineAddr(i))[0] != byte(i) {
+			t.Fatalf("line %d lost its value", i)
+		}
+	}
+	// The slice aliases the line: a later Write shows through it.
+	s.Write(31, line)
+	if !bytes.Equal(mid, line) {
+		t.Error("Read slice must alias the line's storage")
 	}
 }
 
@@ -149,13 +227,11 @@ func TestLazyGuards(t *testing.T) {
 	mustPanic("MarkLazy without SetLazyFill", func() { s.MarkLazy(0) })
 	s.SetLazyFill(func(a LineAddr, buf []byte) {})
 	mustPanic("unaligned MarkLazy", func() { s.MarkLazy(3) })
-	mustPanic("Slab on lazily-filled store", func() { s.Slab(0) })
 }
 
-// BenchmarkStoreLazyRead times the read path every first touch of a lazily
-// initialized architectural page takes: ReadNoAlloc synthesizing a line
-// through the fill callback into caller scratch, without materializing the
-// page.
+// BenchmarkStoreLazyRead times the inspection read of a line a lazily
+// initialized page has never stored: ReadNoAlloc synthesizing it through
+// the fill callback into caller scratch, without materializing it.
 func BenchmarkStoreLazyRead(b *testing.B) {
 	s := NewStore()
 	s.SetLazyFill(func(a LineAddr, buf []byte) {
@@ -163,11 +239,11 @@ func BenchmarkStoreLazyRead(b *testing.B) {
 	})
 	var scratch [LineSize]byte
 	for pn := 0; pn < 16; pn++ {
-		s.MarkLazy(LineAddr(pn * SlabLines))
+		s.MarkLazy(LineAddr(pn * PageLines))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ReadNoAlloc(LineAddr(i%(16*SlabLines)), scratch[:])
+		s.ReadNoAlloc(LineAddr(i%(16*PageLines)), scratch[:])
 	}
 }

@@ -10,9 +10,21 @@
 // Keeping both lets the test suite assert, at any instant, that decoding
 // the DRAM image reproduces the architectural contents — the paper's
 // correctness argument for inline metadata, made executable.
+//
+// Both stores are sparse at line granularity. A page is registered on its
+// first Write or by MarkLazy, but only the lines that were written or read
+// are stored ("materialized"). An unmaterialized line of a lazily filled
+// page (MarkLazy) holds the value the store's fill callback synthesizes for
+// it; any other unmaterialized line reads as zero. The simulator registers
+// every first-touched page lazily in both stores, because a line's initial
+// value is a pure function of its identity, so a run stores only the few
+// lines the cores and the controller actually reach.
 package mem
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // LineSize is the number of bytes per cache line / memory burst.
 const LineSize = 64
@@ -20,127 +32,223 @@ const LineSize = 64
 // LineAddr is a physical line address: the physical byte address >> 6.
 type LineAddr uint64
 
-// linesPerPage is the number of 64-byte lines in a 4 KB allocation page of
-// the sparse store (an allocation unit, unrelated to the OS page size used
-// by internal/vm, which happens to match).
-const linesPerPage = 64
+// PageLines is the number of 64-byte lines in one 4 KB page of the store:
+// the unit MarkLazy registers and FootprintBytes and TouchedLines count in
+// (an allocation unit, unrelated to the OS page size used by internal/vm,
+// which happens to match).
+const PageLines = 64
 
-// page holds the contents of 64 consecutive lines, plus the per-line
-// validity mask used by lazily-filled stores: bit i set means lines[i]
-// holds real bytes. Stores without a fill callback ignore the mask.
+// page is one registered page. Its materialized lines live in the store's
+// line arena, and its slot list (in Store.slots, from off) holds their
+// arena numbers. A sparse page ranks them by line index, so line i's slot
+// sits at rank popcount(mask & (1<<i - 1)) and the list takes four bytes
+// per stored line; once a page stores more than maxRankedLines, the list
+// becomes a direct table indexed by line, so a dense page inserts without
+// shifting. The struct holds no pointers, which keeps the page table out
+// of the garbage collector's scan.
 type page struct {
-	mask  uint64
-	lines [linesPerPage][LineSize]byte
+	mask uint64 // bit i set: line i is materialized
+	off  uint32 // start of the slot list in Store.slots
+	cap  uint8  // 0 (no list yet), a ranked list's capacity, or PageLines (direct)
+	lazy bool   // MarkLazy: unmaterialized lines synthesize through fill
 }
 
+// Ranked slot lists start at firstListCap entries and double up to
+// maxRankedLines; the next growth makes the list direct.
+const (
+	firstListCap   = 4
+	maxRankedLines = 16
+)
+
+// arenaChunkLines is the number of lines one arena chunk holds.
+const arenaChunkLines = 256
+
+// arenaChunk is a fixed block of line storage. Chunks are never freed or
+// moved, so a line's bytes stay put once materialized.
+type arenaChunk [arenaChunkLines][LineSize]byte
+
 // Store is a sparse 64-byte-line-granular memory. Untouched lines read as
-// zero. The zero value is ready to use after NewStore; Store is not
-// goroutine-safe (the simulator is single-threaded by design — determinism
-// is a tested invariant).
+// zero. Store is not goroutine-safe (the simulator is single-threaded by
+// design — determinism is a tested invariant).
 type Store struct {
-	pages map[uint64]*page
+	index map[uint64]uint32 // page number -> position in pages
+	pages []page
 
-	// chunk is the bump allocator pages are carved from: allocating pages
-	// in 64-page chunks amortizes the heap's per-object cost (span setup,
-	// heap-bitmap init) across a whole chunk, which matters because a
-	// simulation run allocates hundreds of thousands of pages. Pages are
-	// never freed individually, so carving from a chunk wastes nothing.
-	chunk []page
+	// slots backs every page's slot list. A ranked list that outgrows its
+	// capacity moves to a larger block, and its old block goes on the
+	// free list of its size (indexed by log2 of the capacity) for the next
+	// page that grows into it.
+	slots []uint32
+	free  [5][]uint32 // log2(maxRankedLines)+1 sizes
 
-	// fill, when set, synthesizes the contents of one not-yet-valid line
-	// of a lazily-initialized page on first use (see MarkLazy). It must
-	// write exactly LineSize bytes.
+	// arena holds the materialized lines, numbered in materialization
+	// order; lines is how many are in use.
+	arena []*arenaChunk
+	lines uint32
+
+	// fill, when set, synthesizes the value of one unmaterialized line of
+	// a page registered by MarkLazy. It must write exactly LineSize bytes.
 	fill func(a LineAddr, buf []byte)
 }
 
-// lazyPage is the sentinel a lazily-initialized page points at until first
-// use. It is shared, never written (the Read/Write paths swap in a real
-// page before returning any line of it), and lets MarkLazy cost one map
-// insert instead of a 4 KB allocation.
-var lazyPage = new(page)
-
 // NewStore returns an empty sparse store.
 func NewStore() *Store {
-	return &Store{pages: make(map[uint64]*page)}
+	return &Store{index: make(map[uint64]uint32)}
 }
 
 var zeroLine [LineSize]byte
 
-// alloc carves one page from the current chunk.
-func (s *Store) alloc() *page {
-	if len(s.chunk) == 0 {
-		s.chunk = make([]page, 64)
+// lookup returns the registered page holding line a and a's index in it,
+// or a nil page if the page is unregistered.
+func (s *Store) lookup(a LineAddr) (*page, uint64) {
+	pi, ok := s.index[uint64(a)/PageLines]
+	if !ok {
+		return nil, 0
 	}
-	p := &s.chunk[0]
-	s.chunk = s.chunk[1:]
-	return p
+	return &s.pages[pi], uint64(a) % PageLines
 }
 
-// allocAt replaces the lazy sentinel (or nothing) at page pn with a real,
-// zeroed, all-lines-invalid page. No synthesis happens here: lines are
-// filled one at a time as they are actually read (memoized in the page) or
-// overwritten by stores.
-func (s *Store) allocAt(pn uint64) *page {
-	p := s.alloc()
-	s.pages[pn] = p
-	return p
+// register returns the page holding line a, registering it (non-lazy,
+// nothing materialized) if needed, and a's index in it.
+func (s *Store) register(a LineAddr) (*page, uint64) {
+	pn := uint64(a) / PageLines
+	pi, ok := s.index[pn]
+	if !ok {
+		pi = uint32(len(s.pages))
+		s.pages = append(s.pages, page{})
+		s.index[pn] = pi
+	}
+	return &s.pages[pi], uint64(a) % PageLines
+}
+
+// slot returns the position of materialized line i's arena number in
+// s.slots, or of the line about to be inserted there.
+func (p *page) slot(i uint64) uint32 {
+	if p.cap == PageLines {
+		return p.off + uint32(i)
+	}
+	return p.off + uint32(bits.OnesCount64(p.mask&(1<<i-1)))
+}
+
+// line returns the storage of arena line n.
+func (s *Store) line(n uint32) []byte {
+	return s.arena[n/arenaChunkLines][n%arenaChunkLines][:]
+}
+
+// storage returns the storage of line i of p, materializing it (zeroed,
+// fresh true) if it has none yet.
+func (s *Store) storage(p *page, i uint64) (l []byte, fresh bool) {
+	if p.mask&(1<<i) != 0 {
+		return s.line(s.slots[p.slot(i)]), false
+	}
+	return s.materialize(p, i), true
+}
+
+// materialize gives unmaterialized line i of p its own arena storage,
+// zeroed, and returns it.
+func (s *Store) materialize(p *page, i uint64) []byte {
+	n := uint32(bits.OnesCount64(p.mask))
+	if n == uint32(p.cap) {
+		s.growList(p, n)
+	}
+	if s.lines%arenaChunkLines == 0 {
+		s.arena = append(s.arena, new(arenaChunk))
+	}
+	ln := s.lines
+	s.lines++
+	at := p.slot(i)
+	if p.cap != PageLines {
+		end := p.off + n
+		copy(s.slots[at+1:end+1], s.slots[at:end])
+	}
+	s.slots[at] = ln
+	p.mask |= 1 << i
+	return s.line(ln)
+}
+
+// growList moves p's full slot list (n entries) to a larger block: the
+// next ranked capacity, or a direct table past maxRankedLines.
+func (s *Store) growList(p *page, n uint32) {
+	c := uint32(firstListCap)
+	if p.cap > 0 {
+		c = 2 * uint32(p.cap)
+	}
+	if c > maxRankedLines {
+		c = PageLines
+	}
+	var off uint32
+	if cls := bits.TrailingZeros32(c); c != PageLines && len(s.free[cls]) > 0 {
+		f := s.free[cls]
+		off = f[len(f)-1]
+		s.free[cls] = f[:len(f)-1]
+	} else {
+		off = uint32(len(s.slots))
+		if len(s.slots)+int(c) > cap(s.slots) {
+			// Double explicitly: append grows a large slice by only a
+			// quarter at a time, copying it over and over.
+			grown := make([]uint32, len(s.slots), 2*cap(s.slots)+PageLines)
+			copy(grown, s.slots)
+			s.slots = grown
+		}
+		s.slots = s.slots[:off+c]
+	}
+	if c == PageLines {
+		// Scatter the ranked entries to their lines' positions.
+		m := p.mask
+		for k := p.off; m != 0; k++ {
+			s.slots[off+uint32(bits.TrailingZeros64(m))] = s.slots[k]
+			m &= m - 1
+		}
+	} else {
+		copy(s.slots[off:off+n], s.slots[p.off:p.off+n])
+	}
+	if p.cap > 0 {
+		old := bits.TrailingZeros8(p.cap)
+		s.free[old] = append(s.free[old], p.off)
+	}
+	p.off, p.cap = off, uint8(c)
 }
 
 // Read returns the contents of line a. The returned slice aliases internal
-// storage for touched lines and must not be modified; use Write to mutate.
+// storage for materialized lines and must not be modified; use Write to
+// mutate. It stays valid, and keeps showing the line's current value,
+// across later materializations in the same page. An unmaterialized line
+// of a lazily filled page is synthesized and materialized here, so a second
+// Read returns the same storage.
 func (s *Store) Read(a LineAddr) []byte {
-	pn := uint64(a) / linesPerPage
-	p, ok := s.pages[pn]
-	if !ok {
+	p, i := s.lookup(a)
+	if p == nil {
 		return zeroLine[:]
 	}
-	if p == lazyPage {
-		p = s.allocAt(pn)
+	if p.mask&(1<<i) != 0 {
+		return s.line(s.slots[p.slot(i)])
 	}
-	i := uint64(a) % linesPerPage
-	if s.fill != nil && p.mask&(1<<i) == 0 {
-		s.fill(a, p.lines[i][:])
-		p.mask |= 1 << i
+	if !p.lazy {
+		return zeroLine[:]
 	}
-	return p.lines[i][:]
+	l := s.materialize(p, i)
+	s.fill(a, l)
+	return l
 }
 
-// ReadNoAlloc is Read for integrity checks and eviction planning: for a
-// line of a still-sentinel lazy page it synthesizes the value into scratch
-// (which must be LineSize bytes) instead of allocating the page, so pages
-// that are only ever *inspected* — filled, compressed, relocated, but never
-// stored to — never pay for 4 KB of backing storage. The returned slice is
-// scratch in that case and valid until scratch is reused; otherwise it
-// aliases internal storage exactly like Read.
+// ReadNoAlloc is Read for whole-memory sweeps, integrity checks and
+// eviction planning: it never materializes a line. For an unmaterialized
+// line of a lazily filled page it synthesizes the value into scratch (which
+// must be LineSize bytes) and returns scratch, valid until scratch is
+// reused; a materialized line aliases internal storage exactly like Read.
 func (s *Store) ReadNoAlloc(a LineAddr, scratch []byte) []byte {
-	pn := uint64(a) / linesPerPage
-	p, ok := s.pages[pn]
-	if !ok {
+	p, i := s.lookup(a)
+	if p == nil {
 		return zeroLine[:]
 	}
-	if p == lazyPage {
-		if s.fill == nil {
-			return zeroLine[:]
-		}
-		s.fill(a, scratch)
-		return scratch
+	if p.mask&(1<<i) != 0 {
+		return s.line(s.slots[p.slot(i)])
 	}
-	i := uint64(a) % linesPerPage
-	if s.fill != nil && p.mask&(1<<i) == 0 {
-		s.fill(a, p.lines[i][:])
-		p.mask |= 1 << i
+	if !p.lazy {
+		return zeroLine[:]
 	}
-	return p.lines[i][:]
-}
-
-// pageFor returns (allocating as needed) the page holding line a.
-func (s *Store) pageFor(a LineAddr) *page {
-	pn := uint64(a) / linesPerPage
-	p, ok := s.pages[pn]
-	if !ok || p == lazyPage {
-		p = s.allocAt(pn)
-	}
-	return p
+	s.fill(a, scratch)
+	return scratch
 }
 
 // Write replaces the contents of line a with data (which must be 64 bytes).
@@ -148,110 +256,90 @@ func (s *Store) Write(a LineAddr, data []byte) {
 	if len(data) != LineSize {
 		panic("mem: Write needs a 64-byte line")
 	}
-	p := s.pageFor(a)
-	i := uint64(a) % linesPerPage
-	copy(p.lines[i][:], data)
-	p.mask |= 1 << i
+	p, i := s.register(a)
+	l, _ := s.storage(p, i)
+	copy(l, data)
 }
 
-// WritePartial overwrites size bytes at byte offset off within line a.
+// WritePartial overwrites size bytes at byte offset off within line a. The
+// untouched rest of the line keeps its value: the synthesized one, for an
+// unmaterialized line of a lazily filled page.
 func (s *Store) WritePartial(a LineAddr, off int, data []byte) {
 	if off < 0 || off+len(data) > LineSize {
 		panic("mem: WritePartial out of range")
 	}
-	p := s.pageFor(a)
-	i := uint64(a) % linesPerPage
-	if s.fill != nil && p.mask&(1<<i) == 0 {
-		// The untouched rest of the line must hold its synthesized value
-		// before part of it is overwritten.
-		s.fill(a, p.lines[i][:])
-		p.mask |= 1 << i
+	p, i := s.register(a)
+	l, fresh := s.storage(p, i)
+	if fresh && p.lazy {
+		s.fill(a, l)
 	}
-	copy(p.lines[i][off:], data)
-	p.mask |= 1 << i
+	copy(l[off:], data)
 }
 
-// Touched reports whether line a has ever been written.
+// Touched reports whether line a's page is registered: written to, or
+// registered by MarkLazy. It says nothing about line a itself.
 func (s *Store) Touched(a LineAddr) bool {
-	_, ok := s.pages[uint64(a)/linesPerPage]
+	_, ok := s.index[uint64(a)/PageLines]
 	return ok
 }
 
-// TouchedLines returns every line address in pages that have been written,
-// in ascending address order. The sort matters: whole-memory operations
+// Materialized reports whether line a has its own storage: it was written,
+// or read through Read on a lazily filled page. An unmaterialized line
+// holds its fill value (lazy pages) or zero.
+func (s *Store) Materialized(a LineAddr) bool {
+	p, i := s.lookup(a)
+	return p != nil && p.mask&(1<<i) != 0
+}
+
+// MaterializedLines returns how many lines have their own storage.
+func (s *Store) MaterializedLines() int { return int(s.lines) }
+
+// TouchedLines returns every line address in registered pages, in
+// ascending address order. The sort matters: whole-memory operations
 // (LIT-overflow re-encoding, image-soundness property checks, fault-campaign
 // candidate selection) must be deterministic so a run replays from its seed.
 func (s *Store) TouchedLines() []LineAddr {
-	pns := make([]uint64, 0, len(s.pages))
-	for pn := range s.pages {
+	pns := make([]uint64, 0, len(s.index))
+	for pn := range s.index {
 		pns = append(pns, pn)
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	out := make([]LineAddr, 0, len(pns)*linesPerPage)
+	out := make([]LineAddr, 0, len(pns)*PageLines)
 	for _, pn := range pns {
-		for i := uint64(0); i < linesPerPage; i++ {
-			out = append(out, LineAddr(pn*linesPerPage+i))
+		for i := uint64(0); i < PageLines; i++ {
+			out = append(out, LineAddr(pn*PageLines+i))
 		}
 	}
 	return out
 }
 
-// FootprintBytes returns the number of bytes of touched memory.
+// FootprintBytes returns the number of bytes of registered pages: the
+// memory the store represents, not what it holds (see MaterializedLines).
 func (s *Store) FootprintBytes() uint64 {
-	return uint64(len(s.pages)) * linesPerPage * LineSize
+	return uint64(len(s.pages)) * PageLines * LineSize
 }
 
-// SlabLines is the number of lines a Slab spans (one allocation page).
-const SlabLines = linesPerPage
-
-// Slab is direct storage access to the allocation page holding line base:
-// Line(i) returns the writable backing array of line base+i. It exists for
-// first-touch page initialization, which synthesizes each line's value
-// straight into the store instead of into a buffer that is then copied.
-type Slab struct {
-	p *page
-}
-
-// Slab returns (allocating if needed) the slab containing line base, which
-// must be slab-aligned. Slab access bypasses the per-line validity mask, so
-// it is incompatible with lazy filling: a store with a fill callback would
-// re-synthesize over slab-written lines on the next Read.
-func (s *Store) Slab(base LineAddr) Slab {
-	if uint64(base)%linesPerPage != 0 {
-		panic("mem: Slab base must be page-aligned")
-	}
-	if s.fill != nil {
-		panic("mem: Slab access on a lazily-filled store")
-	}
-	return Slab{p: s.pageFor(base)}
-}
-
-// SetLazyFill installs the synthesis callback lazily-initialized pages are
-// materialized with, one line at a time: the callback receives a line
-// address within a page registered by MarkLazy and must write that line's
-// initial contents (LineSize bytes) into buf. It runs on the goroutine that
-// owns the Store, at the first Read of a line that has neither been written
-// nor read before.
+// SetLazyFill installs the synthesis callback for lazily filled pages: the
+// callback receives a line address within a page registered by MarkLazy
+// and must write that line's value (LineSize bytes) into buf. It runs on
+// the goroutine that owns the Store, at a Read (or ReadNoAlloc, or
+// WritePartial) of a line that has no storage of its own.
 func (s *Store) SetLazyFill(fill func(a LineAddr, buf []byte)) { s.fill = fill }
 
-// MarkLazy registers the (previously untouched) page at base — which must
-// be slab-aligned — as initialized-on-demand: it is Touched and counts
-// toward FootprintBytes immediately, but its 4 KB of storage is allocated
-// only when something reads or writes it, and each line is synthesized only
-// when something reads it before writing it. The simulator uses this for
-// first-touch page initialization of the architectural store, whose
-// contents are a pure function of each line's identity until the first
-// store to that line; lines that are initialized but never read back never
-// pay for synthesis at all. Requires SetLazyFill.
+// MarkLazy registers the page at base — which must be page-aligned — as
+// lazily filled: it is Touched and counts toward FootprintBytes at once,
+// but stores nothing, and each of its lines that is read before it is
+// written reads as the fill callback's value. Lines it already stores
+// keep their contents. The simulator uses this for first-touch page
+// initialization, whose contents are a pure function of each line's
+// identity until the first store to that line. Requires SetLazyFill.
 func (s *Store) MarkLazy(base LineAddr) {
-	if uint64(base)%linesPerPage != 0 {
+	if uint64(base)%PageLines != 0 {
 		panic("mem: MarkLazy base must be page-aligned")
 	}
 	if s.fill == nil {
 		panic("mem: MarkLazy without SetLazyFill")
 	}
-	s.pages[uint64(base)/linesPerPage] = lazyPage
+	p, _ := s.register(base)
+	p.lazy = true
 }
-
-// Line returns the writable 64-byte backing slice of line i within the slab.
-func (sl Slab) Line(i int) []byte { return sl.p.lines[i][:] }

@@ -128,13 +128,21 @@ type Controller interface {
 	// DRAM exposes the timing model (energy accounting, bus stats).
 	DRAM() *dram.DRAM
 
-	// InitLineReady is first-touch initialization with the line's value
-	// already synthesized into its DRAM-image storage (data, obtained via
-	// mem.Slab): it reports whether those raw bytes are a valid initial
-	// image as-is, recording any derived per-line state. It returns false
-	// when the line needs the full InitLine path (a PTMC marker collision
-	// requiring LIT maintenance); the caller then runs InitLine on those
-	// lines after the page's pass, in ascending address order.
+	// InitScreen is the first-touch screen of one line of a lazily
+	// initialized page, whose image line holds the raw synthesized value
+	// without storing it. Given word 0 (bytes 0-7) and the tail word
+	// (bytes 60-63) of that value, it reports whether the controller must
+	// see the whole line through InitLineReady. False proves the raw value
+	// is a valid initial image and that the controller records nothing
+	// for the line.
+	InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool
+	// InitLineReady is first-touch initialization of a line whose image
+	// already holds its raw value, data: it reports whether those raw
+	// bytes are a valid initial image as-is, recording any derived
+	// per-line state. It returns false when the line needs the full
+	// InitLine path (a PTMC marker collision requiring LIT maintenance);
+	// the caller then runs InitLine on those lines after the page's pass,
+	// in ascending address order.
 	InitLineReady(a mem.LineAddr, data []byte) bool
 	// NextEventCycle returns the earliest CPU cycle at which ticking the
 	// controller can change state; the run loop skips the cycles before it.

@@ -82,6 +82,10 @@ func (z *MemZip) InitLine(a mem.LineAddr) {
 	z.beats.set(a, z.lineBeats(a))
 }
 
+// InitScreen implements Controller: every line's burst length depends on
+// its whole value, so MemZip sees each one through InitLineReady.
+func (z *MemZip) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool { return true }
+
 // InitLineReady implements Controller. A first-touch MemZip line is
 // stored compressed in place, but the bytes at its location are the raw
 // value either way — the reduced burst is a bus-protocol effect, not a

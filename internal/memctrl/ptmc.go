@@ -89,13 +89,21 @@ func (p *PTMC) Markers() *core.MarkerGen { return p.markers }
 // Dynamic exposes the Dynamic-PTMC policy (nil for static PTMC).
 func (p *PTMC) Dynamic() *core.Dynamic { return p.dyn }
 
+// InitScreen implements Controller: only a line that may collide with the
+// current markers (core.MarkerGen.MayCollide) needs the full check. The
+// screen is against the current generation only; reKey re-screens every
+// line still unmaterialized in the image against each new one.
+func (p *PTMC) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool {
+	return p.markers.MayCollide(a, w0, tail)
+}
+
 // InitLineReady implements Controller: the common first-touch case — no
-// marker collision — keeps the raw value already synthesized into the
-// line's image storage and changes no controller state. Collisions return
-// false for the InitLine fixup: they need LIT insertion and possibly a
-// re-key. A collision-free line needs no lit.Remove, unlike
-// writeRaw, because first touch means the address was never inverted
-// (internal/vm never reuses a physical page).
+// marker collision — keeps the raw value the line's image already holds
+// and changes no controller state. Collisions return false for the
+// InitLine fixup: they need LIT insertion and possibly a re-key. A
+// collision-free line needs no lit.Remove, unlike writeRaw, because first
+// touch means the address was never inverted (internal/vm never reuses a
+// physical page).
 func (p *PTMC) InitLineReady(a mem.LineAddr, data []byte) bool {
 	return !p.markers.CollidesWithMarkers(a, data)
 }
@@ -178,9 +186,11 @@ func (p *PTMC) writeInvalid(a mem.LineAddr, now int64, charge bool) {
 }
 
 // reKey handles LIT overflow (Option-2): regenerate marker keys and
-// re-encode every resident line under the new markers. The latency is not
-// modeled (the paper argues overflows are ~once per 10 million years); the
-// event is counted and the re-encode is functional. It reports false —
+// re-encode every resident line under the new markers — including the
+// lines the sparse image has never stored, which are screened without
+// being materialized. The latency is not modeled (the paper argues
+// overflows are ~once per 10 million years); the event is counted and the
+// re-encode is functional. It reports false —
 // declining to re-key — when re-keys are already nested four deep: >16
 // fresh-key collisions per pass, four passes in a row, means the marker
 // hash is broken, not unlucky, and the caller must degrade to the
@@ -203,7 +213,18 @@ func (p *PTMC) reKey(now int64, charge bool) bool {
 	}
 	p.markers.ReKey()
 	p.lit.Clear()
+	var buf [mem.LineSize]byte
 	for _, a := range p.img.TouchedLines() {
+		if !p.img.Materialized(a) {
+			// The image has never stored this line: it holds its raw
+			// first-touch value, screened only against the generations
+			// up to the outgoing one. Store it (inverted, LIT-tracked)
+			// only if it collides with the new markers.
+			if raw := p.img.ReadNoAlloc(a, buf[:]); p.markers.CollidesWithMarkers(a, raw) {
+				p.writeRaw(a, raw, now, false, kDirtyWrite)
+			}
+			continue
+		}
 		data := p.img.Read(a)
 		switch old.Classify(a, data) {
 		case core.ClassComp2:

@@ -42,6 +42,10 @@ func (t *TableTMC) InitLine(a mem.LineAddr) {
 	t.img.Write(a, t.arch.Read(a))
 }
 
+// InitScreen implements Controller: a first-touch table-TMC line is its
+// raw value and the cold CSI table needs no update (see InitLineReady).
+func (t *TableTMC) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool { return false }
+
 // InitLineReady implements Controller: a first-touch table-TMC line lives
 // uncompressed at its own address and the cold CSI table already reads as
 // Uncompressed, so the raw bytes synthesized in place are a complete

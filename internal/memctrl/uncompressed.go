@@ -23,6 +23,10 @@ func (u *Uncompressed) InitLine(a mem.LineAddr) {
 	u.img.Write(a, u.arch.Read(a))
 }
 
+// InitScreen implements Controller: the baseline image is the raw value
+// and the baseline keeps no per-line state. NextLinePrefetch inherits it.
+func (u *Uncompressed) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool { return false }
+
 // InitLineReady implements Controller: the baseline image is the raw
 // value, so whatever was synthesized in place is already correct.
 // NextLinePrefetch inherits it.

@@ -9,12 +9,13 @@ import (
 	"ptmc/internal/mem"
 )
 
-// VerifyImage scans every touched line of the DRAM image and checks the
-// paper's soundness invariant end to end: classifying a location by its
-// inline markers (plus the LIT) yields an interpretation under which every
-// line whose authoritative copy is in memory decodes to its architectural
-// value, no location is interpretable two ways, and every architecturally
-// live line is served by some location (or by the LLC).
+// VerifyImage scans every line of every touched page of the DRAM image,
+// stored or not, and checks the paper's soundness invariant end to end:
+// classifying a location by its inline markers (plus the LIT) yields an
+// interpretation under which every line whose authoritative copy is in
+// memory decodes to its architectural value, no location is interpretable
+// two ways, and every architecturally live line is served by some location
+// (or by the LLC).
 //
 // inLLC reports lines whose authoritative copy is (possibly dirty) in the
 // cache hierarchy — memory is allowed to be stale (or uncovered) for
@@ -26,9 +27,14 @@ import (
 func (p *PTMC) VerifyImage(inLLC func(a mem.LineAddr) bool) (int, error) {
 	covered := map[mem.LineAddr]mem.LineAddr{} // line -> home that serves it
 	verified := 0
+	// Both stores are read through ReadNoAlloc, so the sweep synthesizes
+	// the lines the image or the architectural store has never stored
+	// (into these buffers) instead of materializing them.
+	var imgBuf, archBuf [mem.LineSize]byte
+	archVal := func(a mem.LineAddr) []byte { return p.arch.ReadNoAlloc(a, archBuf[:]) }
 
 	for _, loc := range p.img.TouchedLines() {
-		data := p.img.Read(loc)
+		data := p.img.ReadNoAlloc(loc, imgBuf[:])
 		class := p.markers.Classify(loc, data)
 		switch class {
 		case core.ClassComp2, core.ClassComp4:
@@ -52,7 +58,7 @@ func (p *PTMC) VerifyImage(inLLC func(a mem.LineAddr) bool) (int, error) {
 				if inLLC != nil && inLLC(m) {
 					continue // LLC copy is authoritative; memory may be stale
 				}
-				if !bytes.Equal(lines[i], p.arch.Read(m)) {
+				if !bytes.Equal(lines[i], archVal(m)) {
 					return verified, verifyErr(m, loc, ErrValueMismatch, "%v member %d", level, i)
 				}
 				verified++
@@ -72,7 +78,7 @@ func (p *PTMC) VerifyImage(inLLC func(a mem.LineAddr) bool) (int, error) {
 			if inLLC != nil && inLLC(loc) {
 				continue
 			}
-			if !bytes.Equal(val, p.arch.Read(loc)) {
+			if !bytes.Equal(val, archVal(loc)) {
 				return verified, verifyErr(loc, loc, ErrValueMismatch, "inverted=%v", inverted)
 			}
 			verified++
@@ -84,7 +90,7 @@ func (p *PTMC) VerifyImage(inLLC func(a mem.LineAddr) bool) (int, error) {
 			if inLLC != nil && inLLC(loc) {
 				continue
 			}
-			if !bytes.Equal(data, p.arch.Read(loc)) {
+			if !bytes.Equal(data, archVal(loc)) {
 				return verified, verifyErr(loc, loc, ErrValueMismatch, "uncompressed")
 			}
 			verified++
@@ -94,8 +100,8 @@ func (p *PTMC) VerifyImage(inLLC func(a mem.LineAddr) bool) (int, error) {
 	// Every LIT entry must point at a location that is actually stored
 	// inverted (classifies as a complement pattern).
 	for _, a := range p.lit.Addresses() {
-		if !p.markers.Classify(a, p.img.Read(a)).NeedsLIT() {
-			return verified, verifyErr(a, a, ErrStaleLIT, "image class is %d", p.markers.Classify(a, p.img.Read(a)))
+		if class := p.markers.Classify(a, p.img.ReadNoAlloc(a, imgBuf[:])); !class.NeedsLIT() {
+			return verified, verifyErr(a, a, ErrStaleLIT, "image class is %d", class)
 		}
 	}
 
@@ -116,7 +122,7 @@ func (p *PTMC) VerifyImage(inLLC func(a mem.LineAddr) bool) (int, error) {
 		}
 		// The image never materialized this line's page: sound only if the
 		// architectural value is still the zero line both stores imply.
-		if !bytes.Equal(p.arch.Read(m), make([]byte, mem.LineSize)) {
+		if !bytes.Equal(archVal(m), make([]byte, mem.LineSize)) {
 			return verified, verifyErr(m, m, ErrUncovered, "architectural page never materialized in the image")
 		}
 	}

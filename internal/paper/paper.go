@@ -191,13 +191,15 @@ func (r *Runner) run(ctx context.Context, j Job) (res *sim.Result, ran bool, err
 }
 
 // printRan emits one progress line (under the output lock: Result may be
-// called from many goroutines).
-func (r *Runner) printRan(res *sim.Result) {
+// called from many goroutines). A run at a design point other than Table
+// I ends with the point's key suffix, so Table IV's 1- and 4-channel runs
+// do not print like the Table I run of the same workload.
+func (r *Runner) printRan(j Job, res *sim.Result) {
 	if r.Opts.Silent {
 		return
 	}
 	r.outMu.Lock()
-	fmt.Fprintf(r.Out, "    [ran] %v\n", res)
+	fmt.Fprintf(r.Out, "    [ran] %v%s\n", res, r.spec(j).Point.For(j.Scheme).Key())
 	r.outMu.Unlock()
 }
 
@@ -209,7 +211,7 @@ func (r *Runner) Result(j Job) (*sim.Result, error) {
 		return nil, err
 	}
 	if ran {
-		r.printRan(res)
+		r.printRan(j, res)
 	}
 	return res, nil
 }
@@ -259,7 +261,7 @@ func (r *Runner) Prefetch(jobs ...Job) error {
 	for i, o := range outs {
 		errs[i] = o.err
 		if o.err == nil && o.ran {
-			r.printRan(o.res)
+			r.printRan(uniq[i], o.res)
 		}
 	}
 	return exec.FirstError(errs)

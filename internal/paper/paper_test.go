@@ -152,6 +152,36 @@ func TestTablePointsDedupeDefaults(t *testing.T) {
 	}
 }
 
+// TestRanLinesNameThePoint: a [ran] progress line ends with its run's
+// design-point suffix, so Table IV's 1-, 2- and 4-channel runs of one
+// workload and scheme print six distinct lines.
+func TestRanLinesNameThePoint(t *testing.T) {
+	opts := tinyOptions()
+	opts.Spec = []string{"libquantum06"}
+	opts.Run.Point = sim.Point{}
+	opts.Silent = false
+	var buf bytes.Buffer
+	if err := NewRunner(opts, &buf).TableIV(); err != nil {
+		t.Fatal(err)
+	}
+	var ran []string
+	seen := map[string]bool{}
+	for _, l := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(l, "[ran]") {
+			ran = append(ran, l)
+			seen[l] = true
+		}
+	}
+	if len(ran) != 6 || len(seen) != 6 {
+		t.Fatalf("Table IV printed %d [ran] lines, %d distinct, want 6:\n%s", len(ran), len(seen), buf.String())
+	}
+	for _, suffix := range []string{"|ch1|", "|ch4|"} {
+		if n := strings.Count(buf.String(), suffix); n != 2 {
+			t.Errorf("%d [ran] lines name %s, want 2", n, suffix)
+		}
+	}
+}
+
 func TestOptionsDefaultsExpand(t *testing.T) {
 	o := Full()
 	if len(o.spec()) != 21 {

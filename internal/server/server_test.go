@@ -461,3 +461,28 @@ func TestHealthReadyMetricsAndDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunKeyDropsUnreadPointFields: a job's per-scheme run key keeps only
+// the point fields that scheme reads, so an uncompressed run at a
+// non-default LLP size is the plain uncompressed run (the daemon's
+// in-flight dedup shares it), while PTMC's run at that size is not.
+func TestRunKeyDropsUnreadPointFields(t *testing.T) {
+	spec := func(body string) JobSpec {
+		var s JobSpec
+		if err := json.Unmarshal([]byte(body), &s); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	plain := spec(`{"workload":"lbm06","schemes":["uncompressed"]}`)
+	llp := spec(`{"workload":"lbm06","schemes":["uncompressed"],"llp_entries":64}`)
+	if a, b := llp.Spec.Key(sim.SchemeUncompressed), plain.Spec.Key(sim.SchemeUncompressed); a != b {
+		t.Errorf("uncompressed run key at llp_entries 64 = %s, want the plain key %s", a, b)
+	}
+	if a, b := llp.Spec.Key(sim.SchemePTMC), plain.Spec.Key(sim.SchemePTMC); a == b {
+		t.Errorf("ptmc run key ignores llp_entries: %s", a)
+	}
+}

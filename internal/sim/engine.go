@@ -7,12 +7,20 @@ import (
 	"ptmc/internal/cpu"
 	"ptmc/internal/mem"
 	"ptmc/internal/vm"
+	"ptmc/internal/workload"
 )
 
 // fillIniter is the first-touch specialization of workload.Source.FillLine
 // (mutation count provably zero, version-map lookup skipped).
 type fillIniter interface {
 	FillLineInit(vline uint64, buf []byte)
+}
+
+// pageWorder screens a first-touched page without synthesizing it
+// (workload.Stream.PageInitWords). A source that lacks it is screened from
+// lines FillLineInit synthesizes, with an identical result.
+type pageWorder interface {
+	PageInitWords(vlineBase uint64, out *[vm.PageLines]workload.LineWords)
 }
 
 // pageOrigin identifies which stream's virtual page a physical page was
@@ -22,52 +30,62 @@ type pageOrigin struct {
 	vlineBase uint64
 }
 
-// archLine is the mem.Store lazy-fill callback for the architectural
-// store: it synthesizes one line of a page registered by initPage. Version
-// 0 is provably correct — the store synthesizes a line only when it has
-// been read before being written, and a never-written line has never been
-// mutated.
+// archLine is the lazy-fill callback of both stores: it synthesizes one
+// line of a page registered by initPage at its first-touch value. That is
+// the architectural value of a line that was never stored to — the
+// architectural store synthesizes a line only when it is read before being
+// written, and a never-written line has never been mutated — and the image
+// value of a line the controller never wrote.
 func (s *Simulator) archLine(a mem.LineAddr, buf []byte) {
-	base := a &^ (mem.SlabLines - 1)
+	base := a &^ (vm.PageLines - 1)
 	o := s.origins[base]
 	s.streams[o.core].(fillIniter).FillLineInit(o.vlineBase+uint64(a-base), buf)
 }
 
-// initPage is first-touch page initialization: every line is synthesized
-// straight into the DRAM image and the controller is asked whether those
-// raw bytes are a valid initial image (Controller.InitLineReady). The
-// architectural page is either registered for on-demand synthesis
-// (s.origins non-nil: every stream implements FillLineInit) or mirrored
-// from the image eagerly (trace replay, whose versions are not provably
-// 0). Marker collisions — lines that need the full InitLine path — are
-// fixed up after the whole page has been checked, in ascending address
-// order.
+// initPage is first-touch page initialization. When every stream can
+// synthesize a first-touch line (s.origins non-nil), the page is
+// registered lazily in both stores: no line is synthesized or stored, and
+// the controller screens each line from two of its words
+// (Controller.InitScreen); only a screened-in line is synthesized and
+// checked whole (InitLineReady). Otherwise (trace replay, whose versions
+// are not provably 0) every line is synthesized and written to both stores
+// and checked whole. Marker collisions — lines that need the full InitLine
+// path — are fixed up after the whole page has been checked, in ascending
+// address order.
 func (s *Simulator) initPage(coreID int, pageBase mem.LineAddr, vlineBase uint64) {
-	imgSlab := s.img.Slab(pageBase)
 	stream := s.streams[coreID]
-	fill := stream.FillLine
-	if f, ok := stream.(fillIniter); ok {
-		fill = f.FillLineInit // skip the version lookup: first touch is version 0
-	}
-	var archSlab mem.Slab
-	if s.origins != nil {
+	lazy := s.origins != nil
+	line := s.initLine[:]
+	if lazy {
 		s.origins[pageBase] = pageOrigin{core: int32(coreID), vlineBase: vlineBase}
 		s.arch.MarkLazy(pageBase)
-	} else {
-		archSlab = s.arch.Slab(pageBase)
+		s.img.MarkLazy(pageBase)
+		if pw, ok := stream.(pageWorder); ok {
+			pw.PageInitWords(vlineBase, &s.initWords)
+		} else {
+			for i := range s.initWords {
+				stream.(fillIniter).FillLineInit(vlineBase+uint64(i), line)
+				s.initWords[i] = workload.WordsOf(line)
+			}
+		}
 	}
 	var collide []mem.LineAddr // rare: marker collisions only
 	for i := 0; i < vm.PageLines; i++ {
 		a := pageBase + mem.LineAddr(i)
-		line := imgSlab.Line(i)
-		fill(vlineBase+uint64(i), line)
+		if lazy {
+			if w := s.initWords[i]; !s.ctrl.InitScreen(a, w.W0, w.Tail) {
+				continue
+			}
+			stream.(fillIniter).FillLineInit(vlineBase+uint64(i), line)
+		} else {
+			stream.FillLine(vlineBase+uint64(i), line)
+			s.arch.Write(a, line)
+			s.img.Write(a, line)
+		}
 		if !s.ctrl.InitLineReady(a, line) {
-			// Colliding raw bytes stay in the image briefly; the fixup
+			// The image holds the colliding raw bytes briefly; the fixup
 			// below rewrites them before any read.
 			collide = append(collide, a)
-		}
-		if s.origins == nil {
-			copy(archSlab.Line(i), line)
 		}
 	}
 	for _, a := range collide {

@@ -75,7 +75,7 @@ func checkDeterministic(t *testing.T, cfg Config) {
 // production}, plus a heterogeneous 8-core mix (every core's stream
 // distinct, so any ordering leak in page init or idle-channel accounting
 // surfaces) and a trace replay, whose sources lack FillLineInit and so
-// take the eager architectural-mirror branch of initPage.
+// take the eager branch of initPage.
 func TestEventDeterminismMatrix(t *testing.T) {
 	for _, scheme := range Schemes() {
 		t.Run(scheme, func(t *testing.T) {
@@ -104,7 +104,7 @@ func TestEventDeterminismMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s.origins != nil {
-			t.Fatal("trace-replay sources took the lazy page path; want the eager mirror")
+			t.Fatal("trace-replay sources took the lazy page path; want eager page init")
 		}
 		checkDeterministic(t, cfg)
 	})

@@ -53,8 +53,8 @@ type Simulator struct {
 	// per-cycle runReference loop, eager page initialization through
 	// InitLine, and the DRAM model's scan-every-channel mode.
 	reference bool
-	// origins records each lazily-initialized architectural page's stream
-	// and virtual base for archLine; nil when pages are mirrored eagerly.
+	// origins records each lazily initialized page's stream and virtual
+	// base for archLine; nil when pages are written eagerly.
 	origins map[mem.LineAddr]pageOrigin
 
 	now         int64
@@ -69,6 +69,12 @@ type Simulator struct {
 
 	tlb     []tlbEntry // per-core direct-mapped TLB (fast path only)
 	scratch [64]byte   // reusable line buffer for store mutation
+
+	// initPage's buffers: one synthesized line and one page's screen
+	// words. Fields rather than locals because the sources they are
+	// handed to are interfaces, which would move locals to the heap.
+	initLine  [mem.LineSize]byte
+	initWords [vm.PageLines]workload.LineWords
 
 	// Measured-window counters.
 	demandAccesses uint64
@@ -243,9 +249,9 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	}
 	s.obs, _ = s.ctrl.(prefetchObserver)
 
-	// The run loop needs the DRAM model's O(1) wake schedule. Architectural
-	// pages are synthesized on demand when every stream can synthesize a
-	// first-touch line without its version map (trace replay cannot).
+	// The run loop needs the DRAM model's O(1) wake schedule. Both stores
+	// synthesize a page's lines on demand when every stream can synthesize
+	// a first-touch line without its version map (trace replay cannot).
 	if !reference {
 		s.ctrl.DRAM().SetEngineMode(true)
 		lazy := true
@@ -258,6 +264,7 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 		if lazy {
 			s.origins = make(map[mem.LineAddr]pageOrigin)
 			s.arch.SetLazyFill(s.archLine)
+			s.img.SetLazyFill(s.archLine)
 		}
 	}
 

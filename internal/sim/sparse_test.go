@@ -1,0 +1,73 @@
+package sim
+
+import (
+	"reflect"
+	"testing"
+
+	"ptmc/internal/mem"
+)
+
+// TestImageStaysSparse guards the line-granular laziness of both stores:
+// mix1 under Dynamic-PTMC at the benchmark's horizon (perfbench's
+// mix1-dynamic: 300 k warmup + 100 k measured instructions per core) must
+// store at most 10% of the image lines in the pages it touched. The count
+// is deterministic; a regression to page-granular materialization stores
+// all of them.
+func TestImageStaysSparse(t *testing.T) {
+	cfg := Default()
+	cfg.Workload = "mix1"
+	cfg.Scheme = SchemeDynamicPTMC
+	cfg.WarmupInstr, cfg.MeasureInstr = 300_000, 100_000
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lines := s.img.FootprintBytes() / mem.LineSize
+	img, arch := s.img.MaterializedLines(), s.arch.MaterializedLines()
+	t.Logf("image stores %d of %d lines (%.1f%%); architectural store %d",
+		img, lines, 100*float64(img)/float64(lines), arch)
+	if lines == 0 || uint64(img)*10 > lines {
+		t.Errorf("image stores %d of %d lines in touched pages, want at most 10%%", img, lines)
+	}
+}
+
+// TestUnreadPointFieldsShareRuns: a point field a scheme never reads is
+// dropped from its run key (Point.For), which is sound only if the run's
+// result does not depend on it. Each scheme runs at Table I and with each
+// field its key drops moved off Table I, on a 64 KB LLC so compressed
+// fills happen within the horizon; the results must be identical. Ideal-
+// TMC keeps the decompression latency: its compressed fills pay it.
+func TestUnreadPointFieldsShareRuns(t *testing.T) {
+	spec := Spec{Workload: "libquantum06", Cores: 2, Warmup: 20_000, Measure: 60_000, Seed: 1}
+	run := func(scheme string, p Point) *Result {
+		s := spec
+		s.Point = p
+		cfg := s.Config(scheme)
+		cfg.L3Bytes = 64 << 10
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, scheme := range Schemes() {
+		base := run(scheme, Point{})
+		for _, p := range []Point{{LLPEntries: 64}, {MCacheKB: 8}, {DecompCycles: 40}} {
+			if p.For(scheme) != (Point{}) {
+				continue // the key keeps it
+			}
+			if k, k0 := (Spec{Workload: "w", Point: p}).Key(scheme), (Spec{Workload: "w"}).Key(scheme); k != k0 {
+				t.Fatalf("%s %+v: key %s, want the Table I key %s", scheme, p, k, k0)
+			}
+			if r := run(scheme, p); !reflect.DeepEqual(base, r) {
+				t.Errorf("%s: %+v changes the result although the key drops it:\n%s\n%s", scheme, p, base, r)
+			}
+		}
+	}
+	if reflect.DeepEqual(run(SchemeIdeal, Point{}), run(SchemeIdeal, Point{DecompCycles: 40})) {
+		t.Error("ideal-tmc's result ignores decomp_cycles; its key need not keep it")
+	}
+}

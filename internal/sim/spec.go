@@ -49,6 +49,25 @@ func (p Point) Key() string {
 		p.Channels, p.L3MB, p.LLPEntries, p.MCacheKB, p.DecompCycles)
 }
 
+// For returns p without the fields scheme never reads, so runs that
+// differ only in them share a key: the metadata-cache size matters only to
+// table-tmc and memzip, the LLP size only to ptmc and dynamic-ptmc (sim.New
+// sizes no other scheme's predictor), and the decompression latency to
+// every scheme but uncompressed and nextline, which never fill a
+// compressed line.
+func (p Point) For(scheme string) Point {
+	if scheme != SchemeTableTMC && scheme != SchemeMemZip {
+		p.MCacheKB = 0
+	}
+	if scheme != SchemePTMC && scheme != SchemeDynamicPTMC {
+		p.LLPEntries = 0
+	}
+	if scheme == SchemeUncompressed || scheme == SchemeNextLine {
+		p.DecompCycles = 0
+	}
+	return p
+}
+
 // Or returns s with every zero field, point fields included, taken from
 // def.
 func (s Spec) Or(def Spec) Spec {
@@ -132,10 +151,10 @@ func scaled(n, shift int) int {
 // retired engine knobs (shards, event_driven) at their defaults, so keys
 // and the job ids hashed from them stay as they were before the knobs
 // were removed; the point's suffix is empty for Table I for the same
-// reason.
+// reason. The suffix keys only the point fields scheme reads (Point.For).
 func (s Spec) Key(scheme string) string {
 	return fmt.Sprintf("%s|%s|c%d|w%d|m%d|s%d|sh0|evfalse|tr%t",
-		s.Workload, scheme, s.Cores, s.Warmup, s.Measure, s.Seed, s.Trace) + s.Point.Key()
+		s.Workload, scheme, s.Cores, s.Warmup, s.Measure, s.Seed, s.Trace) + s.Point.For(scheme).Key()
 }
 
 // BindFlags binds -cores, -warmup, -insts and -seed to s. Each flag's

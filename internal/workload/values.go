@@ -103,3 +103,67 @@ func synthLine(kind ValueKind, vline uint64, version uint32, seed uint64, buf []
 		}
 	}
 }
+
+// LineWords is what first-touch marker screening needs of a line's value:
+// word 0 (bytes 0-7) and the tail word (bytes 60-63), both little-endian.
+type LineWords struct {
+	W0   uint64
+	Tail uint32
+}
+
+// WordsOf reads the LineWords of a 64-byte line.
+func WordsOf(line []byte) LineWords {
+	return LineWords{W0: binary.LittleEndian.Uint64(line), Tail: binary.LittleEndian.Uint32(line[60:])}
+}
+
+// initWords returns WordsOf(synthLine(kind, vline, 0, seed)) without
+// building the line: it runs the same hash chain but keeps only the two
+// words, and stops early where a kind's tail does not depend on the chain.
+func initWords(kind ValueKind, vline, seed uint64) LineWords {
+	h := mix64(vline*0x9E3779B97F4A7C15 ^ seed)
+	switch kind {
+	case KindZero:
+		// Bytes 0-3 hold the version (0), bytes 4-7 a small counter; the
+		// rest is zero.
+		return LineWords{W0: (h % 16) << 32}
+	case KindSmallInt:
+		var w LineWords
+		for i := uint64(0); i < 16; i++ {
+			h = mix64(h + i)
+			v := uint32(h%251) - 125
+			switch i {
+			case 0:
+				w.W0 = uint64(v)
+			case 1:
+				w.W0 |= uint64(v) << 32
+			case 15:
+				w.Tail = v
+			}
+		}
+		return w
+	case KindPointer:
+		// Each word is region | (h & 0xFF_FFF8); the low 24 bits never
+		// reach the tail, so the tail is the region's high half.
+		region := uint64(0x7F00_0000_0000) | (mix64(vline>>6^seed)&0xFFFF)<<24
+		return LineWords{W0: region | mix64(h)&0xFF_FFF8, Tail: uint32(region >> 32)}
+	}
+	// The 8-word kinds: word 0 and word 7 of the chain.
+	h = mix64(h)
+	first := h
+	for i := uint64(1); i < 8; i++ {
+		h = mix64(h + i)
+	}
+	last := h
+	switch kind {
+	case KindDelta8:
+		base := mix64(vline>>3^seed) | 1<<40
+		first, last = base+first%120, base+last%120
+	case KindFP:
+		mask := uint64(0x000F_FFFF_FFFF_FFFF)
+		if mix64(vline^seed)&1 == 0 {
+			mask &^= 0x0000_000F_FFFF_FFFF // truncated mantissa
+		}
+		first, last = 0x3FF0_0000_0000_0000|first&mask, 0x3FF0_0000_0000_0000|last&mask
+	}
+	return LineWords{W0: first, Tail: uint32(last >> 32)}
+}

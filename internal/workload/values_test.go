@@ -105,3 +105,42 @@ func TestPointerKindSharesHighBits(t *testing.T) {
 		}
 	}
 }
+
+// TestInitWordsMatchSynthesis pins the first-touch screen's words to the
+// synthesizer: for every value kind, initWords must equal word 0 and the
+// tail word of the line synthLine builds at version 0.
+func TestInitWordsMatchSynthesis(t *testing.T) {
+	buf := make([]byte, 64)
+	for k := ValueKind(0); k < numKinds; k++ {
+		for _, seed := range []uint64{0, 1, 0xFEED, 1<<63 | 12345} {
+			for i := uint64(0); i < 2000; i++ {
+				vline := mix64(i^seed) >> (i % 40) // small and huge addresses
+				synthLine(k, vline, 0, seed, buf)
+				if got, want := initWords(k, vline, seed), WordsOf(buf); got != want {
+					t.Fatalf("kind %d vline %d seed %d: initWords = %+v, synthLine gives %+v", k, vline, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPageInitWordsMatchFillLineInit: a stream's page-level screen words
+// equal the words of the lines FillLineInit synthesizes, on pages of every
+// kind of a mixed workload.
+func TestPageInitWordsMatchFillLineInit(t *testing.T) {
+	w := &Workload{Name: "allkinds", Suite: "micro", FootprintBytes: 4 << 20, MemFrac: 0.3,
+		SeqProb: 0.5, SeqRun: 4, Mix: ValueMix{{KindZero, 1}, {KindSmallInt, 1}, {KindDelta8, 1},
+			{KindPointer, 1}, {KindFP, 1}, {KindRandom, 1}}}
+	s := w.NewStream(42)
+	var words [64]LineWords
+	buf := make([]byte, 64)
+	for page := uint64(0); page < 64; page++ {
+		s.PageInitWords(page*64, &words)
+		for i, got := range words {
+			s.FillLineInit(page*64+uint64(i), buf)
+			if want := WordsOf(buf); got != want {
+				t.Fatalf("page %d line %d: PageInitWords = %+v, FillLineInit gives %+v", page, i, got, want)
+			}
+		}
+	}
+}

@@ -233,3 +233,15 @@ func (s *Stream) FillLineInit(vline uint64, buf []byte) {
 	kind := s.w.Mix.kindFor(vline>>(vm.PageShift-6), s.seed)
 	synthLine(kind, vline, 0, s.seed, buf)
 }
+
+// PageInitWords writes the LineWords of every line FillLineInit would
+// synthesize for the page whose first virtual line is vlineBase, without
+// synthesizing any of them: first-touch page initialization screens a
+// page's lines for marker collisions and builds only the rare hit. The
+// page's value kind is looked up once.
+func (s *Stream) PageInitWords(vlineBase uint64, out *[vm.PageLines]LineWords) {
+	kind := s.w.Mix.kindFor(vlineBase>>(vm.PageShift-6), s.seed)
+	for i := range out {
+		out[i] = initWords(kind, vlineBase+uint64(i), s.seed)
+	}
+}
