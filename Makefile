@@ -56,6 +56,7 @@ smoke:
 fuzz-smoke:
 	$(GO) test ./internal/core/ -run FuzzMarkerClassify -fuzz FuzzMarkerClassify -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/ -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server/ -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mem/ -run FuzzStore -fuzz FuzzStore -fuzztime $(FUZZTIME)
 
 trace-smoke:
@@ -72,4 +73,4 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkPTMCReadMiss' -benchmem ./internal/memctrl/
 	$(GO) test -run xxx -bench 'BenchmarkStoreLazyRead' -benchmem ./internal/mem/
 
-ci: check smoke
+ci: check fuzz-smoke smoke

@@ -9,16 +9,21 @@
 // (sim.Point), so a point runs exactly the configuration a job with that
 // point would.
 //
-// Points run concurrently up to -parallel workers; output prints in sweep
-// order once every point has settled, so the report is identical at any
-// worker count. A failing point does not abort the sweep: every point
-// runs, completed rows print, the failures are listed afterwards, and only
-// then does the process exit non-zero.
+// Each point needs two simulations, the scheme under test and the
+// uncompressed baseline. All of them go through one keyed result cache
+// (exec.Cache), keyed by the normalized run spec's sim.Spec.Key, so a run
+// that several points share simulates once: the baseline of an llp,
+// mcache or decomp sweep reads none of the varied fields and runs once
+// for the whole sweep. Simulations run concurrently up to -parallel
+// workers; output prints in sweep order once every point has settled, so
+// the report is identical at any worker count. A failing point does not
+// abort the sweep: every point runs, completed rows print, the failures
+// are listed afterwards, and only then does the process exit non-zero.
 //
-// -timeout bounds each point's wall-clock time (exec.JobOptions.Timeout):
-// a point that exceeds its deadline is cancelled (the simulation aborts at
-// its next cycle checkpoint), reported in the end-of-run summary as timed
-// out, and the rest of the sweep continues.
+// -timeout is a deadline for each simulation: a simulation that exceeds
+// it is cancelled (it aborts at its next cycle checkpoint), every point
+// that needs it is reported in the end-of-run summary as timed out, and
+// the rest of the sweep continues.
 //
 // -metrics m.json and -trace t.trace write one file per point, with the
 // point label before the extension: m-channels=1.json, t-channels=1.trace.
@@ -41,6 +46,8 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"ptmc"
 	"ptmc/internal/exec"
@@ -112,7 +119,7 @@ func main() {
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent simulations (output is identical at any value)")
 		timeout = flag.Duration("timeout", 0,
-			"per-point deadline (0 = none); timed-out points are reported, the sweep continues")
+			"per-simulation deadline (0 = none); timed-out points are reported, the sweep continues")
 	)
 	flag.Parse()
 	out.ServePprof()
@@ -130,42 +137,7 @@ func main() {
 
 	fmt.Printf("sweep %s on %s (%s vs uncompressed)\n", *kind, run.Workload, *scheme)
 
-	// Every point runs to completion even if another fails: the two schemes
-	// of one point share the point's pool slot (CompareParallel at 1) so
-	// distinct points, not scheme pairs, are the unit of fan-out.
-	pool := exec.NewPool(*parallel)
-	rows := make([]string, len(points))
-	errs := make([]error, len(points))
-	var wg sync.WaitGroup
-	for i, p := range points {
-		wg.Add(1)
-		go func(i int, p point) {
-			defer wg.Done()
-			if err := pool.RunJob(context.Background(), exec.JobOptions{Timeout: *timeout}, func(ctx context.Context) error {
-				cfg := p.spec.Or(run).Config(*scheme)
-				cfg.MetricsInterval = out.MetricsInterval()
-				rs, err := ptmc.CompareParallel(ctx, 1, cfg,
-					ptmc.SchemeUncompressed, *scheme)
-				if err != nil {
-					return err
-				}
-				r := rs[*scheme]
-				b := rs[ptmc.SchemeUncompressed]
-				pout := obs.Flags{Metrics: pointPath(out.Metrics, p.label), Trace: pointPath(out.Trace, p.label)}
-				if err := pout.WriteFiles(r.Metrics, r.TraceEvents); err != nil {
-					return err
-				}
-				rows[i] = fmt.Sprintf("%-12s speedup=%.3f ipc=%.3f bw=%.3f llp=%.1f%% mpki=%.1f",
-					p.label, r.WeightedSpeedupOver(b), r.IPC(), r.BandwidthOver(b),
-					100*r.LLPAccuracy, r.MPKI)
-				return nil
-			}); err != nil {
-				errs[i] = fmt.Errorf("%s: %w", p.label, err)
-			}
-		}(i, p)
-	}
-	wg.Wait()
-
+	rows, errs, _ := sweep(context.Background(), run, *scheme, points, *parallel, *timeout, out)
 	failed, timedOut := false, 0
 	for i := range points {
 		if errs[i] == nil {
@@ -190,6 +162,75 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// sweep runs every point's uncompressed baseline and scheme-under-test
+// simulation through one keyed result cache on a pool of parallel workers,
+// each simulation under its own timeout. The key is the normalized run
+// spec's Key, so points whose runs cannot differ (a baseline that reads
+// none of the point's fields) share one simulation. Every point settles
+// even if another fails: rows[i] is point i's report line when errs[i] is
+// nil (a point's error is its baseline's, else its scheme's), and sims
+// counts the simulations that ran. A point's metrics and trace files are
+// written from its scheme-under-test result.
+func sweep(ctx context.Context, run sim.Spec, scheme string, points []point, parallel int,
+	timeout time.Duration, out obs.Flags) (rows []string, errs []error, sims int) {
+	schemes := [2]string{ptmc.SchemeUncompressed, scheme}
+	cache := exec.NewCache[*sim.Result](exec.NewPool(parallel))
+	results := make([][2]*sim.Result, len(points))
+	runErrs := make([][2]error, len(points))
+	var simulated atomic.Int64
+	var wg sync.WaitGroup
+	for i, p := range points {
+		s := p.spec.Or(run)
+		s.Normalize()
+		for k, sch := range schemes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r, ran, err := cache.DoJob(ctx, s.Key(sch), timeout,
+					func(ctx context.Context) (*sim.Result, error) {
+						cfg := s.Config(sch)
+						cfg.MetricsInterval = out.MetricsInterval()
+						r, err := ptmc.RunContext(ctx, cfg)
+						if err != nil {
+							return nil, fmt.Errorf("%s/%s: %w", s.Workload, sch, err)
+						}
+						return r, nil
+					})
+				if ran {
+					simulated.Add(1)
+				}
+				results[i][k], runErrs[i][k] = r, err
+			}()
+		}
+	}
+	wg.Wait()
+
+	rows = make([]string, len(points))
+	errs = make([]error, len(points))
+	for i, p := range points {
+		b, r := results[i][0], results[i][1]
+		err := exec.FirstError(runErrs[i][:])
+		if err == nil {
+			pout := obs.Flags{Metrics: pointPath(out.Metrics, p.label), Trace: pointPath(out.Trace, p.label)}
+			err = pout.WriteFiles(r.Metrics, r.TraceEvents)
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("%s: %w", p.label, err)
+			continue
+		}
+		rows[i] = row(p.label, r, b)
+	}
+	return rows, errs, int(simulated.Load())
+}
+
+// row is a point's report line: the scheme-under-test result r against
+// the baseline b.
+func row(label string, r, b *sim.Result) string {
+	return fmt.Sprintf("%-12s speedup=%.3f ipc=%.3f bw=%.3f llp=%.1f%% mpki=%.1f",
+		label, r.WeightedSpeedupOver(b), r.IPC(), r.BandwidthOver(b),
+		100*r.LLPAccuracy, r.MPKI)
 }
 
 // pointPath derives a per-point output file from the flag value by

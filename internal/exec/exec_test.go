@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ptmc/internal/obs"
 )
 
 func TestPoolBoundsConcurrency(t *testing.T) {
@@ -86,7 +84,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, ran, err := c.DoJob(context.Background(), "k", JobOptions{}, func(context.Context) (int, error) {
+			v, ran, err := c.DoJob(context.Background(), "k", 0, func(context.Context) (int, error) {
 				computed.Add(1)
 				time.Sleep(2 * time.Millisecond)
 				return 42, nil
@@ -106,7 +104,7 @@ func TestCacheSingleflight(t *testing.T) {
 	if ranCount.Load() != 1 {
 		t.Errorf("%d callers reported ran=true, want exactly 1", ranCount.Load())
 	}
-	v, ran, err := c.DoJob(context.Background(), "k", JobOptions{}, func(context.Context) (int, error) {
+	v, ran, err := c.DoJob(context.Background(), "k", 0, func(context.Context) (int, error) {
 		return 0, errors.New("cache hit must not recompute")
 	})
 	if err != nil || v != 42 || ran {
@@ -118,14 +116,14 @@ func TestCacheErrorsAreRetried(t *testing.T) {
 	p := NewPool(1)
 	c := NewCache[int](p)
 	calls := 0
-	_, _, err := c.DoJob(context.Background(), "k", JobOptions{}, func(context.Context) (int, error) {
+	_, _, err := c.DoJob(context.Background(), "k", 0, func(context.Context) (int, error) {
 		calls++
 		return 0, errors.New("transient")
 	})
 	if err == nil {
 		t.Fatal("want error")
 	}
-	v, ran, err := c.DoJob(context.Background(), "k", JobOptions{}, func(context.Context) (int, error) {
+	v, ran, err := c.DoJob(context.Background(), "k", 0, func(context.Context) (int, error) {
 		calls++
 		return 7, nil
 	})
@@ -141,7 +139,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	p := NewPool(1)
 	c := NewCache[int](p)
 	release := make(chan struct{})
-	go c.DoJob(context.Background(), "slow", JobOptions{}, func(context.Context) (int, error) {
+	go c.DoJob(context.Background(), "slow", 0, func(context.Context) (int, error) {
 		<-release
 		return 1, nil
 	})
@@ -149,7 +147,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.DoJob(ctx, "slow", JobOptions{}, func(context.Context) (int, error) { return 2, nil })
+	_, _, err := c.DoJob(ctx, "slow", 0, func(context.Context) (int, error) { return 2, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("waiter error = %v, want context.Canceled", err)
 	}
@@ -226,7 +224,7 @@ func TestCacheDoJobPanicUnblocksWaiters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			_, _, err := c.DoJob(context.Background(), "boom", JobOptions{}, func(context.Context) (int, error) {
+			_, _, err := c.DoJob(context.Background(), "boom", 0, func(context.Context) (int, error) {
 				time.Sleep(2 * time.Millisecond) // let waiters join the flight
 				panic("leader exploded")
 			})
@@ -244,7 +242,7 @@ func TestCacheDoJobPanicUnblocksWaiters(t *testing.T) {
 		t.Errorf("%d callers saw the PanicError, want 8", n)
 	}
 	// The failed flight must be forgotten and the slot released.
-	v, ran, err := c.DoJob(context.Background(), "boom", JobOptions{}, func(context.Context) (int, error) { return 9, nil })
+	v, ran, err := c.DoJob(context.Background(), "boom", 0, func(context.Context) (int, error) { return 9, nil })
 	if err != nil || v != 9 || !ran {
 		t.Fatalf("retry after panic: v=%d ran=%v err=%v", v, ran, err)
 	}
@@ -253,78 +251,46 @@ func TestCacheDoJobPanicUnblocksWaiters(t *testing.T) {
 	}
 }
 
+// TestRunConvertsPanic: a panicking DoJob leader returns a *PanicError
+// and releases its slot.
 func TestRunConvertsPanic(t *testing.T) {
 	p := NewPool(2)
-	err := p.RunJob(context.Background(), JobOptions{}, func(context.Context) error { panic(42) })
+	c := NewCache[int](p)
+	_, ran, err := c.DoJob(context.Background(), "k", 0, func(context.Context) (int, error) { panic(42) })
 	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Value != 42 {
-		t.Fatalf("err = %v, want PanicError{42}", err)
+	if !errors.As(err, &pe) || pe.Value != 42 || !ran {
+		t.Fatalf("err = %v, ran = %v, want PanicError{42} from the leader", err, ran)
 	}
 	if len(p.sem) != 0 {
 		t.Error("slot leaked after panic")
 	}
 }
 
-// TestRunJobTimeout verifies the per-attempt deadline reaches the job's
-// context.
+// TestRunJobTimeout verifies DoJob's per-run deadline reaches the job's
+// context, and that the timed-out flight is forgotten.
 func TestRunJobTimeout(t *testing.T) {
 	p := NewPool(1)
-	err := p.RunJob(context.Background(), JobOptions{Timeout: 5 * time.Millisecond},
-		func(ctx context.Context) error {
+	c := NewCache[int](p)
+	_, _, err := c.DoJob(context.Background(), "slow", 5*time.Millisecond,
+		func(ctx context.Context) (int, error) {
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				return 0, ctx.Err()
 			case <-time.After(5 * time.Second):
-				return nil
+				return 1, nil
 			}
 		})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-}
-
-// TestRunJobRetriesRetryable verifies bounded retry-with-backoff: a
-// retryable error re-runs up to Attempts times; a terminal error does not.
-func TestRunJobRetriesRetryable(t *testing.T) {
-	p := NewPool(1)
-	calls := 0
-	err := p.RunJob(context.Background(), JobOptions{Attempts: 3, Backoff: time.Microsecond},
-		func(ctx context.Context) error {
-			calls++
-			if calls < 3 {
-				return Retryable(errors.New("transient"))
-			}
-			return nil
-		})
-	if err != nil || calls != 3 {
-		t.Fatalf("calls=%d err=%v, want 3 calls and success", calls, err)
-	}
-
-	calls = 0
-	boom := errors.New("terminal")
-	err = p.RunJob(context.Background(), JobOptions{Attempts: 3}, func(ctx context.Context) error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) || calls != 1 {
-		t.Fatalf("calls=%d err=%v, want 1 call and terminal error", calls, err)
-	}
-
-	// Retries exhausted: the last retryable error surfaces (and unwraps).
-	calls = 0
-	err = p.RunJob(context.Background(), JobOptions{Attempts: 2}, func(ctx context.Context) error {
-		calls++
-		return Retryable(boom)
-	})
-	if !errors.Is(err, boom) || !IsRetryable(err) || calls != 2 {
-		t.Fatalf("calls=%d err=%v, want 2 calls and wrapped terminal error", calls, err)
+	v, ran, err := c.DoJob(context.Background(), "slow", 0, func(context.Context) (int, error) { return 2, nil })
+	if err != nil || v != 2 || !ran {
+		t.Fatalf("after timeout: v=%d ran=%v err=%v, want a fresh run", v, ran, err)
 	}
 }
 
-func TestPoolHistogramsAndJobTrace(t *testing.T) {
+func TestPoolHistograms(t *testing.T) {
 	p := NewPool(2)
-	tr := obs.NewTracer(64)
-	p.SetTracer(tr)
 	const jobs = 8
 	err := p.ForEach(context.Background(), jobs, func(context.Context, int) error {
 		time.Sleep(time.Millisecond)
@@ -342,86 +308,5 @@ func TestPoolHistogramsAndJobTrace(t *testing.T) {
 	// Each job slept ~1ms; the run-time histogram must reflect that scale.
 	if p.RunTime().Quantile(0.5) < uint64(time.Millisecond/2) {
 		t.Errorf("run-time p50 %d ns implausibly small for 1ms jobs", p.RunTime().Quantile(0.5))
-	}
-	events := tr.Events()
-	if len(events) != jobs {
-		t.Fatalf("job trace has %d events, want %d", len(events), jobs)
-	}
-	for _, e := range events {
-		if e.Kind != obs.KindJob || e.Dur <= 0 {
-			t.Fatalf("bad job event: %+v", e)
-		}
-	}
-}
-
-// TestBackoffJitterBounds pins the jitter window: a jittered backoff is
-// uniform in [d/2, d) — never zero, never the full base — so a burst of
-// simultaneous retriers spreads out instead of thundering back together.
-func TestBackoffJitterBounds(t *testing.T) {
-	const d = 100 * time.Millisecond
-	sawLow, sawHigh := false, false
-	for i := 0; i < 2000; i++ {
-		j := jitter(d)
-		if j < d/2 || j >= d {
-			t.Fatalf("jitter(%v) = %v, want in [%v, %v)", d, j, d/2, d)
-		}
-		if j < d*5/8 {
-			sawLow = true
-		}
-		if j > d*7/8 {
-			sawHigh = true
-		}
-	}
-	if !sawLow || !sawHigh {
-		t.Errorf("jitter not spreading across the window (low=%v high=%v)", sawLow, sawHigh)
-	}
-	if jitter(0) != 0 || jitter(1) != 1 {
-		t.Errorf("degenerate backoffs must pass through unchanged")
-	}
-}
-
-// TestBackoffCancellationPrompt is the drain guarantee: cancelling a job
-// that is asleep in its retry backoff interrupts the sleep immediately —
-// a draining daemon must never wait out a pending retry. The backoff here
-// is far longer than the test's patience; only the ctx-aware sleep lets
-// it pass.
-func TestBackoffCancellationPrompt(t *testing.T) {
-	p := NewPool(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	attempts := make(chan struct{}, 4)
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		done <- p.RunJob(ctx, JobOptions{Attempts: 3, Backoff: time.Hour},
-			func(ctx context.Context) error {
-				attempts <- struct{}{}
-				return Retryable(errors.New("transient"))
-			})
-	}()
-	// First attempt runs, then the job parks in its one-hour backoff.
-	select {
-	case <-attempts:
-	case <-time.After(5 * time.Second):
-		t.Fatal("first attempt never ran")
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not interrupt the backoff")
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("backoff held the job for %v after cancel", waited)
-	}
-	select {
-	case <-attempts:
-		t.Fatal("job re-attempted after cancellation")
-	default:
-	}
-	if len(p.sem) != 0 {
-		t.Error("slot leaked after cancelled backoff")
 	}
 }

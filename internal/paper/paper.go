@@ -177,7 +177,7 @@ func (r *Runner) spec(j Job) sim.Spec {
 // reports whether this call performed the simulation.
 func (r *Runner) run(ctx context.Context, j Job) (res *sim.Result, ran bool, err error) {
 	s := r.spec(j)
-	return r.cache.DoJob(ctx, s.Key(j.Scheme), exec.JobOptions{}, func(context.Context) (*sim.Result, error) {
+	return r.cache.DoJob(ctx, s.Key(j.Scheme), 0, func(context.Context) (*sim.Result, error) {
 		res, err := sim.Run(s.Config(j.Scheme))
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s%s: %w", j.Workload, j.Scheme, s.Point.Key(), err)

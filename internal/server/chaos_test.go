@@ -36,7 +36,6 @@ import (
 	"testing"
 	"time"
 
-	"ptmc/internal/exec"
 	"ptmc/internal/sim"
 )
 
@@ -51,7 +50,7 @@ const (
 	behaveOK      chaosBehavior = iota
 	behaveSlowOK                // waits a few ms (or ctx) before succeeding
 	behaveFailSim               // deterministic simulator error -> typed "sim"
-	behaveFlaky                 // retryable failure first, then succeeds
+	numBehaviors
 )
 
 // chaosSim is the per-trial fake simulator: behavior assigned per
@@ -73,7 +72,7 @@ func (c *chaosSim) run(ctx context.Context, cfg sim.Config) (*sim.Result, error)
 	c.mu.Lock()
 	b, ok := c.behave[key]
 	if !ok {
-		b = chaosBehavior(c.rng.Intn(4))
+		b = chaosBehavior(c.rng.Intn(int(numBehaviors)))
 		c.behave[key] = b
 	}
 	c.attempts[key]++
@@ -89,10 +88,6 @@ func (c *chaosSim) run(ctx context.Context, cfg sim.Config) (*sim.Result, error)
 		}
 	case behaveFailSim:
 		return nil, fmt.Errorf("chaos: deterministic sim failure for %s", key)
-	case behaveFlaky:
-		if n%2 == 1 {
-			return nil, exec.Retryable(fmt.Errorf("chaos: flake %d for %s", n, key))
-		}
 	}
 	return fakeResult(cfg), nil
 }
@@ -148,7 +143,6 @@ func (c *chaosTrial) boot(armCrash bool) (*Server, *httptest.Server) {
 		Workers:  1 + c.rng.Intn(2),
 		Parallel: 2,
 		QueueCap: 16,
-		Retries:  2,
 		Backoff:  time.Millisecond,
 		RunSim:   c.sims.run,
 	}, store)

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -69,6 +74,86 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if back.Key() != key {
 			t.Fatalf("Key changed in the round trip: %s -> %s", key, back.Key())
+		}
+	})
+}
+
+// FuzzWALReplay opens job stores built from untrusted WAL bytes. records
+// is split on newlines; each piece becomes one validly framed record (an
+// empty piece frames a zero length, which replay must treat as torn).
+// layout spreads the records over one to three segments and picks the
+// segment that tail, raw unframed bytes, is appended to. Opening must
+// never panic; the bytes replay kept plus Truncated must equal the input,
+// and what is kept must be a prefix of it (whole segments, then a prefix
+// of one); and reopening the repaired directory must truncate nothing and
+// rebuild the same jobs and sweeps.
+func FuzzWALReplay(f *testing.F) {
+	legacy := []byte(strings.Join(legacyWALRecords, "\n"))
+	done := []byte(`{"op":"done","id":"j91651d976777dd14","status":"failed","fail_kind":"sim","error":"boom"}`)
+	torn := appendFrame(nil, done)[:20]
+	f.Add(legacy, []byte(nil), uint8(0))
+	f.Add(legacy, []byte(nil), uint8(2))
+	f.Add(append(append(legacy, '\n'), done...), torn, uint8(5))
+	f.Add(legacy, []byte("garbage after the last frame"), uint8(1))
+	f.Add(append(legacy, "\n\n"...), []byte(nil), uint8(2))
+	f.Add([]byte(`{"op":"accept","id":"x"}`+"\n"+`not json`), []byte{0xff, 0, 0, 0}, uint8(4))
+	f.Fuzz(func(t *testing.T, records, tail []byte, layout uint8) {
+		recs := bytes.Split(records, []byte("\n"))
+		nseg := 1 + int(layout)%3
+		segs := make([][]byte, nseg)
+		for i, r := range recs {
+			k := i * nseg / len(recs)
+			segs[k] = appendFrame(segs[k], r)
+		}
+		k := int(layout) / 3 % nseg
+		segs[k] = append(segs[k], tail...)
+
+		dir := t.TempDir()
+		total := 0
+		for i, seg := range segs {
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%06d.log", i+1)), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			total += len(seg)
+		}
+		st, err := OpenStoreSegmented(dir, DefaultSegmentBytes)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		jobs, sweeps, replayed := st.Jobs(), st.Sweeps(), st.Replayed
+		kept, cut := 0, false
+		for i, seg := range segs {
+			got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("wal-%06d.log", i+1)))
+			if cut || err != nil {
+				if err == nil {
+					t.Fatalf("segment %d kept after an earlier one was cut", i+1)
+				}
+				cut = true
+				continue
+			}
+			if !bytes.HasPrefix(seg, got) {
+				t.Fatalf("segment %d kept %d bytes that are not a prefix of its %d", i+1, len(got), len(seg))
+			}
+			kept += len(got)
+			cut = len(got) < len(seg)
+		}
+		if kept+int(st.Truncated) != total {
+			t.Fatalf("kept %d + truncated %d != input %d bytes", kept, st.Truncated, total)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		re, err := OpenStoreSegmented(dir, DefaultSegmentBytes)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer re.Close()
+		if re.Truncated != 0 || re.Replayed != replayed {
+			t.Fatalf("reopen truncated %d and replayed %d records, want 0 and %d", re.Truncated, re.Replayed, replayed)
+		}
+		if !reflect.DeepEqual(re.Jobs(), jobs) || !reflect.DeepEqual(re.Sweeps(), sweeps) {
+			t.Fatalf("reopen state differs:\njobs %v -> %v\nsweeps %v -> %v", jobs, re.Jobs(), sweeps, re.Sweeps())
 		}
 	})
 }

@@ -155,6 +155,26 @@ func TestLegacyEngineKnobsIgnored(t *testing.T) {
 	}
 }
 
+// legacyWALRecords are WAL payloads exactly as the daemon wrote them,
+// before the shards and event_driven fields were removed, for a job
+// {lbm06, ptmc, 2 cores, 100+200 instructions, shards 4, event} and a
+// sweep of {uncompressed, ptmc} over the same point (its ptmc child is the
+// job itself, so the batch holds one new child accept).
+var legacyWALRecords = []string{
+	`{"op":"accept","id":"j91651d976777dd14","spec":{"workload":"lbm06","schemes":["ptmc"],"cores":2,"warmup_instr":100,"measure_instr":200,"seed":1,"shards":4,"event_driven":true,"tenant":"default","priority":"batch"}}`,
+	`{"op":"accept","id":"j13df4b7e986abc83","spec":{"workload":"lbm06","schemes":["uncompressed"],"cores":2,"warmup_instr":100,"measure_instr":200,"seed":1,"shards":4,"event_driven":true,"tenant":"default","priority":"sweep-child"}}`,
+	`{"op":"sweep","id":"sb1ce8d13e6700619","sweep":{"workloads":["lbm06"],"schemes":["uncompressed","ptmc"],"seeds":[1],"cores":2,"warmup_instr":100,"measure_instr":200,"shards":4,"event_driven":true,"tenant":"default"}}`,
+}
+
+// appendFrame appends payload to wal as one WAL frame: its length and
+// CRC-32, little endian, then the payload.
+func appendFrame(wal, payload []byte) []byte {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	return append(append(wal, hdr[:]...), payload...)
+}
+
 // TestLegacyWALReplay boots over a WAL written before the shards and
 // event_driven fields were removed: accept and sweep records carrying
 // "shards":4,"event_driven":true. Every persisted job must complete under
@@ -162,21 +182,9 @@ func TestLegacyEngineKnobsIgnored(t *testing.T) {
 // knobs, so they get new ids and run once; the sweep still completes.
 func TestLegacyWALReplay(t *testing.T) {
 	dir := t.TempDir()
-	// Ids and payloads exactly as the daemon wrote them for a job
-	// {lbm06, ptmc, 2 cores, 100+200 instructions, shards 4, event} and a
-	// sweep of {uncompressed, ptmc} over the same point (its ptmc child is
-	// the job itself, so the batch holds one new child accept).
-	records := []string{
-		`{"op":"accept","id":"j91651d976777dd14","spec":{"workload":"lbm06","schemes":["ptmc"],"cores":2,"warmup_instr":100,"measure_instr":200,"seed":1,"shards":4,"event_driven":true,"tenant":"default","priority":"batch"}}`,
-		`{"op":"accept","id":"j13df4b7e986abc83","spec":{"workload":"lbm06","schemes":["uncompressed"],"cores":2,"warmup_instr":100,"measure_instr":200,"seed":1,"shards":4,"event_driven":true,"tenant":"default","priority":"sweep-child"}}`,
-		`{"op":"sweep","id":"sb1ce8d13e6700619","sweep":{"workloads":["lbm06"],"schemes":["uncompressed","ptmc"],"seeds":[1],"cores":2,"warmup_instr":100,"measure_instr":200,"shards":4,"event_driven":true,"tenant":"default"}}`,
-	}
 	var wal []byte
-	for _, r := range records {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(r)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE([]byte(r)))
-		wal = append(append(wal, hdr[:]...), r...)
+	for _, r := range legacyWALRecords {
+		wal = appendFrame(wal, []byte(r))
 	}
 	if err := os.WriteFile(filepath.Join(dir, "wal-000001.log"), wal, 0o644); err != nil {
 		t.Fatal(err)

@@ -27,8 +27,7 @@ type Config struct {
 	QueueCap     int           // max jobs waiting for a worker (default 64)
 	TenantQuota  int           // max queued+running jobs per tenant (0 = unlimited)
 	JobTimeout   time.Duration // default per-scheme deadline (0 = none; spec may override)
-	Retries      int           // attempts per scheme for retryable failures (default 1)
-	Backoff      time.Duration // base jittered backoff between retries (default 100ms)
+	Backoff      time.Duration // base delay before re-trying a failed store settlement (default 100ms)
 	SegmentBytes int64         // WAL segment rotation threshold (default DefaultSegmentBytes)
 	// RunSim is the simulation entry point (nil = sim.RunContext). Tests
 	// substitute fakes and fault injectors; it must be set here — not
@@ -96,7 +95,6 @@ type metrics struct {
 	failed       atomic.Uint64 // jobs finished with a typed failure
 	replayed     atomic.Uint64 // jobs re-enqueued from the WAL at boot
 	recovered    atomic.Uint64 // jobs completed at boot from an existing artifact (no re-run)
-	retried      atomic.Uint64 // per-scheme retry attempts
 	cacheHits    atomic.Uint64 // jobs served from the persistent result cache
 	inflight     atomic.Uint64 // jobs a worker currently holds
 	simsRun      atomic.Uint64 // actual simulator invocations (the duplicate-work proof metric)
@@ -127,9 +125,6 @@ func newFromStore(cfg Config, store *Store) (*Server, error) {
 	}
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = 64
-	}
-	if cfg.Retries < 1 {
-		cfg.Retries = 1
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 100 * time.Millisecond
@@ -251,7 +246,6 @@ func (s *Server) registerMetrics() {
 	c("ptmcd.jobs_failed", s.m.failed.Load)
 	c("ptmcd.jobs_replayed", s.m.replayed.Load)
 	c("ptmcd.jobs_recovered", s.m.recovered.Load)
-	c("ptmcd.scheme_retries", s.m.retried.Load)
 	c("ptmcd.result_cache_hits", s.m.cacheHits.Load)
 	c("ptmcd.sims_run", s.m.simsRun.Load)
 	c("ptmcd.store_retries", s.m.storeRetries.Load)
@@ -321,16 +315,9 @@ func (s *Server) runJob(j *job) {
 	var simEvents []obs.Event
 	art := ResultArtifact{ID: j.id, Spec: j.spec}
 	for i, scheme := range j.spec.Schemes {
-		scheme := scheme
-		tries := 0
 		t0 := time.Now()
-		res, _, err := s.flights.DoJob(s.baseCtx, j.spec.Spec.Key(scheme),
-			exec.JobOptions{Timeout: timeout, Attempts: s.cfg.Retries, Backoff: s.cfg.Backoff},
+		res, ran, err := s.flights.DoJob(s.baseCtx, j.spec.Spec.Key(scheme), timeout,
 			func(ctx context.Context) (*sim.Result, error) {
-				if tries++; tries > 1 {
-					s.m.retried.Add(1)
-					j.emit("retry", fmt.Sprintf("%s attempt %d", scheme, tries))
-				}
 				s.m.simsRun.Add(1)
 				return s.runSim(ctx, j.spec.Config(scheme))
 			})
@@ -338,8 +325,12 @@ func (s *Server) runJob(j *job) {
 			s.settleFailure(j, scheme, err)
 			return
 		}
+		simulated := int64(0) // the span's arg: 1 if this job ran the simulation, 0 if it shared one
+		if ran {
+			simulated = 1
+		}
 		tracer.Emit(obs.KindJob, t0.Sub(start).Microseconds(),
-			time.Since(t0).Microseconds()+1, i, 0, int64(tries))
+			time.Since(t0).Microseconds()+1, i, 0, simulated)
 		if j.spec.Trace && res != nil {
 			simEvents = append(simEvents, res.TraceEvents...)
 		}
@@ -434,23 +425,31 @@ func (s *Server) leaveForReplay(j *job, err error) {
 	s.queue.Release(j.spec.Tenant)
 	s.m.storeRetries.Add(1)
 	j.emit("requeued", fmt.Sprintf("store write failed (%v); retrying in-process", err))
-	backoff := s.cfg.Backoff
-	for i := 1; i < n && backoff < 5*time.Second; i++ {
-		backoff *= 2
-	}
-	if backoff > 5*time.Second {
-		backoff = 5 * time.Second
-	}
 	s.workers.Add(1)
 	go func() {
 		defer s.workers.Done()
 		select {
-		case <-time.After(backoff):
+		case <-time.After(s.storeBackoff(n)):
 			s.queue.EnqueueReplayed(j)
 		case <-s.baseCtx.Done():
 			// Drain: the job stays accepted in the WAL; next boot replays it.
 		}
 	}()
+}
+
+// maxStoreBackoff caps the wait before re-trying a failed store
+// settlement.
+const maxStoreBackoff = 5 * time.Second
+
+// storeBackoff is the wait before the n-th (from 1) re-try of a failed
+// store settlement: Config.Backoff doubled n-1 times, capped at
+// maxStoreBackoff.
+func (s *Server) storeBackoff(n int) time.Duration {
+	d := s.cfg.Backoff
+	for i := 1; i < n && d < maxStoreBackoff; i++ {
+		d *= 2
+	}
+	return min(d, maxStoreBackoff)
 }
 
 // sweepCoordinator waits for every child to settle, then aggregates the
@@ -474,8 +473,7 @@ func (s *Server) sweepCoordinator(sw *sweep) {
 		}
 	}
 	data := canonicalJSON(s.buildSweepArtifact(sw))
-	backoff := s.cfg.Backoff
-	for {
+	for n := 1; ; n++ {
 		if s.baseCtx.Err() != nil {
 			return
 		}
@@ -491,12 +489,9 @@ func (s *Server) sweepCoordinator(sw *sweep) {
 		}
 		s.m.storeRetries.Add(1)
 		select {
-		case <-time.After(backoff):
+		case <-time.After(s.storeBackoff(n)):
 		case <-s.baseCtx.Done():
 			return
-		}
-		if backoff *= 2; backoff > 5*time.Second {
-			backoff = 5 * time.Second
 		}
 	}
 	s.m.sweepsDone.Add(1)

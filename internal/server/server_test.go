@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"ptmc/internal/exec"
 	"ptmc/internal/sim"
 )
 
@@ -278,28 +277,6 @@ func TestTypedFailuresPersist(t *testing.T) {
 	}
 	if states[st.ID] != StateFailed || states[st2.ID] != StateFailed || states[st3.ID] != StateDone {
 		t.Fatalf("replayed states wrong: %v", states)
-	}
-}
-
-func TestRetryWithBackoffOnRetryable(t *testing.T) {
-	var calls atomic.Int32
-	stub := func(ctx context.Context, c sim.Config) (*sim.Result, error) {
-		if calls.Add(1) < 3 {
-			return nil, exec.Retryable(errors.New("transient flake"))
-		}
-		return fakeResult(c), nil
-	}
-	s, hs := newTestServer(t, func(c *Config) {
-		c.Retries = 3
-		c.Backoff = time.Millisecond
-	}, stub)
-	_, st := submit(t, hs, tinySpec)
-	waitState(t, hs, st.ID, StateDone)
-	if calls.Load() < 3 {
-		t.Fatalf("stub called %d times, want >= 3 (retries)", calls.Load())
-	}
-	if s.m.retried.Load() == 0 {
-		t.Error("retry metric never moved")
 	}
 }
 

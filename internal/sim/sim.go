@@ -573,9 +573,9 @@ func (s *Simulator) Run() (*Result, error) {
 
 // RunContext is Run with cancellation: the simulation aborts (returning
 // ctx's error) at the next 4096-iteration checkpoint after ctx is done.
-// The poll is what lets a per-point timeout (cmd/sweep -timeout,
-// exec.JobOptions) interrupt a pathological simulation instead of hanging
-// a worker forever.
+// The poll is what lets a per-run timeout (cmd/sweep -timeout, a job's
+// timeout_sec, both through exec.Cache.DoJob) interrupt a pathological
+// simulation instead of hanging a worker forever.
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	const cyclesPerInstr = 400 // generous safety budget
 	runFn := s.run
