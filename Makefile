@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/ -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mem/ -run FuzzStore -fuzz FuzzStore -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/memctrl/ -run FuzzControllerOps -fuzz FuzzControllerOps -fuzztime $(FUZZTIME)
 
 trace-smoke:
 	out=$$(mktemp -d) && \

@@ -11,21 +11,20 @@ import (
 
 // initLazyPage registers the page at base lazily in both stores and runs
 // the simulator's first-touch protocol over it: screen every line from its
-// two words, check a screened-in line whole, fix up collisions in order.
+// two words, then run InitLine on the screened-in lines in order.
 func initLazyPage(r *rig, base mem.LineAddr, fill func(mem.LineAddr, []byte)) {
 	r.img.MarkLazy(base)
 	r.arch.MarkLazy(base)
 	var line [mem.LineSize]byte
-	var collide []mem.LineAddr
+	var screened []mem.LineAddr
 	for i := 0; i < mem.PageLines; i++ {
 		a := base + mem.LineAddr(i)
 		fill(a, line[:])
-		w0, tail := binary.LittleEndian.Uint64(line[:]), binary.LittleEndian.Uint32(line[60:])
-		if r.ctrl.InitScreen(a, w0, tail) && !r.ctrl.InitLineReady(a, line[:]) {
-			collide = append(collide, a)
+		if r.ctrl.InitScreen(a, binary.LittleEndian.Uint64(line[:]), binary.LittleEndian.Uint32(line[60:])) {
+			screened = append(screened, a)
 		}
 	}
-	for _, a := range collide {
+	for _, a := range screened {
 		r.ctrl.InitLine(a)
 	}
 }

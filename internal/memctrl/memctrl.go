@@ -15,12 +15,11 @@
 package memctrl
 
 import (
-	"fmt"
-
 	"ptmc/internal/cache"
 	"ptmc/internal/compress"
 	"ptmc/internal/dram"
 	"ptmc/internal/mem"
+	"ptmc/internal/metadata"
 	"ptmc/internal/obs"
 )
 
@@ -116,8 +115,8 @@ type Controller interface {
 	Read(core int, a mem.LineAddr, now int64, done Done)
 	// Evict handles an LLC eviction (dirty or clean) of entry e.
 	Evict(core int, e cache.Entry, now int64)
-	// InitLine establishes a line's initial uncompressed memory image
-	// (first touch, before the measured window).
+	// InitLine establishes a line's initial memory image from its
+	// architectural value (first touch, before the measured window).
 	InitLine(a mem.LineAddr)
 	// Tick advances the controller and its DRAM by one bus cycle.
 	Tick(now int64)
@@ -131,19 +130,12 @@ type Controller interface {
 	// InitScreen is the first-touch screen of one line of a lazily
 	// initialized page, whose image line holds the raw synthesized value
 	// without storing it. Given word 0 (bytes 0-7) and the tail word
-	// (bytes 60-63) of that value, it reports whether the controller must
-	// see the whole line through InitLineReady. False proves the raw value
-	// is a valid initial image and that the controller records nothing
-	// for the line.
-	InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool
-	// InitLineReady is first-touch initialization of a line whose image
-	// already holds its raw value, data: it reports whether those raw
-	// bytes are a valid initial image as-is, recording any derived
-	// per-line state. It returns false when the line needs the full
-	// InitLine path (a PTMC marker collision requiring LIT maintenance);
-	// the caller then runs InitLine on those lines after the page's pass,
+	// (bytes 60-63) of that value, it reports whether the line needs
+	// InitLine. False proves the raw value is a valid initial image and
+	// that the controller records nothing for the line. The caller runs
+	// InitLine on the screened-in lines after screening the whole page,
 	// in ascending address order.
-	InitLineReady(a mem.LineAddr, data []byte) bool
+	InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool
 	// NextEventCycle returns the earliest CPU cycle at which ticking the
 	// controller can change state; the run loop skips the cycles before it.
 	NextEventCycle(now int64) int64
@@ -265,6 +257,15 @@ func newBase(name string, d *dram.DRAM, img, arch *mem.Store, llc LLC) base {
 
 func (b *base) Name() string { return b.name }
 
+// InitLine implements Controller for every scheme whose initial image is
+// the raw value at the line's own address and whose per-line state starts
+// cold; PTMC overrides it for marker-collision handling.
+func (b *base) InitLine(a mem.LineAddr) { b.img.Write(a, b.arch.Read(a)) }
+
+// InitScreen implements Controller: a raw-image scheme never needs to see
+// a first-touched line.
+func (b *base) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool { return false }
+
 // SetDecompressCycles overrides the decompression latency (ablations).
 func (b *base) SetDecompressCycles(n int64) { b.decompLat = n }
 
@@ -295,12 +296,18 @@ func (b *base) accountN(k kind, n uint64) {
 	}
 }
 
-// issue sends one DRAM request, retrying through the backpressure queue.
-// done (reads only) fires at burst completion. Reads to a location that
-// already has a burst in flight coalesce onto it for free; issue reports
-// that, because a coalesced *demand* read is exactly the bandwidth benefit
-// of co-located compression (the Dynamic-PTMC "+1" event).
+// issue sends one full-line DRAM request (see issueBurst).
 func (b *base) issue(a mem.LineAddr, write bool, k kind, now int64, done Done) (coalesced bool) {
+	return b.issueBurst(a, write, 0, k, now, done)
+}
+
+// issueBurst sends one DRAM request of beats bus beats (0 is a full line;
+// MemZip's reduced bursts are shorter), retrying through the backpressure
+// queue. done (reads only) fires at burst completion. Reads to a location
+// that already has a burst in flight coalesce onto it for free; issueBurst
+// reports that, because a coalesced *demand* read is exactly the bandwidth
+// benefit of co-located compression (the Dynamic-PTMC "+1" event).
+func (b *base) issueBurst(a mem.LineAddr, write bool, beats int, k kind, now int64, done Done) (coalesced bool) {
 	if !write {
 		if waiters, in := b.inflightReads[a]; in {
 			b.st.CoalescedReads++
@@ -319,7 +326,7 @@ func (b *base) issue(a mem.LineAddr, write bool, k kind, now int64, done Done) (
 		b.tr.Emit(ek, now, 0, 0, uint64(a), int64(k))
 	}
 	req := b.d.AcquireRequest()
-	req.Addr, req.Write = a, write
+	req.Addr, req.Write, req.Beats = a, write, beats
 	if done != nil || !write {
 		b.outstanding++
 		req.OnComplete = b.acquireDone(a, write, done).fn
@@ -328,6 +335,21 @@ func (b *base) issue(a mem.LineAddr, write bool, k kind, now int64, done Done) (
 		b.retry = append(b.retry, req)
 	}
 	return false
+}
+
+// chargeMeta issues the DRAM traffic of one metadata-cache transaction and
+// calls then once the required metadata (if any) has arrived.
+func (b *base) chargeMeta(tr metadata.Traffic, now int64, then Done) {
+	if tr.NeedWrite {
+		b.issue(tr.WriteAddr, true, kMetadataWrite, now, nil)
+	}
+	if tr.NeedRead {
+		b.issue(tr.ReadAddr, false, kMetadataRead, now, then)
+		return
+	}
+	if then != nil {
+		then(now)
+	}
 }
 
 // NextEventCycle implements Controller with the DRAM model's aggregated
@@ -466,5 +488,3 @@ func (b *base) install(core int, a mem.LineAddr, dirty, prefetch bool, level cac
 		Core:     uint8(core),
 	}, now)
 }
-
-var _ = fmt.Sprintf // keep fmt for debug builds

@@ -22,12 +22,6 @@ import (
 type MemZip struct {
 	base
 	meta *metadata.Table
-	// beats is the functional truth of the metadata table's contents: each
-	// line's stored burst length, 1-8. The value does not fit the table's
-	// 2-bit CSI encoding, so it lives here and metadata-cache traffic is
-	// charged through meta.Touch. Array-backed pages keep the eviction hot
-	// path allocation-free (see beatStore).
-	beats beatStore
 }
 
 // NewMemZip builds the comparator; metaBase/mcacheBytes configure the
@@ -38,94 +32,36 @@ func NewMemZip(d *dram.DRAM, img, arch *mem.Store, llc LLC,
 	if err != nil {
 		return nil, err
 	}
-	return &MemZip{
-		base:  newBase("memzip", d, img, arch, llc),
-		meta:  mt,
-		beats: newBeatStore(),
-	}, nil
+	return &MemZip{base: newBase("memzip", d, img, arch, llc), meta: mt}, nil
 }
 
 // Meta exposes the metadata table (hit-rate reporting).
 func (z *MemZip) Meta() *metadata.Table { return z.meta }
 
-// StoredBeats returns the burst length currently recorded for a line
-// (verification and tests; 8 for lines never stored).
-func (z *MemZip) StoredBeats(a mem.LineAddr) int { return z.beats.get(a) }
+// StoredBeats returns the burst length of the line's stored image
+// (verification and tests).
+func (z *MemZip) StoredBeats(a mem.LineAddr) int { return z.burstBeats(z.img.Read(a)) }
 
-// beatsOfLen converts a compressed encoding's byte length to a burst
-// length in 8-byte bus beats, clamped to [1, 8].
-func beatsOfLen(encLen int) int {
-	beats := (encLen + 7) / 8
-	if beats > 8 {
-		beats = 8
-	}
-	if beats < 1 {
-		beats = 1
-	}
-	return beats
-}
-
-// lineBeats compresses a line's current value into its burst length. The
-// encoding lands in the scratch arena (only its length matters here), so
-// the per-writeback compression allocates nothing.
-func (z *MemZip) lineBeats(a mem.LineAddr) int {
-	enc := z.alg.AppendCompress(z.scr.groupBuf[:0], z.arch.Read(a))
+// burstBeats is the reduced burst length a stored value streams out with:
+// its compressed encoding's size in 8-byte bus beats, clamped to [1, 8].
+// A line is stored compressed in place, so its burst length is a pure
+// function of its image value, and the metadata table's contents — each
+// line's burst length, which does not fit the table's 2-bit CSI encoding —
+// need no store of their own; only the metadata-cache traffic of reading
+// and updating them is charged (meta.Touch). The encoding lands in the
+// scratch arena (only its length matters), so this allocates nothing.
+func (z *MemZip) burstBeats(line []byte) int {
+	enc := z.alg.AppendCompress(z.scr.groupBuf[:0], line)
 	z.scr.groupBuf = enc[:0]
-	return beatsOfLen(len(enc))
-}
-
-// InitLine implements Controller: first-touch lines enter memory in
-// compressed form (MemZip compresses in place; there is no relocation, so
-// no prefetch-pollution concern).
-func (z *MemZip) InitLine(a mem.LineAddr) {
-	z.img.Write(a, z.arch.Read(a))
-	z.beats.set(a, z.lineBeats(a))
-}
-
-// InitScreen implements Controller: every line's burst length depends on
-// its whole value, so MemZip sees each one through InitLineReady.
-func (z *MemZip) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool { return true }
-
-// InitLineReady implements Controller. A first-touch MemZip line is
-// stored compressed in place, but the bytes at its location are the raw
-// value either way — the reduced burst is a bus-protocol effect, not a
-// layout change — so the synthesized image is already correct; all that
-// must be recorded is the line's burst length.
-func (z *MemZip) InitLineReady(a mem.LineAddr, data []byte) bool {
-	enc := z.alg.AppendCompress(z.scr.groupBuf[:0], data)
-	z.scr.groupBuf = enc[:0]
-	z.beats.set(a, beatsOfLen(len(enc)))
-	return true
-}
-
-// issueBeats sends a reduced-burst DRAM request.
-func (z *MemZip) issueBeats(a mem.LineAddr, write bool, beats int, k kind, now int64, done Done) {
-	// Reuse base.issue's coalescing/retry plumbing by constructing the
-	// request here; accounting matches full bursts (each is one request).
-	z.account(k)
-	req := z.d.AcquireRequest()
-	req.Addr, req.Write, req.Beats = a, write, beats
-	if done != nil || !write {
-		z.outstanding++
-		req.OnComplete = func(c int64) {
-			z.outstanding--
-			if done != nil {
-				done(c)
-			}
-		}
-	}
-	if !z.d.Enqueue(req, now) {
-		z.retry = append(z.retry, req)
-	}
+	return min(max((len(enc)+7)/8, 1), 8)
 }
 
 // Read implements Controller: metadata lookup (burst length) first, then a
 // reduced burst for the data.
 func (z *MemZip) Read(core_ int, a mem.LineAddr, now int64, done Done) {
-	tr := z.meta.Touch(a, false)
-	proceed := func(c int64) {
-		beats := z.beats.get(a)
-		z.issueBeats(a, false, beats, kDemandRead, c, func(c2 int64) {
+	z.chargeMeta(z.meta.Touch(a, false), now, func(c int64) {
+		beats := z.burstBeats(z.img.Read(a))
+		z.issueBurst(a, false, beats, kDemandRead, c, func(c2 int64) {
 			if beats < 8 {
 				c2 += z.decompLat
 				z.st.FillsCompressed++
@@ -136,39 +72,22 @@ func (z *MemZip) Read(core_ int, a mem.LineAddr, now int64, done Done) {
 			z.install(core_, a, false, false, cache.Uncompressed, c2)
 			done(c2)
 		})
-	}
-	if tr.NeedWrite {
-		z.issue(tr.WriteAddr, true, kMetadataWrite, now, nil)
-	}
-	if tr.NeedRead {
-		z.issue(tr.ReadAddr, false, kMetadataRead, now, proceed)
-		return
-	}
-	proceed(now)
+	})
 }
 
 // Evict implements Controller: dirty lines re-compress in place; a burst
-// length change costs a metadata update. The full 1-8 beat value goes to
-// the beat store; the metadata cache is touched dirty for the CSI-line
-// traffic. (An earlier version squeezed the length through the table's
-// 2-bit level encoding as newBeats&3, aliasing beats {4,8}→0 and {5,1}→1
-// in the stored state; the dedicated store keeps every transition exact.)
+// length change costs a metadata update, charged as a dirty touch of the
+// metadata cache. The old length is read off the image before the new
+// value overwrites it, so every 1-8 beat transition is seen exactly.
 func (z *MemZip) Evict(core_ int, e cache.Entry, now int64) {
 	if !e.Dirty {
 		return
 	}
+	old := z.burstBeats(z.img.Read(e.Tag))
 	z.img.Write(e.Tag, z.arch.Read(e.Tag))
-	newBeats := z.lineBeats(e.Tag)
-	old := z.beats.get(e.Tag)
-	z.beats.set(e.Tag, newBeats)
-	z.issueBeats(e.Tag, true, newBeats, kDirtyWrite, now, nil)
-	if newBeats != old {
-		tr := z.meta.Touch(e.Tag, true)
-		if tr.NeedWrite {
-			z.issue(tr.WriteAddr, true, kMetadataWrite, now, nil)
-		}
-		if tr.NeedRead {
-			z.issue(tr.ReadAddr, false, kMetadataRead, now, nil)
-		}
+	beats := z.burstBeats(z.img.Read(e.Tag))
+	z.issueBurst(e.Tag, true, beats, kDirtyWrite, now, nil)
+	if beats != old {
+		z.chargeMeta(z.meta.Touch(e.Tag, true), now, nil)
 	}
 }

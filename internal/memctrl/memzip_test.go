@@ -64,10 +64,10 @@ func TestMemZipPaysMetadata(t *testing.T) {
 // TestMemZipBeatChangeChargesMetadata is the regression test for the
 // burst-length aliasing bug: the stored value used to be squeezed through
 // the metadata table's 2-bit level encoding as newBeats&3, collapsing
-// beats {4,8}→0 and {5,1}→1. The dedicated beat store must round-trip the
-// full 1-8 range, and a 4→8-beat transition — invisible modulo 4 — must
-// still charge a metadata-cache access on eviction while an unchanged
-// burst length charges none.
+// beats {4,8}→0 and {5,1}→1. The burst length derived from the stored
+// image must cover the full 1-8 range, and a 4→8-beat transition —
+// invisible modulo 4 — must still charge a metadata-cache access on
+// eviction while an unchanged burst length charges none.
 func TestMemZipBeatChangeChargesMetadata(t *testing.T) {
 	r := newMemZipRig(t)
 	z := r.ctrl.(*MemZip)
@@ -102,7 +102,7 @@ func TestMemZipBeatChangeChargesMetadata(t *testing.T) {
 }
 
 // TestMemZipStoredBeatsFullRange drives one line through every reachable
-// burst length and asserts the store reports exactly what the compressor
+// burst length and asserts StoredBeats reports exactly what the compressor
 // produced — no 2-bit truncation anywhere in the pipeline.
 func TestMemZipStoredBeatsFullRange(t *testing.T) {
 	r := newMemZipRig(t)
@@ -131,10 +131,9 @@ func TestMemZipStoredBeatsFullRange(t *testing.T) {
 
 // TestMemZipEvictZeroAlloc pins the eviction hot path at zero heap
 // allocations per dirty writeback in steady state (unchanged burst
-// length): the beat store is an array write behind one map read, the
-// compression scratch is the warm arena, and the DRAM request comes from
-// the model's pool. The beats map this store replaced allocated on every
-// insert.
+// length): both burst lengths are compressed into the warm scratch arena
+// from the stored image, and the DRAM request comes from the model's
+// pool.
 func TestMemZipEvictZeroAlloc(t *testing.T) {
 	r := newMemZipRig(t)
 	z := r.ctrl.(*MemZip)

@@ -90,22 +90,12 @@ func (p *PTMC) Markers() *core.MarkerGen { return p.markers }
 func (p *PTMC) Dynamic() *core.Dynamic { return p.dyn }
 
 // InitScreen implements Controller: only a line that may collide with the
-// current markers (core.MarkerGen.MayCollide) needs the full check. The
-// screen is against the current generation only; reKey re-screens every
-// line still unmaterialized in the image against each new one.
+// current markers (core.MarkerGen.MayCollide) goes to InitLine, which
+// settles it on the whole line. The screen is against the current
+// generation only; reKey re-screens every line still unmaterialized in the
+// image against each new one.
 func (p *PTMC) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool {
 	return p.markers.MayCollide(a, w0, tail)
-}
-
-// InitLineReady implements Controller: the common first-touch case — no
-// marker collision — keeps the raw value the line's image already holds
-// and changes no controller state. Collisions return false for the
-// InitLine fixup: they need LIT insertion and possibly a re-key. A
-// collision-free line needs no lit.Remove, unlike writeRaw, because first
-// touch means the address was never inverted (internal/vm never reuses a
-// physical page).
-func (p *PTMC) InitLineReady(a mem.LineAddr, data []byte) bool {
-	return !p.markers.CollidesWithMarkers(a, data)
 }
 
 // sampled reports whether a line belongs to a sampled (always-compress)

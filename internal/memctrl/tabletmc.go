@@ -36,38 +36,6 @@ func NewTableTMC(d *dram.DRAM, img, arch *mem.Store, llc LLC,
 // Meta exposes the metadata table (Figure 9's hit-rate curve).
 func (t *TableTMC) Meta() *metadata.Table { return t.meta }
 
-// InitLine implements Controller: lines start uncompressed; cold CSI
-// already reads as Uncompressed, so only the image needs writing.
-func (t *TableTMC) InitLine(a mem.LineAddr) {
-	t.img.Write(a, t.arch.Read(a))
-}
-
-// InitScreen implements Controller: a first-touch table-TMC line is its
-// raw value and the cold CSI table needs no update (see InitLineReady).
-func (t *TableTMC) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool { return false }
-
-// InitLineReady implements Controller: a first-touch table-TMC line lives
-// uncompressed at its own address and the cold CSI table already reads as
-// Uncompressed, so the raw bytes synthesized in place are a complete
-// initial image — InitLine's only work is the image write already
-// performed, and no metadata state moves. Always true.
-func (t *TableTMC) InitLineReady(a mem.LineAddr, data []byte) bool { return true }
-
-// chargeMeta issues the DRAM traffic of one metadata-cache transaction and
-// calls then once the required metadata (if any) has arrived.
-func (t *TableTMC) chargeMeta(tr metadata.Traffic, now int64, then Done) {
-	if tr.NeedWrite {
-		t.issue(tr.WriteAddr, true, kMetadataWrite, now, nil)
-	}
-	if tr.NeedRead {
-		t.issue(tr.ReadAddr, false, kMetadataRead, now, then)
-		return
-	}
-	if then != nil {
-		then(now)
-	}
-}
-
 // Read implements Controller: metadata lookup first (possibly a serialized
 // DRAM access), then the data access at the location the CSI names.
 func (t *TableTMC) Read(core_ int, a mem.LineAddr, now int64, done Done) {

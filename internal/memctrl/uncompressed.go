@@ -18,22 +18,6 @@ func NewUncompressed(d *dram.DRAM, img, arch *mem.Store, llc LLC) *Uncompressed 
 	return &Uncompressed{base: newBase("uncompressed", d, img, arch, llc)}
 }
 
-// InitLine implements Controller: memory holds the raw value.
-func (u *Uncompressed) InitLine(a mem.LineAddr) {
-	u.img.Write(a, u.arch.Read(a))
-}
-
-// InitScreen implements Controller: the baseline image is the raw value
-// and the baseline keeps no per-line state. NextLinePrefetch inherits it.
-func (u *Uncompressed) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool { return false }
-
-// InitLineReady implements Controller: the baseline image is the raw
-// value, so whatever was synthesized in place is already correct.
-// NextLinePrefetch inherits it.
-func (u *Uncompressed) InitLineReady(a mem.LineAddr, data []byte) bool {
-	return true
-}
-
 // Read implements Controller.
 func (u *Uncompressed) Read(core int, a mem.LineAddr, now int64, done Done) {
 	u.issue(a, false, kDemandRead, now, func(c int64) {

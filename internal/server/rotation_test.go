@@ -289,3 +289,56 @@ func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 		t.Fatal("append after mid-chain repair lost")
 	}
 }
+
+// TestStoreCheckpointKeepsPendingJobs: the segment Checkpoint writes must
+// record the ids it summarizes. Otherwise, once later appends seal it,
+// live compaction sees a segment referencing nothing, deletes it, and
+// loses the accept record of a job that is still pending.
+func TestStoreCheckpointKeepsPendingJobs(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStoreSegmented(dir, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Accept("pending", testSpec("lbm06")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("j%d", i)
+		if err := st.Accept(id, testSpec("mcf06")); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SaveResult(id, []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CompleteOK(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.CompactedSegments() <= 1 {
+		t.Fatal("no segment was compacted after the checkpoint; the test no longer exercises live compaction")
+	}
+	st.Close()
+
+	re, err := OpenStoreSegmented(dir, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	states := map[string]string{}
+	for _, j := range re.Jobs() {
+		states[j.ID] = j.State
+	}
+	if states["pending"] != StateAccepted {
+		t.Fatalf("pending job after checkpoint + compaction + reopen: state %q, want %q (jobs %v)",
+			states["pending"], StateAccepted, states)
+	}
+	for i := 0; i < 8; i++ {
+		if id := fmt.Sprintf("j%d", i); states[id] != StateDone {
+			t.Errorf("%s: state %q, want %q", id, states[id], StateDone)
+		}
+	}
+}

@@ -455,44 +455,40 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// terminalLocked reports whether id refers to a terminal (or unknown —
-// nothing to lose) job or sweep, and returns its summary records.
-func (s *Store) terminalLocked(id string) (recs []walRecord, terminal bool) {
+// summaryLocked returns the records that re-persist id's current state
+// and whether that state is terminal. An unknown id has no state to
+// preserve: no records, terminal.
+func (s *Store) summaryLocked(id string) (recs []walRecord, terminal bool) {
 	if j, ok := s.jobs[id]; ok {
-		switch j.State {
-		case StateDone:
-			spec := j.Spec
-			return []walRecord{
-				{Op: "accept", ID: id, Spec: &spec},
-				{Op: "done", ID: id, Status: "ok"},
-			}, true
-		case StateFailed:
-			spec := j.Spec
-			return []walRecord{
-				{Op: "accept", ID: id, Spec: &spec},
-				{Op: "done", ID: id, Status: "failed", FailKind: j.FailKind, Error: j.Error},
-			}, true
-		}
-		return nil, false
+		return j.summary()
 	}
 	if sw, ok := s.sweeps[id]; ok {
-		switch sw.State {
-		case StateDone:
-			spec := sw.Spec
-			return []walRecord{
-				{Op: "sweep", ID: id, Sweep: &spec},
-				{Op: "done", ID: id, Status: "ok"},
-			}, true
-		case StateFailed:
-			spec := sw.Spec
-			return []walRecord{
-				{Op: "sweep", ID: id, Sweep: &spec},
-				{Op: "done", ID: id, Status: "failed", FailKind: sw.FailKind, Error: sw.Error},
-			}, true
-		}
-		return nil, false
+		return sw.summary()
 	}
-	return nil, true // unknown id: no state to preserve
+	return nil, true
+}
+
+func (j *StoredJob) summary() ([]walRecord, bool) {
+	spec := j.Spec
+	return summary(walRecord{Op: "accept", ID: j.ID, Spec: &spec}, j.State, j.FailKind, j.Error)
+}
+
+func (sw *StoredSweep) summary() ([]walRecord, bool) {
+	spec := sw.Spec
+	return summary(walRecord{Op: "sweep", ID: sw.ID, Sweep: &spec}, sw.State, sw.FailKind, sw.Error)
+}
+
+// summary is a job's or sweep's state as records: head (its accept or
+// sweep record), plus a done record once the state is terminal.
+func summary(head walRecord, state, failKind, errMsg string) ([]walRecord, bool) {
+	recs := []walRecord{head}
+	switch state {
+	case StateDone:
+		return append(recs, walRecord{Op: "done", ID: head.ID, Status: "ok"}), true
+	case StateFailed:
+		return append(recs, walRecord{Op: "done", ID: head.ID, Status: "failed", FailKind: failKind, Error: errMsg}), true
+	}
+	return recs, false
 }
 
 // maybeCompactLocked removes sealed segments whose every referenced id is
@@ -517,7 +513,7 @@ func (s *Store) maybeCompactLocked() error {
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			recs, term := s.terminalLocked(id)
+			recs, term := s.summaryLocked(id)
 			if !term {
 				settled = false
 				break
@@ -763,31 +759,21 @@ func (s *Store) Checkpoint() error {
 	if s.dead {
 		return ErrStoreDead
 	}
+	// The new segment records every id it summarizes, so live compaction
+	// keeps it while any of them is pending.
 	var buf []byte
-	add := func(rec walRecord) { buf = append(buf, frame(rec)...) }
-	for _, id := range s.order {
-		j := s.jobs[id]
-		spec := j.Spec
-		add(walRecord{Op: "accept", ID: id, Spec: &spec})
-		switch j.State {
-		case StateDone:
-			add(walRecord{Op: "done", ID: id, Status: "ok"})
-		case StateFailed:
-			add(walRecord{Op: "done", ID: id, Status: "failed",
-				FailKind: j.FailKind, Error: j.Error})
+	ids := map[string]bool{}
+	add := func(recs []walRecord, _ bool) {
+		for _, rec := range recs {
+			buf = append(buf, frame(rec)...)
+			ids[rec.ID] = true
 		}
 	}
+	for _, id := range s.order {
+		add(s.jobs[id].summary())
+	}
 	for _, id := range s.sweepOrder {
-		sw := s.sweeps[id]
-		spec := sw.Spec
-		add(walRecord{Op: "sweep", ID: id, Sweep: &spec})
-		switch sw.State {
-		case StateDone:
-			add(walRecord{Op: "done", ID: id, Status: "ok"})
-		case StateFailed:
-			add(walRecord{Op: "done", ID: id, Status: "failed",
-				FailKind: sw.FailKind, Error: sw.Error})
-		}
+		add(s.sweeps[id].summary())
 	}
 	nextIdx := s.cur.index + 1
 	nextPath := s.segPath(nextIdx)
@@ -811,7 +797,7 @@ func (s *Store) Checkpoint() error {
 		return fmt.Errorf("server: checkpoint: reopen: %w", err)
 	}
 	s.sealed = nil
-	s.cur = &segment{index: nextIdx, path: nextPath, ids: map[string]bool{}}
+	s.cur = &segment{index: nextIdx, path: nextPath, ids: ids}
 	s.wal, s.walSize = f, int64(len(buf))
 	return nil
 }

@@ -10,9 +10,12 @@ import (
 	"ptmc/internal/workload"
 )
 
-// fillIniter is the first-touch specialization of workload.Source.FillLine
-// (mutation count provably zero, version-map lookup skipped).
-type fillIniter interface {
+// source is a workload.Source that can also synthesize a line at its
+// first-touch value (workload.Stream.FillLineInit: mutation count provably
+// zero, version-map lookup skipped). Every page initializes lazily from
+// it, so sim.New requires it of every stream.
+type source interface {
+	workload.Source
 	FillLineInit(vline uint64, buf []byte)
 }
 
@@ -39,56 +42,35 @@ type pageOrigin struct {
 func (s *Simulator) archLine(a mem.LineAddr, buf []byte) {
 	base := a &^ (vm.PageLines - 1)
 	o := s.origins[base]
-	s.streams[o.core].(fillIniter).FillLineInit(o.vlineBase+uint64(a-base), buf)
+	s.streams[o.core].FillLineInit(o.vlineBase+uint64(a-base), buf)
 }
 
-// initPage is first-touch page initialization. When every stream can
-// synthesize a first-touch line (s.origins non-nil), the page is
-// registered lazily in both stores: no line is synthesized or stored, and
-// the controller screens each line from two of its words
-// (Controller.InitScreen); only a screened-in line is synthesized and
-// checked whole (InitLineReady). Otherwise (trace replay, whose versions
-// are not provably 0) every line is synthesized and written to both stores
-// and checked whole. Marker collisions — lines that need the full InitLine
-// path — are fixed up after the whole page has been checked, in ascending
-// address order.
+// initPage is first-touch page initialization: the page is registered
+// lazily in both stores, so no line is synthesized or stored, and the
+// controller screens each line from two of its words
+// (Controller.InitScreen). The screened-in lines — possible marker
+// collisions — go through InitLine after the whole page has been screened,
+// in ascending address order.
 func (s *Simulator) initPage(coreID int, pageBase mem.LineAddr, vlineBase uint64) {
 	stream := s.streams[coreID]
-	lazy := s.origins != nil
-	line := s.initLine[:]
-	if lazy {
-		s.origins[pageBase] = pageOrigin{core: int32(coreID), vlineBase: vlineBase}
-		s.arch.MarkLazy(pageBase)
-		s.img.MarkLazy(pageBase)
-		if pw, ok := stream.(pageWorder); ok {
-			pw.PageInitWords(vlineBase, &s.initWords)
-		} else {
-			for i := range s.initWords {
-				stream.(fillIniter).FillLineInit(vlineBase+uint64(i), line)
-				s.initWords[i] = workload.WordsOf(line)
-			}
+	s.origins[pageBase] = pageOrigin{core: int32(coreID), vlineBase: vlineBase}
+	s.arch.MarkLazy(pageBase)
+	s.img.MarkLazy(pageBase)
+	if pw, ok := stream.(pageWorder); ok {
+		pw.PageInitWords(vlineBase, &s.initWords)
+	} else {
+		for i := range s.initWords {
+			stream.FillLineInit(vlineBase+uint64(i), s.initLine[:])
+			s.initWords[i] = workload.WordsOf(s.initLine[:])
 		}
 	}
-	var collide []mem.LineAddr // rare: marker collisions only
-	for i := 0; i < vm.PageLines; i++ {
-		a := pageBase + mem.LineAddr(i)
-		if lazy {
-			if w := s.initWords[i]; !s.ctrl.InitScreen(a, w.W0, w.Tail) {
-				continue
-			}
-			stream.(fillIniter).FillLineInit(vlineBase+uint64(i), line)
-		} else {
-			stream.FillLine(vlineBase+uint64(i), line)
-			s.arch.Write(a, line)
-			s.img.Write(a, line)
-		}
-		if !s.ctrl.InitLineReady(a, line) {
-			// The image holds the colliding raw bytes briefly; the fixup
-			// below rewrites them before any read.
-			collide = append(collide, a)
+	var screened []mem.LineAddr // rare: possible marker collisions only
+	for i, w := range s.initWords {
+		if a := pageBase + mem.LineAddr(i); s.ctrl.InitScreen(a, w.W0, w.Tail) {
+			screened = append(screened, a)
 		}
 	}
-	for _, a := range collide {
+	for _, a := range screened {
 		s.ctrl.InitLine(a)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ptmc/internal/mem"
 	"ptmc/internal/trace"
 	"ptmc/internal/workload"
 )
@@ -74,8 +75,8 @@ func checkDeterministic(t *testing.T, cfg Config) {
 // TestEventDeterminismMatrix covers all seven schemes × {reference,
 // production}, plus a heterogeneous 8-core mix (every core's stream
 // distinct, so any ordering leak in page init or idle-channel accounting
-// surfaces) and a trace replay, whose sources lack FillLineInit and so
-// take the eager branch of initPage.
+// surfaces) and a trace replay under every scheme, which must take the
+// same lazy first-touch path as a live workload.
 func TestEventDeterminismMatrix(t *testing.T) {
 	for _, scheme := range Schemes() {
 		t.Run(scheme, func(t *testing.T) {
@@ -97,16 +98,24 @@ func TestEventDeterminismMatrix(t *testing.T) {
 		checkDeterministic(t, cfg)
 	})
 	t.Run("trace-replay", func(t *testing.T) {
-		cfg := traceReplayCfg(t, SchemeDynamicPTMC)
-		cfg.MetricsInterval = 25_000
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+		for _, scheme := range Schemes() {
+			t.Run(scheme, func(t *testing.T) {
+				cfg := traceReplayCfg(t, scheme)
+				cfg.MetricsInterval = 25_000
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if stored := uint64(s.img.MaterializedLines()) * mem.LineSize; len(s.origins) == 0 || stored >= s.img.FootprintBytes() {
+					t.Fatalf("trace replay registered %d lazy pages and stores %d of %d image bytes; want lazy first touch",
+						len(s.origins), stored, s.img.FootprintBytes())
+				}
+				checkDeterministic(t, cfg)
+			})
 		}
-		if s.origins != nil {
-			t.Fatal("trace-replay sources took the lazy page path; want eager page init")
-		}
-		checkDeterministic(t, cfg)
 	})
 }
 

@@ -38,7 +38,7 @@ type waiter struct {
 // Simulator is one assembled system.
 type Simulator struct {
 	cfg     Config
-	streams []workload.Source
+	streams []source
 	cores   []*cpu.Core
 	l1, l2  []*cache.Cache
 	l3      *cache.Cache
@@ -54,7 +54,7 @@ type Simulator struct {
 	// InitLine, and the DRAM model's scan-every-channel mode.
 	reference bool
 	// origins records each lazily initialized page's stream and virtual
-	// base for archLine; nil when pages are written eagerly.
+	// base for archLine.
 	origins map[mem.LineAddr]pageOrigin
 
 	now         int64
@@ -124,7 +124,8 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, reference: reference, mshr: make(map[mem.LineAddr][]waiter)}
+	s := &Simulator{cfg: cfg, reference: reference,
+		mshr: make(map[mem.LineAddr][]waiter), origins: make(map[mem.LineAddr]pageOrigin)}
 
 	// Workload streams: rate mode (one workload, all cores), a mix, or
 	// caller-provided sources (trace replay).
@@ -135,7 +136,11 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.streams = append(s.streams, src)
+			lazy, ok := src.(source)
+			if !ok {
+				return nil, fmt.Errorf("sim: core %d: source %T has no FillLineInit, which first-touch page initialization needs", i, src)
+			}
+			s.streams = append(s.streams, lazy)
 		}
 	} else if cfg.Custom != nil {
 		if err := cfg.Custom.Validate(); err != nil {
@@ -250,23 +255,12 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	s.obs, _ = s.ctrl.(prefetchObserver)
 
 	// The run loop needs the DRAM model's O(1) wake schedule. Both stores
-	// synthesize a page's lines on demand when every stream can synthesize
-	// a first-touch line without its version map (trace replay cannot).
+	// synthesize a page's lines on demand (initPage, archLine).
 	if !reference {
 		s.ctrl.DRAM().SetEngineMode(true)
-		lazy := true
-		for _, src := range s.streams {
-			if _, ok := src.(fillIniter); !ok {
-				lazy = false
-				break
-			}
-		}
-		if lazy {
-			s.origins = make(map[mem.LineAddr]pageOrigin)
-			s.arch.SetLazyFill(s.archLine)
-			s.img.SetLazyFill(s.archLine)
-		}
 	}
+	s.arch.SetLazyFill(s.archLine)
+	s.img.SetLazyFill(s.archLine)
 
 	// Observability wiring. The tracer attaches to the controller (every
 	// scheme embeds memctrl's base, which implements SetTracer) and, for

@@ -2,35 +2,79 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"ptmc/internal/mem"
+	"ptmc/internal/workload"
 )
 
 // TestImageStaysSparse guards the line-granular laziness of both stores:
-// mix1 under Dynamic-PTMC at the benchmark's horizon (perfbench's
-// mix1-dynamic: 300 k warmup + 100 k measured instructions per core) must
-// store at most 10% of the image lines in the pages it touched. The count
-// is deterministic; a regression to page-granular materialization stores
-// all of them.
+// a run must store at most maxPct% of the image lines in the pages it
+// touched. mix1 runs at the benchmark's horizon (perfbench's mix1-dynamic:
+// 300 k warmup + 100 k measured instructions per core), under Dynamic-PTMC
+// and under MemZip, whose burst lengths come from the image and need no
+// line stored at first touch. Trace replay takes the same lazy path; its
+// libquantum06 recording streams through its pages, so it reads a larger
+// share of them. The counts are deterministic; a regression to page-
+// granular materialization (or eager page init) stores all of them.
 func TestImageStaysSparse(t *testing.T) {
-	cfg := Default()
-	cfg.Workload = "mix1"
-	cfg.Scheme = SchemeDynamicPTMC
-	cfg.WarmupInstr, cfg.MeasureInstr = 300_000, 100_000
-	s, err := New(cfg)
+	mix1 := func(scheme string) Config {
+		cfg := Default()
+		cfg.Workload = "mix1"
+		cfg.Scheme = scheme
+		cfg.WarmupInstr, cfg.MeasureInstr = 300_000, 100_000
+		return cfg
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		maxPct uint64
+	}{
+		{"mix1/dynamic-ptmc", mix1(SchemeDynamicPTMC), 10},
+		{"mix1/memzip", mix1(SchemeMemZip), 10},
+		{"trace-replay", traceReplayCfg(t, SchemeDynamicPTMC), 25},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			lines := s.img.FootprintBytes() / mem.LineSize
+			img, arch := s.img.MaterializedLines(), s.arch.MaterializedLines()
+			t.Logf("image stores %d of %d lines (%.1f%%); architectural store %d",
+				img, lines, 100*float64(img)/float64(lines), arch)
+			if lines == 0 || uint64(img)*100 > lines*tc.maxPct {
+				t.Errorf("image stores %d of %d lines in touched pages, want at most %d%%", img, lines, tc.maxPct)
+			}
+		})
+	}
+}
+
+// eagerSource hides its stream's FillLineInit.
+type eagerSource struct{ workload.Source }
+
+// TestNewRejectsEagerSource: every page initializes lazily from its
+// stream's FillLineInit, so sim.New refuses a caller-provided source that
+// lacks it and names the core.
+func TestNewRejectsEagerSource(t *testing.T) {
+	w, err := workload.Lookup("lbm06")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
+	cfg := quickCfg("lbm06", SchemePTMC)
+	cfg.Sources = func(core int, seed int64) (workload.Source, error) {
+		if core == 1 {
+			return eagerSource{w.NewStream(seed)}, nil
+		}
+		return w.NewStream(seed), nil
 	}
-	lines := s.img.FootprintBytes() / mem.LineSize
-	img, arch := s.img.MaterializedLines(), s.arch.MaterializedLines()
-	t.Logf("image stores %d of %d lines (%.1f%%); architectural store %d",
-		img, lines, 100*float64(img)/float64(lines), arch)
-	if lines == 0 || uint64(img)*10 > lines {
-		t.Errorf("image stores %d of %d lines in touched pages, want at most 10%%", img, lines)
+	_, err = New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "core 1") || !strings.Contains(err.Error(), "FillLineInit") {
+		t.Fatalf("New with a source lacking FillLineInit on core 1: err = %v, want an error naming core 1", err)
 	}
 }
 

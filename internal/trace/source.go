@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 
+	"ptmc/internal/vm"
 	"ptmc/internal/workload"
 )
 
@@ -104,6 +105,17 @@ func (t *Replay) FillLine(vline uint64, buf []byte) { t.values.FillLine(vline, b
 
 // MutateLine implements workload.Source.
 func (t *Replay) MutateLine(vline uint64, buf []byte) { t.values.MutateLine(vline, buf) }
+
+// FillLineInit is FillLine at first touch (workload.Stream.FillLineInit).
+// It is sound for a replay for the same reason as for a live stream: a
+// store must translate its page first, and translation is what triggers
+// initialization, so a first-touched line is at version 0.
+func (t *Replay) FillLineInit(vline uint64, buf []byte) { t.values.FillLineInit(vline, buf) }
+
+// PageInitWords screens a first-touched page (workload.Stream.PageInitWords).
+func (t *Replay) PageInitWords(vlineBase uint64, out *[vm.PageLines]workload.LineWords) {
+	t.values.PageInitWords(vlineBase, out)
+}
 
 // Len returns the number of recorded events.
 func (t *Replay) Len() int { return len(t.events) }

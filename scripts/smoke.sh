@@ -44,6 +44,16 @@ go run ./cmd/obscheck -trace "$out.trace" -metrics "$out.metrics"
 rm -f "$out.metrics" "$out.trace"
 echo "smoke: observability artifacts valid"
 
+# Trace round trip: record a short access trace, then replay it through
+# the simulator (lazy first-touch pages, like a live workload) next to
+# the uncompressed baseline.
+go run ./cmd/tracetool record -workload lbm06 -ops 20000 -out "$out.trc" > /dev/null
+go run ./cmd/tracetool replay -in "$out.trc" -baseline -cores 2 \
+	-insts 20000 -warmup 20000 > "$out.replay"
+grep -q 'weighted speedup over uncompressed' "$out.replay"
+rm -f "$out.trc" "$out.replay"
+echo "smoke: trace record/replay round trip"
+
 # Determinism stage: the production path (cycle-skipping run loop, lazy
 # first-touch pages, DRAM engine mode) must stay byte-identical to the
 # per-cycle reference path for every scheme, an 8-core mix and a trace
