@@ -9,6 +9,7 @@ package core
 import (
 	"encoding/binary"
 
+	"ptmc/internal/cache"
 	"ptmc/internal/mem"
 )
 
@@ -42,6 +43,18 @@ const (
 // Table lookup to decide if the stored line is an inverted original.
 func (c Class) NeedsLIT() bool {
 	return c == ClassInvComp2 || c == ClassInvComp4 || c == ClassInvIL
+}
+
+// Level is the compression level of the unit a line of this class holds:
+// Comp2 or Comp4 for a compressed unit, cache.Uncompressed otherwise.
+func (c Class) Level() cache.Level {
+	switch c {
+	case ClassComp2:
+		return cache.Comp2
+	case ClassComp4:
+		return cache.Comp4
+	}
+	return cache.Uncompressed
 }
 
 // MarkerGen derives the per-line marker values from secret keys. Keys are

@@ -86,7 +86,7 @@ func TestEvictionPlanSinglesZeroAlloc(t *testing.T) {
 }
 
 // TestGroupCodecArenaZeroAlloc pins the controller-level compression hot
-// path (compressGroup into the arena, decodeGroup into the line buffers) at
+// path (compressGroup into the arena, decodeUnit into the line buffers) at
 // zero allocations per group once the arena is warm.
 func TestGroupCodecArenaZeroAlloc(t *testing.T) {
 	b, _ := planRig(t)
@@ -110,10 +110,10 @@ func TestGroupCodecArenaZeroAlloc(t *testing.T) {
 		t.Errorf("compressGroup allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := b.decodeGroup(enc, 4); err != nil {
-			t.Fatal(err)
+		if b.decodeUnit(enc, 4) == nil {
+			t.Fatal("decodeUnit failed on a valid unit")
 		}
 	}); n != 0 {
-		t.Errorf("decodeGroup allocates %.1f/op, want 0", n)
+		t.Errorf("decodeUnit allocates %.1f/op, want 0", n)
 	}
 }

@@ -9,16 +9,23 @@ import (
 	"ptmc/internal/obs"
 )
 
-// benchRig builds a PTMC controller with a small LLC, primed so that
+// benchRig builds a controller with a small LLC, primed so that
 // steady-state read misses of the benchmark footprint exercise the full
-// decode path (markers, LLP, decompression) without first-touch setup.
+// decode path (for PTMC: markers, LLP, decompression) without first-touch
+// setup.
 type benchRig struct {
 	llc  *testLLC
-	ctrl *PTMC
+	ctrl tracedController
 	now  int64
 }
 
-func newBenchRig(b testing.TB, lines int) *benchRig {
+// tracedController is a scheme with base's SetTracer (every scheme).
+type tracedController interface {
+	Controller
+	SetTracer(*obs.Tracer)
+}
+
+func newBenchRig(b testing.TB, lines int, build func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller) *benchRig {
 	b.Helper()
 	d, err := dram.New(dram.DDR4())
 	if err != nil {
@@ -30,7 +37,7 @@ func newBenchRig(b testing.TB, lines int) *benchRig {
 	}
 	llc := &testLLC{c: c}
 	img, arch := mem.NewStore(), mem.NewStore()
-	p := NewPTMC(d, img, arch, llc, 1)
+	p := build(d, img, arch, llc).(tracedController)
 	llc.ctrl = p
 	r := &benchRig{llc: llc, ctrl: p}
 
@@ -94,7 +101,9 @@ func BenchmarkPTMCReadMiss(b *testing.B) {
 		{"tracer=on", obs.NewTracer(1 << 10)},
 	} {
 		b.Run(traced.name, func(b *testing.B) {
-			r := newBenchRig(b, lines)
+			r := newBenchRig(b, lines, func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
+				return NewPTMC(d, img, arch, llc, 1)
+			})
 			r.ctrl.SetTracer(traced.tr)
 			done := func(int64) {}
 			b.ReportAllocs()
@@ -110,17 +119,30 @@ func BenchmarkPTMCReadMiss(b *testing.B) {
 	}
 }
 
-// TestDisabledTracerReadPathAllocs pins the read-miss hot path's
-// allocation budget: with instrumentation disabled (nil tracer, the
-// shipping default) a steady-state miss may allocate only the async
+// readMissAllocBudget is each scheme's allocation budget for one
+// steady-state read miss with instrumentation disabled: only the async
 // completion closures the callback design requires (the probe bookkeeping,
 // candidate lists, and eviction planning are allocation-free; see
-// alloc_test.go) — and attaching a tracer must not add a single allocation
-// on top, because Emit appends into a pre-sized buffer.
+// alloc_test.go). Each budget is the scheme's measured steady state, except
+// the PTMC family's 4, the ceiling every scheme is held under.
+var readMissAllocBudget = map[string]float64{
+	"uncompressed": 1,
+	"nextline":     1,
+	"ideal":        2,
+	"table-tmc":    2,
+	"memzip":       2,
+	"ptmc":         4,
+	"dynamic-ptmc": 4,
+}
+
+// TestDisabledTracerReadPathAllocs pins the read-miss hot path's
+// allocation budget for every scheme (readMissAllocBudget) — and attaching
+// a tracer must not add a single allocation on top, because Emit appends
+// into a pre-sized buffer.
 func TestDisabledTracerReadPathAllocs(t *testing.T) {
 	const lines = 64
-	measure := func(tr *obs.Tracer) float64 {
-		r := newBenchRig(t, lines)
+	measure := func(build func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller, tr *obs.Tracer) float64 {
+		r := newBenchRig(t, lines, build)
 		r.ctrl.SetTracer(tr)
 		done := func(int64) {}
 		i := 0
@@ -141,12 +163,18 @@ func TestDisabledTracerReadPathAllocs(t *testing.T) {
 			tr.Reset()
 		})
 	}
-	off := measure(nil)
-	on := measure(obs.NewTracer(1 << 10))
-	if off > 4 {
-		t.Errorf("disabled-instrumentation read miss: %.1f allocs/op, budget 4 (completion closures only)", off)
-	}
-	if on > off {
-		t.Errorf("attaching a tracer added allocations: %.1f allocs/op vs %.1f disabled", on, off)
+	for _, sc := range fuzzSchemes {
+		t.Run(sc.name, func(t *testing.T) {
+			budget := readMissAllocBudget[sc.name]
+			off := measure(sc.build, nil)
+			on := measure(sc.build, obs.NewTracer(1<<10))
+			t.Logf("%.1f allocs/op", off)
+			if off > budget {
+				t.Errorf("disabled-instrumentation read miss: %.1f allocs/op, budget %v (completion closures only)", off, budget)
+			}
+			if on > off {
+				t.Errorf("attaching a tracer added allocations: %.1f allocs/op vs %.1f disabled", on, off)
+			}
+		})
 	}
 }

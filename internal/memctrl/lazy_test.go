@@ -184,3 +184,65 @@ func TestLazyInitFixesEngineeredCollisions(t *testing.T) {
 		t.Errorf("%d integrity errors, %d degradations", st.IntegrityErrs, st.Degradations())
 	}
 }
+
+// TestReadsStoreNothing: a read learns a line's layout from what DRAM
+// holds and stores nothing. Under every scheme, two lazily registered pages
+// go through first touch (screen, then InitLine), the first page's first
+// four groups are rewritten and written back (so compressed units,
+// tombstones and metadata state exist), and then every line of both pages
+// is demand-read into an LLC large enough that nothing is evicted. Neither
+// store may gain a stored line across the reads, and every fill must
+// decode to the architectural value.
+func TestReadsStoreNothing(t *testing.T) {
+	const base = mem.LineAddr(4 * mem.PageLines)
+	fill := func(a mem.LineAddr, buf []byte) {
+		switch a % 3 {
+		case 0:
+			copy(buf, compressibleLine(byte(a)))
+		case 1:
+			copy(buf, pairOnlyLine(byte(a)))
+		default:
+			copy(buf, incompressibleLine(uint64(a)))
+		}
+	}
+	for _, sc := range fuzzSchemes {
+		t.Run(sc.name, func(t *testing.T) {
+			r := newRig(t, 1<<20, sc.build)
+			r.img.SetLazyFill(fill)
+			r.arch.SetLazyFill(fill)
+			initLazyPage(r, base, fill)
+			initLazyPage(r, base+mem.PageLines, fill)
+			for a := base; a < base+16; a++ {
+				r.write(0, a, compressibleLine(byte(a)))
+			}
+			r.flushAll()
+
+			img, arch := r.img.MaterializedLines(), r.arch.MaterializedLines()
+			evictions := r.llc.c.Stats.Evictions
+			reads := 0
+			for a := base; a < base+2*mem.PageLines; a++ {
+				if _, in := r.llc.Probe(a); in {
+					continue // installed by a neighbor's compressed fill
+				}
+				r.ctrl.Read(0, a, r.now, func(int64) {})
+				r.drain()
+				reads++
+			}
+			if reads < mem.PageLines || r.llc.c.Stats.Evictions != evictions {
+				t.Fatalf("%d reads, %d evictions: the reads must cover both pages and evict nothing",
+					reads, r.llc.c.Stats.Evictions-evictions)
+			}
+			if gi, ga := r.img.MaterializedLines(), r.arch.MaterializedLines(); gi != img || ga != arch {
+				t.Errorf("reads stored lines: image %d -> %d, architectural %d -> %d", img, gi, arch, ga)
+			}
+			if st := r.ctrl.Stats(); st.IntegrityErrs != 0 || st.Degradations() != 0 {
+				t.Errorf("%d integrity errors, %d degradations", st.IntegrityErrs, st.Degradations())
+			}
+			if p, ok := r.ctrl.(*PTMC); ok {
+				if _, err := p.VerifyImage(r.llcResident); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}

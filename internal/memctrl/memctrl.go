@@ -1,17 +1,20 @@
 // Package memctrl implements the memory-controller schemes the paper
 // evaluates, from the uncompressed baseline to Dynamic-PTMC:
 //
-//	Uncompressed      — baseline everything is normalized to
-//	NextLinePrefetch  — Table VI's comparison point
-//	IdealTMC          — PTMC with oracle location and free maintenance
-//	TableTMC          — TMC with a memory-resident metadata table + cache
-//	MemZip            — variable-burst TMC on non-commodity DIMMs (§VII)
-//	PTMC              — inline markers + LLP (static, always compress)
-//	DynamicPTMC       — PTMC + set-sampled cost/benefit gating
+//	Uncompressed        — baseline everything is normalized to
+//	NextLinePrefetch    — Table VI's comparison point
+//	NewIdealTMC         — a *PTMC with oracle location and free maintenance
+//	TableTMC            — TMC with a memory-resident metadata table + cache
+//	MemZip              — variable-burst TMC on non-commodity DIMMs (§VII)
+//	PTMC                — inline markers + LLP (static, always compress)
+//	NewPTMC+WithDynamic — Dynamic-PTMC: PTMC + set-sampled cost/benefit gating
 //
 // Every scheme moves real bytes: the DRAM image (compressed blobs, markers,
-// inverted lines, Marker-IL tombstones) is materialized in a sparse store
-// and decoded on every fill, so correctness is checked, not assumed.
+// inverted lines, Marker-IL tombstones) is kept in a sparse store and
+// decoded on every fill, so correctness is checked, not assumed. Every
+// scheme serves a read through base's fill steps (imgLine, decodeUnit,
+// fillUnit, fillLine), which read the image without storing it: an image
+// line is stored only when a controller writes it.
 package memctrl
 
 import (
@@ -260,7 +263,7 @@ func (b *base) Name() string { return b.name }
 // InitLine implements Controller for every scheme whose initial image is
 // the raw value at the line's own address and whose per-line state starts
 // cold; PTMC overrides it for marker-collision handling.
-func (b *base) InitLine(a mem.LineAddr) { b.img.Write(a, b.arch.Read(a)) }
+func (b *base) InitLine(a mem.LineAddr) { b.img.Write(a, b.archLineSlot(a, 0)) }
 
 // InitScreen implements Controller: a raw-image scheme never needs to see
 // a first-touched line.
@@ -422,19 +425,35 @@ type scratch struct {
 	evMembers  [4][4]evictee
 	evEvictees [4]evictee
 	staleBuf   [4]mem.LineAddr
+	imgBuf     [mem.LineSize]byte // backs imgLine
 }
 
-// decodeGroup decompresses an n-member unit into the scratch line buffers.
+// imgLine returns what DRAM holds at location a, without storing it: a
+// line the image has never stored is synthesized into scr.imgBuf (mem.Store.
+// ReadNoAlloc), so an image line is stored only when a controller writes
+// it. Aliasing rule: the slice is valid until the next imgLine call or the
+// next image write. install can run Evict synchronously (the LLC routes its
+// victim back), and Evict writes the image, so a fill checks or decodes
+// its data before it installs anything.
+func (b *base) imgLine(a mem.LineAddr) []byte { return b.img.ReadNoAlloc(a, b.scr.imgBuf[:]) }
+
+// decodeUnit decompresses an n-member unit into the scratch line buffers.
 // The returned slices alias the arena and are valid until the next
-// decodeGroup call on this controller.
-func (b *base) decodeGroup(blob []byte, n int) ([][]byte, error) {
+// decodeUnit call on this controller. An undecodable unit is a detected
+// fault (ErrUndecodable class), not silent corruption: it is counted and
+// decodeUnit returns nil, and the caller serves the demand with fillLine
+// on the architectural value — so demand fills still sum across the
+// compressed/uncompressed categories under injection, and IntegrityErrs
+// stays reserved for wrong *decoded* values.
+func (b *base) decodeUnit(blob []byte, n int) [][]byte {
 	for i := 0; i < n; i++ {
 		b.scr.lineRefs[i] = b.scr.lineBuf[i][:]
 	}
 	if err := compress.DecompressGroupInto(b.alg, b.scr.lineRefs[:n], blob, n); err != nil {
-		return nil, err
+		b.st.UndecodableUnits++
+		return nil
 	}
-	return b.scr.lineRefs[:n], nil
+	return b.scr.lineRefs[:n]
 }
 
 // compressGroup encodes lines into the arena within budget; the returned
@@ -450,15 +469,12 @@ func (b *base) compressGroup(lines [][]byte, budget int) ([]byte, bool) {
 	return grown[start:], true
 }
 
-// archLine returns the architectural (ground-truth) value of a line.
-func (b *base) archLine(a mem.LineAddr) []byte { return b.arch.Read(a) }
-
-// archLineSlot is archLine for inspection paths (integrity checks, group
-// gathers): it goes through mem.Store.ReadNoAlloc with per-slot scratch, so
-// a line of a lazily-initialized, never-stored architectural page is
-// synthesized into scratch instead of forcing the page to allocate, and up
-// to four lines of one compression group can be held simultaneously. slot
-// must be the line's position in the group being gathered (0-3).
+// archLineSlot returns the architectural (ground-truth) value of line a.
+// It goes through mem.Store.ReadNoAlloc with per-slot scratch, so a line
+// the architectural store has never stored is synthesized into scratch
+// instead of being stored, and up to four lines of one compression group
+// can be held simultaneously. slot is the line's position in the group
+// being gathered (0-3); a single line uses slot 0.
 func (b *base) archLineSlot(a mem.LineAddr, slot int) []byte {
 	return b.arch.ReadNoAlloc(a, b.scr.archBufs[slot][:])
 }
@@ -473,6 +489,51 @@ func (b *base) checkIntegrity(a mem.LineAddr, got []byte) {
 			b.st.IntegrityErrs++
 			return
 		}
+	}
+}
+
+// fillLine is the uncompressed fill: line a arrives as data, is checked
+// against its architectural value, installs at its own location, and
+// completes the demand.
+func (b *base) fillLine(core int, a mem.LineAddr, data []byte, now int64, done Done) {
+	b.st.FillsUncompressed++
+	b.checkIntegrity(a, data)
+	b.install(core, a, false, false, cache.Uncompressed, now)
+	done(now)
+}
+
+// fillUnit is the compressed fill: the unit whose members, from first,
+// decoded to lines arrives decompLat after now. Every member not already
+// in the LLC (whose copy may be newer) is checked and installed at level —
+// the demand line a as a fill, each neighbor as a free prefetch — and then
+// the demand completes.
+func (b *base) fillUnit(core int, a, first mem.LineAddr, level cache.Level, lines [][]byte, now int64, done Done) {
+	b.st.FillsCompressed++
+	c := now + b.decompLat
+	for i, l := range lines {
+		m := first + mem.LineAddr(i)
+		if _, in := b.llc.Probe(m); in {
+			continue
+		}
+		b.checkIntegrity(m, l)
+		if m != a {
+			b.st.FreeInstalls++
+		}
+		b.install(core, m, false, m != a, level, c)
+	}
+	done(c)
+}
+
+// countUnit counts one storage unit written at level (Groups4, Groups2 or
+// SinglesWrit).
+func (b *base) countUnit(level cache.Level) {
+	switch level {
+	case cache.Comp4:
+		b.st.Groups4++
+	case cache.Comp2:
+		b.st.Groups2++
+	default:
+		b.st.SinglesWrit++
 	}
 }
 

@@ -40,7 +40,7 @@ func (z *MemZip) Meta() *metadata.Table { return z.meta }
 
 // StoredBeats returns the burst length of the line's stored image
 // (verification and tests).
-func (z *MemZip) StoredBeats(a mem.LineAddr) int { return z.burstBeats(z.img.Read(a)) }
+func (z *MemZip) StoredBeats(a mem.LineAddr) int { return z.burstBeats(z.imgLine(a)) }
 
 // burstBeats is the reduced burst length a stored value streams out with:
 // its compressed encoding's size in 8-byte bus beats, clamped to [1, 8].
@@ -57,20 +57,19 @@ func (z *MemZip) burstBeats(line []byte) int {
 }
 
 // Read implements Controller: metadata lookup (burst length) first, then a
-// reduced burst for the data.
+// reduced burst for the data. A line stored in fewer than 8 beats is a
+// one-member compressed unit at its own location.
 func (z *MemZip) Read(core_ int, a mem.LineAddr, now int64, done Done) {
 	z.chargeMeta(z.meta.Touch(a, false), now, func(c int64) {
-		beats := z.burstBeats(z.img.Read(a))
+		beats := z.burstBeats(z.imgLine(a))
 		z.issueBurst(a, false, beats, kDemandRead, c, func(c2 int64) {
-			if beats < 8 {
-				c2 += z.decompLat
-				z.st.FillsCompressed++
-			} else {
-				z.st.FillsUncompressed++
+			data := z.imgLine(a)
+			if beats == 8 {
+				z.fillLine(core_, a, data, c2, done)
+				return
 			}
-			z.checkIntegrity(a, z.img.Read(a))
-			z.install(core_, a, false, false, cache.Uncompressed, c2)
-			done(c2)
+			z.scr.lineRefs[0] = data
+			z.fillUnit(core_, a, a, cache.Uncompressed, z.scr.lineRefs[:1], c2, done)
 		})
 	})
 }
@@ -83,9 +82,10 @@ func (z *MemZip) Evict(core_ int, e cache.Entry, now int64) {
 	if !e.Dirty {
 		return
 	}
-	old := z.burstBeats(z.img.Read(e.Tag))
-	z.img.Write(e.Tag, z.arch.Read(e.Tag))
-	beats := z.burstBeats(z.img.Read(e.Tag))
+	old := z.burstBeats(z.imgLine(e.Tag))
+	val := z.archLineSlot(e.Tag, 0)
+	z.img.Write(e.Tag, val)
+	beats := z.burstBeats(val)
 	z.issueBurst(e.Tag, true, beats, kDirtyWrite, now, nil)
 	if beats != old {
 		z.chargeMeta(z.meta.Touch(e.Tag, true), now, nil)

@@ -123,7 +123,7 @@ func (p *PTMC) OnDemandHit(core_ int, a mem.LineAddr) {
 // uncompressed (with marker-collision handling but no bandwidth cost —
 // the data predates the measured window).
 func (p *PTMC) InitLine(a mem.LineAddr) {
-	p.writeRaw(a, p.arch.Read(a), 0, false, kDirtyWrite)
+	p.writeRaw(a, p.archLineSlot(a, 0), 0, false, kDirtyWrite)
 }
 
 // writeRaw stores an uncompressed line at its own location, inverting on
@@ -216,12 +216,9 @@ func (p *PTMC) reKey(now int64, charge bool) bool {
 			continue
 		}
 		data := p.img.Read(a)
-		switch old.Classify(a, data) {
-		case core.ClassComp2:
-			resealed := p.markers.SealCompressed(a, data[:core.CompressedBudget], false)
-			p.img.Write(a, resealed[:])
-		case core.ClassComp4:
-			resealed := p.markers.SealCompressed(a, data[:core.CompressedBudget], true)
+		switch class := old.Classify(a, data); class {
+		case core.ClassComp2, core.ClassComp4:
+			resealed := p.markers.SealCompressed(a, data[:core.CompressedBudget], class == core.ClassComp4)
 			p.img.Write(a, resealed[:])
 		case core.ClassInvalid:
 			p.writeInvalid(a, now, false)
@@ -255,7 +252,7 @@ func (p *PTMC) Scrub(a mem.LineAddr) {
 	gb := core.GroupBase(a)
 	for i := 0; i < core.GroupLines; i++ {
 		m := gb + mem.LineAddr(i)
-		p.writeRaw(m, p.arch.Read(m), 0, false, kDirtyWrite)
+		p.writeRaw(m, p.archLineSlot(m, 0), 0, false, kDirtyWrite)
 		if e, in := p.llc.Probe(m); in {
 			e.Level = cache.Uncompressed
 		}
@@ -285,19 +282,8 @@ func (p *PTMC) Read(core_ int, a mem.LineAddr, now int64, done Done) {
 func (p *PTMC) oracleHome(a mem.LineAddr) mem.LineAddr {
 	var homes [3]mem.LineAddr
 	for _, cand := range core.AppendCandidateHomes(homes[:0], a) {
-		switch p.markers.Classify(cand, p.img.Read(cand)) {
-		case core.ClassComp2:
-			if core.Covers(cand, cache.Comp2, a) {
-				return cand
-			}
-		case core.ClassComp4:
-			if core.Covers(cand, cache.Comp4, a) {
-				return cand
-			}
-		default:
-			if cand == a {
-				return cand
-			}
+		if core.Covers(cand, p.markers.Classify(cand, p.imgLine(cand)).Level(), a) {
+			return cand
 		}
 	}
 	return a
@@ -323,14 +309,10 @@ func (p *PTMC) tryRead(core_ int, a, home mem.LineAddr, counted bool,
 
 	var coalesced bool
 	coalesced = p.issue(home, false, k, now, func(c int64) {
-		data := p.img.Read(home)
-		class := p.markers.Classify(home, data)
-		switch class {
+		data := p.imgLine(home)
+		switch class := p.markers.Classify(home, data); class {
 		case core.ClassComp2, core.ClassComp4:
-			level := cache.Comp2
-			if class == core.ClassComp4 {
-				level = cache.Comp4
-			}
+			level := class.Level()
 			if core.Covers(home, level, a) {
 				if coalesced && firstTry {
 					if e, in := p.llc.Probe(a); in {
@@ -402,50 +384,29 @@ func (p *PTMC) retryRead(core_ int, a mem.LineAddr, counted bool,
 	// gracefully — count the detection and serve the architectural value
 	// uncompressed so the system keeps running.
 	p.st.FallbackReads++
-	p.fillUncompressed(core_, a, p.arch.Read(a), counted, false, now, done)
+	p.fillUncompressed(core_, a, p.archLineSlot(a, 0), counted, false, now, done)
 }
 
-// fillCompressed decodes a compressed unit, installs every member (the
-// free-prefetch benefit), trains the LLP, and completes the demand.
+// fillCompressed decodes a compressed unit, trains the LLP, and fills the
+// unit; an undecodable unit falls back to the architectural value.
 func (p *PTMC) fillCompressed(core_ int, a, home mem.LineAddr, level cache.Level,
 	data []byte, counted, firstTry bool, now int64, done Done) {
 
 	first, n := core.MembersSpan(home, level)
-	lines, err := p.decodeGroup(data[:core.CompressedBudget], n)
-	if err != nil {
-		// Undecodable unit: a detected fault (ErrUndecodable class). Fall
-		// back to an uncompressed fill of the architectural value.
-		p.st.UndecodableUnits++
-		p.fillUncompressed(core_, a, p.arch.Read(a), counted, false, now, done)
+	lines := p.decodeUnit(data[:core.CompressedBudget], n)
+	if lines == nil {
+		p.fillUncompressed(core_, a, p.archLineSlot(a, 0), counted, false, now, done)
 		return
 	}
-	p.st.FillsCompressed++
 	p.llp.Record(a, level, counted, firstTry)
-	c := now + p.decompLat
-	for i := 0; i < n; i++ {
-		m := first + mem.LineAddr(i)
-		if _, in := p.llc.Probe(m); in {
-			continue // LLC copy may be newer; never overwrite it
-		}
-		p.checkIntegrity(m, lines[i])
-		if m == a {
-			p.install(core_, m, false, false, level, c)
-		} else {
-			p.st.FreeInstalls++
-			p.install(core_, m, false, true, level, c)
-		}
-	}
-	done(c)
+	p.fillUnit(core_, a, first, level, lines, now, done)
 }
 
-// fillUncompressed installs a plain line and trains the LLP.
+// fillUncompressed trains the LLP and fills a plain line.
 func (p *PTMC) fillUncompressed(core_ int, a mem.LineAddr, data []byte,
 	counted, firstTry bool, now int64, done Done) {
-	p.st.FillsUncompressed++
 	p.llp.Record(a, cache.Uncompressed, counted, firstTry)
-	p.checkIntegrity(a, data)
-	p.install(core_, a, false, false, cache.Uncompressed, now)
-	done(now)
+	p.fillLine(core_, a, data, now, done)
 }
 
 // Evict implements Controller: the PTMC writeback path — gang eviction,
@@ -478,26 +439,16 @@ func (p *PTMC) Evict(core_ int, e cache.Entry, now int64) {
 				p.dyn.Cost(int(e.Core))
 			}
 		}
-		switch u.level {
-		case cache.Comp4:
-			p.st.Groups4++
-			sealed := p.markers.SealCompressed(u.home, u.blob, true)
-			p.img.Write(u.home, sealed[:])
-			p.lit.Remove(u.home)
-			if charge {
-				p.issue(u.home, true, k, now, nil)
-			}
-		case cache.Comp2:
-			p.st.Groups2++
-			sealed := p.markers.SealCompressed(u.home, u.blob, false)
-			p.img.Write(u.home, sealed[:])
-			p.lit.Remove(u.home)
-			if charge {
-				p.issue(u.home, true, k, now, nil)
-			}
-		default:
-			p.st.SinglesWrit++
+		p.countUnit(u.level)
+		if u.level == cache.Uncompressed {
 			p.writeRaw(u.home, p.archLineSlot(u.home, 0), now, charge, k)
+			continue
+		}
+		sealed := p.markers.SealCompressed(u.home, u.blob, u.level == cache.Comp4)
+		p.img.Write(u.home, sealed[:])
+		p.lit.Remove(u.home)
+		if charge {
+			p.issue(u.home, true, k, now, nil)
 		}
 	}
 

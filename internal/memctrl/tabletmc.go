@@ -50,44 +50,16 @@ func (t *TableTMC) Read(core_ int, a mem.LineAddr, now int64, done Done) {
 
 // fill decodes the unit at home and installs its members.
 func (t *TableTMC) fill(core_ int, a, home mem.LineAddr, level cache.Level, now int64, done Done) {
-	first, n := core.MembersSpan(home, level)
 	if level == cache.Uncompressed {
-		t.st.FillsUncompressed++
-		t.checkIntegrity(a, t.img.Read(a))
-		t.install(core_, a, false, false, cache.Uncompressed, now)
-		done(now)
+		t.fillLine(core_, a, t.imgLine(a), now, done)
 		return
 	}
-	lines, err := t.decodeGroup(t.img.Read(home), n)
-	if err != nil {
-		// Undecodable unit: a detected fault, not silent corruption. Count
-		// the degradation and serve the architectural value as an
-		// uncompressed fill — the PTMC taxonomy — so demand fills still sum
-		// across the compressed/uncompressed categories under injection and
-		// IntegrityErrs stays reserved for wrong *decoded* values.
-		t.st.UndecodableUnits++
-		t.st.FillsUncompressed++
-		t.checkIntegrity(a, t.arch.Read(a))
-		t.install(core_, a, false, false, cache.Uncompressed, now)
-		done(now)
+	first, n := core.MembersSpan(home, level)
+	if lines := t.decodeUnit(t.imgLine(home), n); lines != nil {
+		t.fillUnit(core_, a, first, level, lines, now, done)
 		return
 	}
-	t.st.FillsCompressed++
-	c := now + t.decompLat
-	for i := 0; i < n; i++ {
-		m := first + mem.LineAddr(i)
-		if _, in := t.llc.Probe(m); in {
-			continue
-		}
-		t.checkIntegrity(m, lines[i])
-		if m == a {
-			t.install(core_, m, false, false, level, c)
-		} else {
-			t.st.FreeInstalls++
-			t.install(core_, m, false, true, level, c)
-		}
-	}
-	done(c)
+	t.fillLine(core_, a, t.archLineSlot(a, 0), now, done)
 }
 
 // Evict implements Controller: the same ganged-eviction compression path as
@@ -109,19 +81,13 @@ func (t *TableTMC) Evict(core_ int, e cache.Entry, now int64) {
 		if !u.anyDirty {
 			k = kCleanCompWrite
 		}
-		switch u.level {
-		case cache.Comp4, cache.Comp2:
-			if u.level == cache.Comp4 {
-				t.st.Groups4++
-			} else {
-				t.st.Groups2++
-			}
+		t.countUnit(u.level)
+		if u.level == cache.Uncompressed {
+			t.img.Write(u.home, t.archLineSlot(u.home, 0))
+		} else {
 			var img [mem.LineSize]byte
 			copy(img[:], u.blob)
 			t.img.Write(u.home, img[:])
-		default:
-			t.st.SinglesWrit++
-			t.img.Write(u.home, t.archLineSlot(u.home, 0))
 		}
 		t.issue(u.home, true, k, now, nil)
 		if changedLevel {

@@ -21,10 +21,7 @@ func NewUncompressed(d *dram.DRAM, img, arch *mem.Store, llc LLC) *Uncompressed 
 // Read implements Controller.
 func (u *Uncompressed) Read(core int, a mem.LineAddr, now int64, done Done) {
 	u.issue(a, false, kDemandRead, now, func(c int64) {
-		u.st.FillsUncompressed++
-		u.checkIntegrity(a, u.img.Read(a))
-		u.install(core, a, false, false, cache.Uncompressed, c)
-		done(c)
+		u.fillLine(core, a, u.imgLine(a), c, done)
 	})
 }
 
@@ -33,7 +30,7 @@ func (u *Uncompressed) Evict(core int, e cache.Entry, now int64) {
 	if !e.Dirty {
 		return
 	}
-	u.img.Write(e.Tag, u.arch.Read(e.Tag))
+	u.img.Write(e.Tag, u.archLineSlot(e.Tag, 0))
 	u.issue(e.Tag, true, kDirtyWrite, now, nil)
 }
 

@@ -3,7 +3,6 @@ package memctrl
 import (
 	"bytes"
 
-	"ptmc/internal/cache"
 	"ptmc/internal/compress"
 	"ptmc/internal/core"
 	"ptmc/internal/mem"
@@ -38,10 +37,7 @@ func (p *PTMC) VerifyImage(inLLC func(a mem.LineAddr) bool) (int, error) {
 		class := p.markers.Classify(loc, data)
 		switch class {
 		case core.ClassComp2, core.ClassComp4:
-			level := cache.Comp2
-			if class == core.ClassComp4 {
-				level = cache.Comp4
-			}
+			level := class.Level()
 			if core.HomeFor(loc, level) != loc {
 				return verified, verifyErr(loc, loc, ErrUnitMisplaced, "%v unit", level)
 			}

@@ -14,6 +14,7 @@ import (
 	"ptmc/internal/energy"
 	"ptmc/internal/mem"
 	"ptmc/internal/memctrl"
+	"ptmc/internal/metadata"
 	"ptmc/internal/obs"
 	"ptmc/internal/vm"
 	"ptmc/internal/workload"
@@ -295,6 +296,10 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	return s, nil
 }
 
+// metaTabled is a scheme whose line metadata lives in a memory-resident
+// table behind an on-chip metadata cache (TableTMC, MemZip).
+type metaTabled interface{ Meta() *metadata.Table }
+
 // registerMetrics wraps the run's live stats structs behind named, labeled
 // series. The closures read fields off stable pointers (resetStats zeroes
 // the structs in place), so a snapshot is a loop of field loads.
@@ -361,7 +366,7 @@ func (s *Simulator) registerMetrics() {
 			}
 		}
 	}
-	if t, ok := s.ctrl.(*memctrl.TableTMC); ok {
+	if t, ok := s.ctrl.(metaTabled); ok {
 		m := t.Meta()
 		counter("mcache.lookups", func() uint64 { return m.Lookups })
 		counter("mcache.hits", func() uint64 { return m.Hits })
@@ -552,11 +557,9 @@ func (s *Simulator) resetStats() {
 		p.LLP().Predictions = 0
 		p.LLP().Correct = 0
 	}
-	if t, ok := s.ctrl.(*memctrl.TableTMC); ok {
-		t.Meta().Lookups = 0
-		t.Meta().Hits = 0
-		t.Meta().Misses = 0
-		t.Meta().Writes = 0
+	if t, ok := s.ctrl.(metaTabled); ok {
+		m := t.Meta()
+		m.Lookups, m.Hits, m.Misses, m.Writes = 0, 0, 0, 0
 	}
 }
 
@@ -625,7 +628,7 @@ func (s *Simulator) collect() *Result {
 		r.LLPAccuracy = p.LLP().Accuracy()
 		r.HasLLP = true
 	}
-	if t, ok := s.ctrl.(*memctrl.TableTMC); ok {
+	if t, ok := s.ctrl.(metaTabled); ok {
 		r.MCacheHitRate = t.Meta().HitRate()
 		r.HasMCache = true
 	}

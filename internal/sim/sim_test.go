@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptmc/internal/core"
+	"ptmc/internal/memctrl"
 )
 
 // quickCfg returns a configuration small enough for unit tests: 2 cores,
@@ -169,6 +170,50 @@ func TestTableTMCPaysMetadataBandwidth(t *testing.T) {
 	}
 	if !p.HasLLP {
 		t.Error("LLP accuracy not reported")
+	}
+}
+
+// TestMemZipReportsMeasuredMCache: MemZip reads each burst length through
+// the same metadata table and cache as TableTMC's CSI, so a memzip run
+// reports the metadata-cache hit rate and series, counted over the
+// measured window only. Every lookup serves one demand read (a primary L3
+// miss) or one dirty writeback, so a window's lookups cannot exceed its L3
+// misses plus dirty writes; a warmup three times the window's length would
+// push them past that bound were its lookups kept.
+func TestMemZipReportsMeasuredMCache(t *testing.T) {
+	cfg := quickCfg("mcf06", SchemeMemZip)
+	cfg.WarmupInstr = 3 * cfg.MeasureInstr
+	cfg.MetricsInterval = 5_000
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.Controller().(*memctrl.MemZip).Meta()
+	if !r.HasMCache || m.Lookups == 0 || r.MCacheHitRate != m.HitRate() {
+		t.Fatalf("memzip mcache: reported %v at %.3f, table has %d lookups at %.3f",
+			r.HasMCache, r.MCacheHitRate, m.Lookups, m.HitRate())
+	}
+	bound := r.L3.Misses + r.Mem.DirtyWrites
+	if m.Lookups > bound {
+		t.Errorf("%d metadata lookups in a window of %d L3 misses and %d dirty writes: warmup lookups kept",
+			m.Lookups, r.L3.Misses, r.Mem.DirtyWrites)
+	}
+	last := r.Metrics.Snapshots[len(r.Metrics.Snapshots)-1]
+	found := false
+	for i, sd := range r.Metrics.Series {
+		if sd.Name == "mcache.lookups" {
+			found = true
+			if last.Values[i] != m.Lookups {
+				t.Errorf("mcache.lookups final window = %d, table says %d", last.Values[i], m.Lookups)
+			}
+		}
+	}
+	if !found {
+		t.Error("no mcache.lookups series for memzip")
 	}
 }
 

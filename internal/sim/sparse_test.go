@@ -14,10 +14,12 @@ import (
 // touched. mix1 runs at the benchmark's horizon (perfbench's mix1-dynamic:
 // 300 k warmup + 100 k measured instructions per core), under Dynamic-PTMC
 // and under MemZip, whose burst lengths come from the image and need no
-// line stored at first touch. Trace replay takes the same lazy path; its
-// libquantum06 recording streams through its pages, so it reads a larger
-// share of them. The counts are deterministic; a regression to page-
-// granular materialization (or eager page init) stores all of them.
+// line stored at first touch. Trace replay takes the same lazy path. An
+// image line is stored only when a controller writes it (reads go through
+// ReadNoAlloc), so each bound sits just above the share the run writes
+// back: 1.98%, 1.56% and 0.25%. The counts are deterministic; a read that
+// stores what it reads, page-granular materialization or eager page init
+// each break them.
 func TestImageStaysSparse(t *testing.T) {
 	mix1 := func(scheme string) Config {
 		cfg := Default()
@@ -29,11 +31,11 @@ func TestImageStaysSparse(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cfg    Config
-		maxPct uint64
+		maxPct float64
 	}{
-		{"mix1/dynamic-ptmc", mix1(SchemeDynamicPTMC), 10},
-		{"mix1/memzip", mix1(SchemeMemZip), 10},
-		{"trace-replay", traceReplayCfg(t, SchemeDynamicPTMC), 25},
+		{"mix1/dynamic-ptmc", mix1(SchemeDynamicPTMC), 2.0},
+		{"mix1/memzip", mix1(SchemeMemZip), 1.6},
+		{"trace-replay", traceReplayCfg(t, SchemeDynamicPTMC), 0.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(tc.cfg)
@@ -47,8 +49,8 @@ func TestImageStaysSparse(t *testing.T) {
 			img, arch := s.img.MaterializedLines(), s.arch.MaterializedLines()
 			t.Logf("image stores %d of %d lines (%.1f%%); architectural store %d",
 				img, lines, 100*float64(img)/float64(lines), arch)
-			if lines == 0 || uint64(img)*100 > lines*tc.maxPct {
-				t.Errorf("image stores %d of %d lines in touched pages, want at most %d%%", img, lines, tc.maxPct)
+			if lines == 0 || float64(img)*100 > float64(lines)*tc.maxPct {
+				t.Errorf("image stores %d of %d lines in touched pages, want at most %.1f%%", img, lines, tc.maxPct)
 			}
 		})
 	}
