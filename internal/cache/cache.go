@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ptmc/internal/mem"
 )
@@ -45,7 +46,6 @@ type Entry struct {
 	Prefetch bool  // installed as a compression free-prefetch, not yet demanded
 	Level    Level // compression level observed at fill time
 	Core     uint8 // requesting core (per-core Dynamic-PTMC sampling)
-	lru      uint64
 }
 
 // Config sizes a cache.
@@ -72,15 +72,30 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is a single set-associative, true-LRU, writeback cache indexed by
-// physical line address.
+// physical line address. A set scan reads only the packed tag array — 4
+// bytes per way, so a 16-way set is one 64-byte host cache line — and
+// touches an entry only on a hit or to confirm a tag too wide to pack; an
+// eviction from a full set scans the LRU stamps, 2 bytes per way in an
+// array of their own. Only the cache writes an entry's Tag and Valid,
+// which keeps the arrays in step.
 type Cache struct {
-	entries []Entry // numSets * assoc, set-major
+	entries []Entry  // numSets * assoc, set-major
+	tags    []uint32 // per entry: 0 if invalid, else packTag(Tag)
+	// lru holds each entry's stamp from its set's clock, ticks, taken at
+	// its last install or hit: LRU order is only ever compared within a
+	// set. A clock about to wrap renumbers its set (renumber).
+	lru     []uint16
+	ticks   []uint16
 	assoc   int
 	numSets int
 	setMask uint64
-	tick    uint64
+	setBits uint
 	Stats   Stats
 }
+
+// wideTag is the packed tag of every line whose set-relative tag does not
+// fit in 32 bits; a scan that matches it confirms on Entry.Tag.
+const wideTag = ^uint32(0)
 
 // CheckGeometry reports whether New accepts cfg: positive size and
 // associativity, and SizeBytes/(64*Assoc) sets, a power of two.
@@ -108,9 +123,13 @@ func New(cfg Config) (*Cache, error) {
 	sets := lines / cfg.Assoc
 	return &Cache{
 		entries: make([]Entry, lines),
+		tags:    make([]uint32, lines),
+		lru:     make([]uint16, lines),
+		ticks:   make([]uint16, sets),
 		assoc:   cfg.Assoc,
 		numSets: sets,
 		setMask: uint64(sets - 1),
+		setBits: uint(bits.TrailingZeros(uint(sets))),
 	}, nil
 }
 
@@ -123,36 +142,77 @@ func (c *Cache) Assoc() int { return c.assoc }
 // SetIndex returns the set an address maps to.
 func (c *Cache) SetIndex(a mem.LineAddr) int { return int(uint64(a) & c.setMask) }
 
-func (c *Cache) set(a mem.LineAddr) []Entry {
-	i := c.SetIndex(a) * c.assoc
-	return c.entries[i : i+c.assoc]
+// packTag returns a's packed tag: its bits above the set index, plus one
+// so that 0 can mark an invalid way.
+func (c *Cache) packTag(a mem.LineAddr) uint32 {
+	if t := uint64(a) >> c.setBits; t < uint64(wideTag-1) {
+		return uint32(t) + 1
+	}
+	return wideTag
+}
+
+// touch stamps entry i, of set, as the set's most recently used.
+func (c *Cache) touch(set, i int) {
+	if c.ticks[set] == ^uint16(0) {
+		c.renumber(set)
+	}
+	c.ticks[set]++
+	c.lru[i] = c.ticks[set]
+}
+
+// renumber restamps set's valid ways 1..n in their LRU order and restarts
+// its clock at n, so the order survives the clock's wrap exactly.
+func (c *Cache) renumber(set int) {
+	base := set * c.assoc
+	stamps := c.lru[base : base+c.assoc]
+	n := uint16(0)
+	for {
+		next := -1
+		for i, t := range c.tags[base : base+c.assoc] {
+			if t != 0 && stamps[i] > n && (next < 0 || stamps[i] < stamps[next]) {
+				next = i
+			}
+		}
+		if next < 0 {
+			break
+		}
+		n++
+		stamps[next] = n
+	}
+	c.ticks[set] = n
+}
+
+// find returns the position of a's entry, or -1 if a is not resident.
+func (c *Cache) find(a mem.LineAddr) int {
+	base := c.SetIndex(a) * c.assoc
+	want := c.packTag(a)
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == want && (want != wideTag || c.entries[base+i].Tag == a) {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup finds a line, updating LRU and hit/miss stats. The returned entry
 // pointer is valid until the next Install in the same set and may be
 // mutated by the caller (dirty/prefetch bits).
 func (c *Cache) Lookup(a mem.LineAddr) (*Entry, bool) {
-	set := c.set(a)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == a {
-			c.tick++
-			set[i].lru = c.tick
-			c.Stats.Hits++
-			return &set[i], true
-		}
+	i := c.find(a)
+	if i < 0 {
+		c.Stats.Misses++
+		return nil, false
 	}
-	c.Stats.Misses++
-	return nil, false
+	c.touch(c.SetIndex(a), i)
+	c.Stats.Hits++
+	return &c.entries[i], true
 }
 
 // Probe finds a line without perturbing LRU or stats (used by the memory
 // controller to check group-neighbor residency).
 func (c *Cache) Probe(a mem.LineAddr) (*Entry, bool) {
-	set := c.set(a)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == a {
-			return &set[i], true
-		}
+	if i := c.find(a); i >= 0 {
+		return &c.entries[i], true
 	}
 	return nil, false
 }
@@ -161,61 +221,62 @@ func (c *Cache) Probe(a mem.LineAddr) (*Entry, bool) {
 // returns the victim (Valid=false if none) and a pointer to the new entry.
 // Installing an already-present line refreshes it in place.
 func (c *Cache) Install(a mem.LineAddr, e Entry) (victim Entry, slot *Entry) {
-	set := c.set(a)
-	c.tick++
+	set := c.SetIndex(a)
+	base := set * c.assoc
+	want := c.packTag(a)
 	e.Tag = a
 	e.Valid = true
-	e.lru = c.tick
 
-	vic := -1
-	for i := range set {
-		if set[i].Valid && set[i].Tag == a {
-			e.Dirty = e.Dirty || set[i].Dirty // never lose a dirty bit
-			set[i] = e
-			return Entry{}, &set[i]
+	vic := -1 // the first invalid way
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == want && (want != wideTag || c.entries[base+i].Tag == a) {
+			old := &c.entries[base+i]
+			e.Dirty = e.Dirty || old.Dirty // never lose a dirty bit
+			*old = e
+			c.touch(set, base+i)
+			return Entry{}, old
 		}
-		if !set[i].Valid {
-			if vic == -1 || set[vic].Valid {
-				vic = i
-			}
-			continue
-		}
-		if vic == -1 || (set[vic].Valid && set[i].lru < set[vic].lru) {
+		if t == 0 && vic < 0 {
 			vic = i
 		}
 	}
-	victim = set[vic]
-	if victim.Valid {
+	if vic < 0 {
+		vic = 0 // full set: the least recently used way
+		for i, l := range c.lru[base : base+c.assoc] {
+			if l < c.lru[base+vic] {
+				vic = i
+			}
+		}
+		victim = c.entries[base+vic]
 		c.Stats.Evictions++
 		if victim.Dirty {
 			c.Stats.DirtyEvicts++
 		}
-	} else {
-		victim = Entry{}
 	}
-	set[vic] = e
-	return victim, &set[vic]
+	c.entries[base+vic] = e
+	c.tags[base+vic] = want
+	c.touch(set, base+vic)
+	return victim, &c.entries[base+vic]
 }
 
 // Invalidate removes a line, returning its prior state (for ganged eviction
 // the controller needs the dirty bit and compression tag).
 func (c *Cache) Invalidate(a mem.LineAddr) (Entry, bool) {
-	set := c.set(a)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == a {
-			old := set[i]
-			set[i] = Entry{}
-			return old, true
-		}
+	i := c.find(a)
+	if i < 0 {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	old := c.entries[i]
+	c.entries[i] = Entry{}
+	c.tags[i] = 0
+	return old, true
 }
 
 // ForEachValid visits every valid entry (diagnostics and whole-cache
 // verification in tests).
 func (c *Cache) ForEachValid(f func(e *Entry)) {
-	for i := range c.entries {
-		if c.entries[i].Valid {
+	for i, t := range c.tags {
+		if t != 0 {
 			f(&c.entries[i])
 		}
 	}
@@ -224,8 +285,8 @@ func (c *Cache) ForEachValid(f func(e *Entry)) {
 // ValidCount returns the number of valid lines.
 func (c *Cache) ValidCount() int {
 	n := 0
-	for i := range c.entries {
-		if c.entries[i].Valid {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}

@@ -253,3 +253,79 @@ func TestLevelString(t *testing.T) {
 		t.Error("Level.String broken")
 	}
 }
+
+// TestWideTagsStayDistinct fills one set with lines whose tags are too
+// wide to pack (they all share the overflow tag) and lines whose tags
+// pack: every line must still hit as itself and only as itself.
+func TestWideTagsStayDistinct(t *testing.T) {
+	c := newCache(t, 64*4*4, 4) // 4 sets
+	lines := []mem.LineAddr{1 << 40, 1<<40 + 4, 1<<57 + 8, 12}
+	for _, a := range lines {
+		if v, _ := c.Install(a, Entry{Core: uint8(a % 251)}); v.Valid {
+			t.Fatalf("install of %#x evicted %#x from a set with room", a, v.Tag)
+		}
+	}
+	for _, a := range lines {
+		e, ok := c.Probe(a)
+		if !ok || e.Tag != a || e.Core != uint8(a%251) {
+			t.Errorf("Probe(%#x) = %+v, %v", a, e, ok)
+		}
+	}
+	for _, a := range []mem.LineAddr{1<<40 + 8, 1<<41 + 4, 1<<57 + 12, 1<<58 - 4} {
+		if _, ok := c.Probe(a); ok {
+			t.Errorf("Probe(%#x) hit a line it never installed", a)
+		}
+	}
+	if _, ok := c.Invalidate(1 << 40); !ok {
+		t.Fatal("Invalidate missed a resident wide-tag line")
+	}
+	if _, ok := c.Probe(1<<40 + 4); !ok {
+		t.Error("invalidating one wide-tag line dropped another")
+	}
+	if c.ValidCount() != 3 {
+		t.Errorf("ValidCount = %d, want 3", c.ValidCount())
+	}
+}
+
+// TestLRUSurvivesClockWrap runs one random sequence of lookups, installs
+// and invalidations on two caches, one with every set's LRU clock a few
+// ticks from wrapping: the clocks wrap (and renumber) many times over, and
+// every hit, victim and final count must match the fresh cache's.
+func TestLRUSurvivesClockWrap(t *testing.T) {
+	fresh := newCache(t, 64*4*4, 4)
+	wrapping := newCache(t, 64*4*4, 4)
+	rng := rand.New(rand.NewSource(2))
+	for op := 0; op < 20000; op++ {
+		if op%50 == 0 {
+			for i := range wrapping.ticks { // jump each clock forward
+				if v := ^uint16(0) - uint16(rng.Intn(3)); v > wrapping.ticks[i] {
+					wrapping.ticks[i] = v
+				}
+			}
+		}
+		a := mem.LineAddr(rng.Intn(48))
+		switch rng.Intn(3) {
+		case 0:
+			_, h1 := fresh.Lookup(a)
+			_, h2 := wrapping.Lookup(a)
+			if h1 != h2 {
+				t.Fatalf("op %d: Lookup(%d) hit %v vs %v", op, a, h1, h2)
+			}
+		case 1:
+			v1, _ := fresh.Install(a, Entry{})
+			v2, _ := wrapping.Install(a, Entry{})
+			if v1 != v2 {
+				t.Fatalf("op %d: Install(%d) evicted %+v vs %+v", op, a, v1, v2)
+			}
+		case 2:
+			_, ok1 := fresh.Invalidate(a)
+			_, ok2 := wrapping.Invalidate(a)
+			if ok1 != ok2 {
+				t.Fatalf("op %d: Invalidate(%d) %v vs %v", op, a, ok1, ok2)
+			}
+		}
+	}
+	if fresh.Stats != wrapping.Stats || fresh.ValidCount() != wrapping.ValidCount() {
+		t.Errorf("stats %+v vs %+v", fresh.Stats, wrapping.Stats)
+	}
+}

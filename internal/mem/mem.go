@@ -24,6 +24,8 @@ package mem
 import (
 	"math/bits"
 	"sort"
+
+	"ptmc/internal/radix"
 )
 
 // LineSize is the number of bytes per cache line / memory burst.
@@ -67,12 +69,32 @@ const arenaChunkLines = 256
 // moved, so a line's bytes stay put once materialized.
 type arenaChunk [arenaChunkLines][LineSize]byte
 
+// Numbering is a bijection over page numbers: Of(pn) is the number a
+// store files page pn under. Mask must be 2^k-1 and Mult odd; the low k
+// bits of a page number are xored with Xor and multiplied by Mult modulo
+// 2^k, and the bits above pass through. The zero Numbering is the
+// identity. The simulator gives its stores the inverse of the VM's
+// first-touch page permutation (vm.System.Numbering), which files each
+// page under its allocation index, so the page index stays shallow and
+// as dense as the footprint.
+type Numbering struct{ Mask, Xor, Mult uint64 }
+
+// Of returns the number page pn is filed under.
+func (n Numbering) Of(pn uint64) uint64 {
+	return pn&^n.Mask | (pn^n.Xor)&n.Mask*n.Mult&n.Mask
+}
+
 // Store is a sparse 64-byte-line-granular memory. Untouched lines read as
 // zero. Store is not goroutine-safe (the simulator is single-threaded by
 // design — determinism is a tested invariant).
 type Store struct {
-	index map[uint64]uint32 // page number -> position in pages
-	pages []page
+	// index maps a page's number (numbering.Of of its page number) to
+	// its position in pages, plus one. It is a radix table, so it holds
+	// any page number; a dense numbering keeps it small and shallow.
+	index     radix.Table
+	numbering Numbering
+	pages     []page
+	pns       []uint64 // page number of pages[i] (TouchedLines)
 
 	// slots backs every page's slot list. A ranked list that outgrows its
 	// capacity moves to a larger block, and its old block goes on the
@@ -91,9 +113,17 @@ type Store struct {
 	fill func(a LineAddr, buf []byte)
 }
 
-// NewStore returns an empty sparse store.
-func NewStore() *Store {
-	return &Store{index: make(map[uint64]uint32)}
+// NewStore returns an empty sparse store that files pages under their
+// page numbers (the identity Numbering).
+func NewStore() *Store { return &Store{} }
+
+// SetNumbering files pages under n.Of(page number) instead. It must be
+// called before the first page is registered.
+func (s *Store) SetNumbering(n Numbering) {
+	if len(s.pages) > 0 {
+		panic("mem: SetNumbering after pages were registered")
+	}
+	s.numbering = n
 }
 
 var zeroLine [LineSize]byte
@@ -101,24 +131,26 @@ var zeroLine [LineSize]byte
 // lookup returns the registered page holding line a and a's index in it,
 // or a nil page if the page is unregistered.
 func (s *Store) lookup(a LineAddr) (*page, uint64) {
-	pi, ok := s.index[uint64(a)/PageLines]
-	if !ok {
+	pi := s.index.Get(s.numbering.Of(uint64(a) / PageLines))
+	if pi == 0 {
 		return nil, 0
 	}
-	return &s.pages[pi], uint64(a) % PageLines
+	return &s.pages[pi-1], uint64(a) % PageLines
 }
 
 // register returns the page holding line a, registering it (non-lazy,
 // nothing materialized) if needed, and a's index in it.
 func (s *Store) register(a LineAddr) (*page, uint64) {
 	pn := uint64(a) / PageLines
-	pi, ok := s.index[pn]
-	if !ok {
-		pi = uint32(len(s.pages))
+	num := s.numbering.Of(pn)
+	pi := s.index.Get(num)
+	if pi == 0 {
 		s.pages = append(s.pages, page{})
-		s.index[pn] = pi
+		s.pns = append(s.pns, pn)
+		pi = uint32(len(s.pages))
+		s.index.Set(num, pi)
 	}
-	return &s.pages[pi], uint64(a) % PageLines
+	return &s.pages[pi-1], uint64(a) % PageLines
 }
 
 // slot returns the position of materialized line i's arena number in
@@ -279,8 +311,8 @@ func (s *Store) WritePartial(a LineAddr, off int, data []byte) {
 // Touched reports whether line a's page is registered: written to, or
 // registered by MarkLazy. It says nothing about line a itself.
 func (s *Store) Touched(a LineAddr) bool {
-	_, ok := s.index[uint64(a)/PageLines]
-	return ok
+	p, _ := s.lookup(a)
+	return p != nil
 }
 
 // Materialized reports whether line a has its own storage: it was written,
@@ -299,10 +331,7 @@ func (s *Store) MaterializedLines() int { return int(s.lines) }
 // (LIT-overflow re-encoding, image-soundness property checks, fault-campaign
 // candidate selection) must be deterministic so a run replays from its seed.
 func (s *Store) TouchedLines() []LineAddr {
-	pns := make([]uint64, 0, len(s.index))
-	for pn := range s.index {
-		pns = append(pns, pn)
-	}
+	pns := append([]uint64(nil), s.pns...)
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	out := make([]LineAddr, 0, len(pns)*PageLines)
 	for _, pn := range pns {

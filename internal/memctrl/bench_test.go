@@ -119,21 +119,13 @@ func BenchmarkPTMCReadMiss(b *testing.B) {
 	}
 }
 
-// readMissAllocBudget is each scheme's allocation budget for one
-// steady-state read miss with instrumentation disabled: only the async
-// completion closures the callback design requires (the probe bookkeeping,
-// candidate lists, and eviction planning are allocation-free; see
-// alloc_test.go). Each budget is the scheme's measured steady state, except
-// the PTMC family's 4, the ceiling every scheme is held under.
-var readMissAllocBudget = map[string]float64{
-	"uncompressed": 1,
-	"nextline":     1,
-	"ideal":        2,
-	"table-tmc":    2,
-	"memzip":       2,
-	"ptmc":         4,
-	"dynamic-ptmc": 4,
-}
+// readMissAllocBudget is every scheme's allocation budget for one
+// steady-state read miss with instrumentation disabled. It is zero: the
+// completions a read waits on are pooled contexts with prebuilt callbacks
+// (readOp, issueDone), in-flight reads are found through a slot index,
+// and the probe bookkeeping, candidate lists and eviction planning are
+// allocation-free (see alloc_test.go).
+const readMissAllocBudget = 0
 
 // TestDisabledTracerReadPathAllocs pins the read-miss hot path's
 // allocation budget for every scheme (readMissAllocBudget) — and attaching
@@ -165,16 +157,51 @@ func TestDisabledTracerReadPathAllocs(t *testing.T) {
 	}
 	for _, sc := range fuzzSchemes {
 		t.Run(sc.name, func(t *testing.T) {
-			budget := readMissAllocBudget[sc.name]
+			budget := float64(readMissAllocBudget)
 			off := measure(sc.build, nil)
 			on := measure(sc.build, obs.NewTracer(1<<10))
 			t.Logf("%.1f allocs/op", off)
 			if off > budget {
-				t.Errorf("disabled-instrumentation read miss: %.1f allocs/op, budget %v (completion closures only)", off, budget)
+				t.Errorf("disabled-instrumentation read miss: %.1f allocs/op, budget %v", off, budget)
 			}
 			if on > off {
 				t.Errorf("attaching a tracer added allocations: %.1f allocs/op vs %.1f disabled", on, off)
 			}
+		})
+	}
+}
+
+// TestCoalescedReadMissAllocs: reads that coalesce onto a burst already in
+// flight wait in pooled contexts too. Each step reads all four lines of a
+// group in one window — under the compressing schemes, memory holds the
+// group as one unit, so the later reads join the first one's burst — and
+// must allocate nothing in steady state.
+func TestCoalescedReadMissAllocs(t *testing.T) {
+	const lines = 64
+	for _, sc := range fuzzSchemes {
+		t.Run(sc.name, func(t *testing.T) {
+			r := newBenchRig(t, lines, sc.build)
+			done := func(int64) {}
+			g := 0
+			step := func() {
+				base := mem.LineAddr(g % lines &^ 3)
+				g += 4
+				for i := mem.LineAddr(0); i < 4; i++ {
+					r.ctrl.Read(0, base+i, r.now, done)
+				}
+				r.drain(t)
+				for i := mem.LineAddr(0); i < 4; i++ {
+					r.llc.Drop(base + i)
+				}
+			}
+			for i := 0; i < lines; i++ {
+				step()
+			}
+			before := r.ctrl.Stats().CoalescedReads
+			if n := testing.AllocsPerRun(lines, step); n != 0 {
+				t.Errorf("coalescing read misses: %.1f allocs/op, want 0", n)
+			}
+			t.Logf("%d reads coalesced", r.ctrl.Stats().CoalescedReads-before)
 		})
 	}
 }

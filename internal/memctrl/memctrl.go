@@ -24,6 +24,7 @@ import (
 	"ptmc/internal/mem"
 	"ptmc/internal/metadata"
 	"ptmc/internal/obs"
+	"ptmc/internal/slots"
 )
 
 // DecompressCycles is the default decompression latency added to fills of
@@ -181,19 +182,26 @@ type base struct {
 	// scr is the controller's compression scratch arena; see type scratch.
 	scr scratch
 
-	// inflightReads coalesces concurrent reads of the same DRAM location:
-	// one burst serves every waiter. This is what turns a compressed
-	// group into real bandwidth savings even when all of its members miss
+	// inflight coalesces concurrent reads of the same DRAM location: one
+	// burst serves every waiter. This is what turns a compressed group
+	// into real bandwidth savings even when all of its members miss
 	// within one ROB window — their fills share a single access to the
-	// group's home.
-	inflightReads map[mem.LineAddr][]Done
+	// group's home. It maps a location with a read burst in flight to
+	// the burst's context in dones; later reads of the location queue on
+	// that context as waiters.
+	inflight slots.Index
 
-	// freeDones recycles issue's per-request completion contexts. The
-	// completion wrapper needs (addr, write, done) at fire time; closing
-	// over them allocated once per DRAM burst, which made issue one of
-	// the simulator's hottest allocation sites. Pool size is bounded by
-	// the peak number of concurrently outstanding requests.
+	// dones is the slot table of issue's completion contexts, numbered
+	// by position; freeDones holds the ones not in use. Both grow to the
+	// peak number of concurrently outstanding requests and waiters, so a
+	// steady-state issue allocates nothing.
+	dones     []*issueDone
 	freeDones []*issueDone
+
+	// reader continues a scheme's reads (see readOp); freeReads recycles
+	// their contexts.
+	reader    reader
+	freeReads []*readOp
 
 	// tr receives DRAM-request and fill events; nil (the default) is the
 	// disabled tracer and costs one branch per event.
@@ -202,36 +210,46 @@ type base struct {
 
 // issueDone is issue's pooled completion context: the state its OnComplete
 // wrapper needs, plus fn, the method value handed to the DRAM request —
-// built once per context so steady-state issue allocates nothing.
+// built once per context so steady-state issue allocates nothing. A read
+// burst's context also heads the intrusive list of the reads coalesced
+// onto it, each waiting in a context of its own.
 type issueDone struct {
 	b     *base
+	id    int // position in b.dones
 	a     mem.LineAddr
 	write bool
 	done  Done
 	fn    Done
+
+	head, tail *issueDone // coalesced waiters, in arrival order
+	next       *issueDone // the next waiter after this one
 }
 
-// complete is the pooled equivalent of issue's old per-request closure:
-// same bookkeeping, same callback order. The context is recycled before
-// the callbacks run (its fields are copied out first), so a done that
-// issues further requests can reuse it immediately.
+// complete fires at burst completion: the burst's own callback, then —
+// for a read — each coalesced waiter in arrival order. A read that
+// arrives during the burst's own callback still joins this burst; the
+// location leaves the in-flight table before the waiters run, so a read
+// they issue starts a burst of its own. Each context returns to the pool
+// before the callbacks that follow it run.
 func (x *issueDone) complete(c int64) {
-	b, a, write, done := x.b, x.a, x.write, x.done
-	x.done = nil
-	b.freeDones = append(b.freeDones, x)
+	b := x.b
 	b.outstanding--
-	if done != nil {
-		done(c)
+	if x.done != nil {
+		x.done(c)
 	}
-	if !write {
-		waiters := b.inflightReads[a]
-		delete(b.inflightReads, a)
-		for _, w := range waiters {
-			b.outstanding--
-			if w != nil {
-				w(c)
-			}
+	w := x.head
+	if !x.write {
+		b.inflight.Delete(x.a)
+	}
+	b.releaseDone(x)
+	for w != nil {
+		next, done := w.next, w.done
+		b.releaseDone(w)
+		b.outstanding--
+		if done != nil {
+			done(c)
 		}
+		w = next
 	}
 }
 
@@ -242,19 +260,87 @@ func (b *base) acquireDone(a mem.LineAddr, write bool, done Done) *issueDone {
 		x = b.freeDones[n-1]
 		b.freeDones = b.freeDones[:n-1]
 	} else {
-		x = &issueDone{b: b}
+		x = &issueDone{b: b, id: len(b.dones)}
 		x.fn = x.complete
+		b.dones = append(b.dones, x)
 	}
 	x.a, x.write, x.done = a, write, done
 	return x
 }
 
+// releaseDone returns a context to the pool.
+func (b *base) releaseDone(x *issueDone) {
+	x.done, x.head, x.tail, x.next = nil, nil, nil, nil
+	b.freeDones = append(b.freeDones, x)
+}
+
+// readState is what a scheme's read carries from one DRAM completion to
+// the next. Each scheme uses the fields it needs; stage tells a
+// multi-step read where it is.
+type readState struct {
+	core      int
+	a, home   mem.LineAddr
+	level     cache.Level
+	beats     int
+	stage     uint8
+	tried     uint8 // PTMC: candidate homes probed, by group position
+	counted   bool  // PTMC: the LLP's prediction is being scored
+	firstTry  bool  // PTMC: this probe is the demand access
+	coalesced bool  // the probe joined a burst already in flight
+	done      Done
+}
+
+// reader is a scheme's side of a read: step continues the read in state
+// r when the DRAM access it waited on completes at cycle c.
+type reader interface {
+	step(r readState, c int64)
+}
+
+// readOp is a read's pooled completion context: the pattern of issueDone
+// and cpu's per-slot callbacks. fn, built once per context, is what the
+// scheme hands to issue (or chargeMeta) in place of a per-read closure;
+// when it fires, the context returns to the pool and the scheme's step
+// runs with the state it held.
+type readOp struct {
+	r  readState
+	b  *base
+	fn Done
+}
+
+func (x *readOp) fire(c int64) {
+	r := x.r
+	x.r = readState{}
+	x.b.freeReads = append(x.b.freeReads, x)
+	x.b.reader.step(r, c)
+}
+
+// pend checks out a context holding r.
+func (b *base) pend(r readState) *readOp {
+	var x *readOp
+	if n := len(b.freeReads); n > 0 {
+		x = b.freeReads[n-1]
+		b.freeReads = b.freeReads[:n-1]
+	} else {
+		x = &readOp{b: b}
+		x.fn = x.fire
+	}
+	x.r = r
+	return x
+}
+
+// issueRead issues a read burst of beats at home (0 is a full line) for
+// the read in state r, whose step runs at the burst's completion. The
+// context records whether the burst coalesced.
+func (b *base) issueRead(r readState, home mem.LineAddr, beats int, k kind, now int64) {
+	x := b.pend(r)
+	x.r.coalesced = b.issueBurst(home, false, beats, k, now, x.fn)
+}
+
 func newBase(name string, d *dram.DRAM, img, arch *mem.Store, llc LLC) base {
 	return base{
 		name: name, d: d, img: img, arch: arch, llc: llc,
-		alg:           compress.Hybrid{},
-		decompLat:     DecompressCycles,
-		inflightReads: make(map[mem.LineAddr][]Done),
+		alg:       compress.Hybrid{},
+		decompLat: DecompressCycles,
 	}
 }
 
@@ -312,13 +398,18 @@ func (b *base) issue(a mem.LineAddr, write bool, k kind, now int64, done Done) (
 // benefit of co-located compression (the Dynamic-PTMC "+1" event).
 func (b *base) issueBurst(a mem.LineAddr, write bool, beats int, k kind, now int64, done Done) (coalesced bool) {
 	if !write {
-		if waiters, in := b.inflightReads[a]; in {
+		if id, in := b.inflight.Get(a); in {
 			b.st.CoalescedReads++
 			b.outstanding++
-			b.inflightReads[a] = append(waiters, done)
+			p, w := b.dones[id], b.acquireDone(a, false, done)
+			if p.tail == nil {
+				p.head = w
+			} else {
+				p.tail.next = w
+			}
+			p.tail = w
 			return true
 		}
-		b.inflightReads[a] = nil
 	}
 	b.account(k)
 	if b.tr != nil {
@@ -332,7 +423,11 @@ func (b *base) issueBurst(a mem.LineAddr, write bool, beats int, k kind, now int
 	req.Addr, req.Write, req.Beats = a, write, beats
 	if done != nil || !write {
 		b.outstanding++
-		req.OnComplete = b.acquireDone(a, write, done).fn
+		x := b.acquireDone(a, write, done)
+		if !write {
+			b.inflight.Put(a, x.id)
+		}
+		req.OnComplete = x.fn
 	}
 	if !b.d.Enqueue(req, now) {
 		b.retry = append(b.retry, req)

@@ -32,7 +32,9 @@ func NewMemZip(d *dram.DRAM, img, arch *mem.Store, llc LLC,
 	if err != nil {
 		return nil, err
 	}
-	return &MemZip{base: newBase("memzip", d, img, arch, llc), meta: mt}, nil
+	z := &MemZip{base: newBase("memzip", d, img, arch, llc), meta: mt}
+	z.reader = z
+	return z, nil
 }
 
 // Meta exposes the metadata table (hit-rate reporting).
@@ -60,18 +62,24 @@ func (z *MemZip) burstBeats(line []byte) int {
 // reduced burst for the data. A line stored in fewer than 8 beats is a
 // one-member compressed unit at its own location.
 func (z *MemZip) Read(core_ int, a mem.LineAddr, now int64, done Done) {
-	z.chargeMeta(z.meta.Touch(a, false), now, func(c int64) {
-		beats := z.burstBeats(z.imgLine(a))
-		z.issueBurst(a, false, beats, kDemandRead, c, func(c2 int64) {
-			data := z.imgLine(a)
-			if beats == 8 {
-				z.fillLine(core_, a, data, c2, done)
-				return
-			}
-			z.scr.lineRefs[0] = data
-			z.fillUnit(core_, a, a, cache.Uncompressed, z.scr.lineRefs[:1], c2, done)
-		})
-	})
+	z.chargeMeta(z.meta.Touch(a, false), now, z.pend(readState{core: core_, a: a, done: done}).fn)
+}
+
+// step issues the reduced burst once the burst length is known, then
+// fills.
+func (z *MemZip) step(r readState, c int64) {
+	if r.stage != stageData {
+		r.stage, r.beats = stageData, z.burstBeats(z.imgLine(r.a))
+		z.issueRead(r, r.a, r.beats, kDemandRead, c)
+		return
+	}
+	data := z.imgLine(r.a)
+	if r.beats == 8 {
+		z.fillLine(r.core, r.a, data, c, r.done)
+		return
+	}
+	z.scr.lineRefs[0] = data
+	z.fillUnit(r.core, r.a, r.a, cache.Uncompressed, z.scr.lineRefs[:1], c, r.done)
 }
 
 // Evict implements Controller: dirty lines re-compress in place; a burst

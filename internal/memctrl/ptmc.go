@@ -65,6 +65,7 @@ func NewPTMC(d *dram.DRAM, img, arch *mem.Store, llc LLC, seed int64, opts ...PT
 		llp:     core.NewLLP(core.LLPEntries),
 		lit:     core.NewLIT(core.LITReKey),
 	}
+	p.reader = p
 	for _, o := range opts {
 		o(p)
 	}
@@ -263,18 +264,19 @@ func (p *PTMC) Scrub(a mem.LineAddr) {
 // fetch, confirm with the inline marker, and fall back through the
 // remaining candidate locations on a misprediction.
 func (p *PTMC) Read(core_ int, a mem.LineAddr, now int64, done Done) {
+	r := readState{core: core_, a: a, done: done}
 	if p.oracle {
-		p.tryRead(core_, a, p.oracleHome(a), false, 0, now, done)
+		r.home = p.oracleHome(a)
+		p.tryRead(r, now)
 		return
 	}
 	predicted := cache.Uncompressed
-	counted := false
 	if core.NeedsPrediction(a) {
 		predicted = p.llp.Predict(a)
-		counted = true
+		r.counted = true
 	}
-	first := core.HomeFor(a, predicted)
-	p.tryRead(core_, a, first, counted, 0, now, done)
+	r.home = core.HomeFor(a, predicted)
+	p.tryRead(r, now)
 }
 
 // oracleHome peeks at the memory image (free in Ideal-TMC) to find the
@@ -289,94 +291,96 @@ func (p *PTMC) oracleHome(a mem.LineAddr) mem.LineAddr {
 	return a
 }
 
-// tryRead probes one candidate home. tried is the set of homes already
-// probed, as a bitmask indexed by group position (every candidate home lies
-// within a's 4-line group, so three candidates fit in one byte and the read
-// path carries no per-read map). The first probe is the demand access, later
-// ones are mispredict costs.
-func (p *PTMC) tryRead(core_ int, a, home mem.LineAddr, counted bool,
-	tried uint8, now int64, done Done) {
-
+// tryRead probes one candidate home, r.home. r.tried is the set of homes
+// already probed, as a bitmask indexed by group position (every candidate
+// home lies within a's 4-line group, so three candidates fit in one byte
+// and the read path carries no per-read map). The first probe is the
+// demand access, later ones are mispredict costs. step continues the read
+// when the probe's burst completes.
+func (p *PTMC) tryRead(r readState, now int64) {
 	k := kDemandRead
-	if tried != 0 {
+	if r.tried != 0 {
 		k = kMispredictRead
-		if p.sampled(a) {
-			p.dyn.Cost(core_)
+		if p.sampled(r.a) {
+			p.dyn.Cost(r.core)
 		}
 	}
-	firstTry := tried == 0
-	tried |= 1 << uint(core.GroupIndex(home))
+	r.firstTry = r.tried == 0
+	r.tried |= 1 << uint(core.GroupIndex(r.home))
+	p.issueRead(r, r.home, 0, k, now)
+}
 
-	var coalesced bool
-	coalesced = p.issue(home, false, k, now, func(c int64) {
-		data := p.imgLine(home)
-		switch class := p.markers.Classify(home, data); class {
-		case core.ClassComp2, core.ClassComp4:
-			level := class.Level()
-			if core.Covers(home, level, a) {
-				if coalesced && firstTry {
-					if e, in := p.llc.Probe(a); in {
-						// This demand was served by a burst already in
-						// flight for a co-located neighbor: the primary
-						// fill installed the whole unit, so this is a
-						// coalesced completion — the free-fetch benefit,
-						// observed directly. Consume the prefetch bit so
-						// one free fetch feeds the utility counter exactly
-						// once (a later demand hit must not recount it via
-						// OnDemandHit), and leave the fill counters to the
-						// primary that did the work. The unit's decode did
-						// reveal where this line lives, so the predictor
-						// still trains — uncounted, because no prediction
-						// was exercised by a separate DRAM access.
-						p.st.UsefulFreePf++
-						if p.sampled(a) {
-							p.dyn.Benefit(core_)
-						}
-						p.llp.Record(a, level, false, false)
-						e.Prefetch = false
-						done(c + p.decompLat)
-						return
+// step classifies the probed home's image line at burst completion and
+// fills from it, or moves on to the next candidate home.
+func (p *PTMC) step(r readState, c int64) {
+	a, home := r.a, r.home
+	data := p.imgLine(home)
+	switch class := p.markers.Classify(home, data); class {
+	case core.ClassComp2, core.ClassComp4:
+		level := class.Level()
+		if core.Covers(home, level, a) {
+			if r.coalesced && r.firstTry {
+				if e, in := p.llc.Probe(a); in {
+					// This demand was served by a burst already in
+					// flight for a co-located neighbor: the primary
+					// fill installed the whole unit, so this is a
+					// coalesced completion — the free-fetch benefit,
+					// observed directly. Consume the prefetch bit so
+					// one free fetch feeds the utility counter exactly
+					// once (a later demand hit must not recount it via
+					// OnDemandHit), and leave the fill counters to the
+					// primary that did the work. The unit's decode did
+					// reveal where this line lives, so the predictor
+					// still trains — uncounted, because no prediction
+					// was exercised by a separate DRAM access.
+					p.st.UsefulFreePf++
+					if p.sampled(a) {
+						p.dyn.Benefit(r.core)
 					}
-					// Coalesced but the primary did not install the demand
-					// line (its own probe of this home missed): this fill
-					// is real work, accounted normally below.
+					p.llp.Record(a, level, false, false)
+					e.Prefetch = false
+					r.done(c + p.decompLat)
+					return
 				}
-				p.fillCompressed(core_, a, home, level, data, counted, firstTry, c, done)
-				return
+				// Coalesced but the primary did not install the demand
+				// line (its own probe of this home missed): this fill
+				// is real work, accounted normally below.
 			}
-		case core.ClassInvComp2, core.ClassInvComp4, core.ClassInvIL:
-			inverted, extra := p.lit.Contains(home)
-			if extra {
-				// Memory-mapped LIT: the inversion bit costs a read.
-				p.issue(home, false, kMetadataRead, c, nil)
-			}
-			if home == a {
-				val := data
-				if inverted {
-					val = core.Invert(data)
-				}
-				p.fillUncompressed(core_, a, val, counted, firstTry, c, done)
-				return
-			}
-		case core.ClassUncompressed:
-			if home == a {
-				p.fillUncompressed(core_, a, data, counted, firstTry, c, done)
-				return
-			}
-		case core.ClassInvalid:
-			// Stale location: the line lives elsewhere.
+			p.fillCompressed(r.core, a, home, level, data, r.counted, r.firstTry, c, r.done)
+			return
 		}
-		p.retryRead(core_, a, counted, tried, c, done)
-	})
+	case core.ClassInvComp2, core.ClassInvComp4, core.ClassInvIL:
+		inverted, extra := p.lit.Contains(home)
+		if extra {
+			// Memory-mapped LIT: the inversion bit costs a read.
+			p.issue(home, false, kMetadataRead, c, nil)
+		}
+		if home == a {
+			val := data
+			if inverted {
+				val = core.Invert(data)
+			}
+			p.fillUncompressed(r.core, a, val, r.counted, r.firstTry, c, r.done)
+			return
+		}
+	case core.ClassUncompressed:
+		if home == a {
+			p.fillUncompressed(r.core, a, data, r.counted, r.firstTry, c, r.done)
+			return
+		}
+	case core.ClassInvalid:
+		// Stale location: the line lives elsewhere.
+	}
+	p.retryRead(r, c)
 }
 
 // retryRead falls through the remaining candidate locations.
-func (p *PTMC) retryRead(core_ int, a mem.LineAddr, counted bool,
-	tried uint8, now int64, done Done) {
+func (p *PTMC) retryRead(r readState, now int64) {
 	var homes [3]mem.LineAddr
-	for _, cand := range core.AppendCandidateHomes(homes[:0], a) {
-		if tried&(1<<uint(core.GroupIndex(cand))) == 0 {
-			p.tryRead(core_, a, cand, counted, tried, now, done)
+	for _, cand := range core.AppendCandidateHomes(homes[:0], r.a) {
+		if r.tried&(1<<uint(core.GroupIndex(cand))) == 0 {
+			r.home = cand
+			p.tryRead(r, now)
 			return
 		}
 	}
@@ -384,7 +388,7 @@ func (p *PTMC) retryRead(core_ int, a mem.LineAddr, counted bool,
 	// gracefully — count the detection and serve the architectural value
 	// uncompressed so the system keeps running.
 	p.st.FallbackReads++
-	p.fillUncompressed(core_, a, p.archLineSlot(a, 0), counted, false, now, done)
+	p.fillUncompressed(r.core, r.a, p.archLineSlot(r.a, 0), r.counted, false, now, r.done)
 }
 
 // fillCompressed decodes a compressed unit, trains the LLP, and fills the

@@ -30,7 +30,9 @@ func NewTableTMC(d *dram.DRAM, img, arch *mem.Store, llc LLC,
 	if err != nil {
 		return nil, err
 	}
-	return &TableTMC{base: newBase("table-tmc", d, img, arch, llc), meta: mt}, nil
+	t := &TableTMC{base: newBase("table-tmc", d, img, arch, llc), meta: mt}
+	t.reader = t
+	return t, nil
 }
 
 // Meta exposes the metadata table (Figure 9's hit-rate curve).
@@ -40,12 +42,21 @@ func (t *TableTMC) Meta() *metadata.Table { return t.meta }
 // DRAM access), then the data access at the location the CSI names.
 func (t *TableTMC) Read(core_ int, a mem.LineAddr, now int64, done Done) {
 	level, tr := t.meta.Lookup(a)
-	t.chargeMeta(tr, now, func(c int64) {
-		home := core.HomeFor(a, level)
-		t.issue(home, false, kDemandRead, c, func(c2 int64) {
-			t.fill(core_, a, home, level, c2, done)
-		})
-	})
+	t.chargeMeta(tr, now, t.pend(readState{core: core_, a: a, level: level, done: done}).fn)
+}
+
+// stageData marks a TableTMC or MemZip read whose data burst is in
+// flight; before it, the read waits on its metadata.
+const stageData = 1
+
+// step issues the data access once the CSI is known, then fills.
+func (t *TableTMC) step(r readState, c int64) {
+	if r.stage != stageData {
+		r.stage, r.home = stageData, core.HomeFor(r.a, r.level)
+		t.issueRead(r, r.home, 0, kDemandRead, c)
+		return
+	}
+	t.fill(r.core, r.a, r.home, r.level, c, r.done)
 }
 
 // fill decodes the unit at home and installs its members.

@@ -15,14 +15,19 @@ type Uncompressed struct {
 
 // NewUncompressed builds the baseline controller.
 func NewUncompressed(d *dram.DRAM, img, arch *mem.Store, llc LLC) *Uncompressed {
-	return &Uncompressed{base: newBase("uncompressed", d, img, arch, llc)}
+	u := &Uncompressed{base: newBase("uncompressed", d, img, arch, llc)}
+	u.reader = u
+	return u
 }
 
 // Read implements Controller.
 func (u *Uncompressed) Read(core int, a mem.LineAddr, now int64, done Done) {
-	u.issue(a, false, kDemandRead, now, func(c int64) {
-		u.fillLine(core, a, u.imgLine(a), c, done)
-	})
+	u.issueRead(readState{core: core, a: a, done: done}, a, 0, kDemandRead, now)
+}
+
+// step fills the line its read fetched.
+func (u *Uncompressed) step(r readState, c int64) {
+	u.fillLine(r.core, r.a, u.imgLine(r.a), c, r.done)
 }
 
 // Evict implements Controller.
@@ -45,8 +50,12 @@ type NextLinePrefetch struct {
 func NewNextLinePrefetch(d *dram.DRAM, img, arch *mem.Store, llc LLC) *NextLinePrefetch {
 	p := &NextLinePrefetch{}
 	p.base = newBase("nextline", d, img, arch, llc)
+	p.reader = p
 	return p
 }
+
+// stagePrefetch marks a NextLinePrefetch read as the prefetch.
+const stagePrefetch = 1
 
 // Read implements Controller: demand fetch plus a next-line prefetch.
 func (p *NextLinePrefetch) Read(core int, a mem.LineAddr, now int64, done Done) {
@@ -57,10 +66,17 @@ func (p *NextLinePrefetch) Read(core int, a mem.LineAddr, now int64, done Done) 
 	}
 	// The prefetch target may be untouched memory; architecturally that
 	// reads as zeros, which is fine — install the tag either way.
-	p.issue(next, false, kPrefetchRead, now, func(c int64) {
-		if _, in := p.llc.Probe(next); in {
-			return // demand fill beat us
-		}
-		p.install(core, next, false, true, cache.Uncompressed, c)
-	})
+	p.issueRead(readState{core: core, a: next, stage: stagePrefetch}, next, 0, kPrefetchRead, now)
+}
+
+// step completes a demand fill or installs a prefetch.
+func (p *NextLinePrefetch) step(r readState, c int64) {
+	if r.stage != stagePrefetch {
+		p.Uncompressed.step(r, c)
+		return
+	}
+	if _, in := p.llc.Probe(r.a); in {
+		return // demand fill beat us
+	}
+	p.install(r.core, r.a, false, true, cache.Uncompressed, c)
 }

@@ -40,9 +40,8 @@ type pageOrigin struct {
 // written, and a never-written line has never been mutated — and the image
 // value of a line the controller never wrote.
 func (s *Simulator) archLine(a mem.LineAddr, buf []byte) {
-	base := a &^ (vm.PageLines - 1)
-	o := s.origins[base]
-	s.streams[o.core].FillLineInit(o.vlineBase+uint64(a-base), buf)
+	o := s.origins[s.vmsys.PageIndex(uint64(a)/vm.PageLines)]
+	s.streams[o.core].FillLineInit(o.vlineBase+uint64(a)%vm.PageLines, buf)
 }
 
 // initPage is first-touch page initialization: the page is registered
@@ -53,7 +52,11 @@ func (s *Simulator) archLine(a mem.LineAddr, buf []byte) {
 // in ascending address order.
 func (s *Simulator) initPage(coreID int, pageBase mem.LineAddr, vlineBase uint64) {
 	stream := s.streams[coreID]
-	s.origins[pageBase] = pageOrigin{core: int32(coreID), vlineBase: vlineBase}
+	i := s.vmsys.PageIndex(uint64(pageBase) / vm.PageLines)
+	if n := uint64(len(s.origins)); i >= n {
+		s.origins = append(s.origins, make([]pageOrigin, i+1-n)...)
+	}
+	s.origins[i] = pageOrigin{core: int32(coreID), vlineBase: vlineBase}
 	s.arch.MarkLazy(pageBase)
 	s.img.MarkLazy(pageBase)
 	if pw, ok := stream.(pageWorder); ok {

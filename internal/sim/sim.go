@@ -16,6 +16,7 @@ import (
 	"ptmc/internal/memctrl"
 	"ptmc/internal/metadata"
 	"ptmc/internal/obs"
+	"ptmc/internal/slots"
 	"ptmc/internal/vm"
 	"ptmc/internal/workload"
 )
@@ -29,11 +30,24 @@ type prefetchObserver interface {
 // waiter is one access merged into an outstanding fill (MSHR semantics).
 // Store misses carry their mutation with them: the architectural write
 // commits when the write-allocate fill arrives, not at issue time.
+// Waiters live in the simulator's waiter pool, each MSHR's as a list
+// linked through next (-1 ends it).
 type waiter struct {
 	write  bool
 	coreID int
 	vaddr  uint64
 	done   func(int64)
+	next   int32
+}
+
+// mshr is one outstanding L3 miss: the line, the core whose miss started
+// the fill, and the waiters merged into it, first to last. fn is the
+// completion handed to the controller, built once per slot.
+type mshr struct {
+	paddr      mem.LineAddr
+	coreID     int
+	head, tail int32
+	fn         func(int64)
 }
 
 // Simulator is one assembled system.
@@ -48,15 +62,26 @@ type Simulator struct {
 	img     *mem.Store
 	ctrl    memctrl.Controller
 	obs     prefetchObserver
-	mshr    map[mem.LineAddr][]waiter
+
+	// The MSHRs: a slot table of outstanding L3 misses with a free list,
+	// indexed by line address, and the pool their waiters are linked
+	// through. Both grow to the run's peak (outstanding loads are bounded
+	// by the ROBs, but stores retire without waiting for their misses)
+	// and are recycled after, so a steady-state miss allocates nothing.
+	mshrs       []mshr
+	freeMSHRs   []int
+	mshrIndex   slots.Index
+	waiters     []waiter
+	freeWaiters []int32
 
 	// reference selects the test-only reference path (newSimulator): the
 	// per-cycle runReference loop, eager page initialization through
 	// InitLine, and the DRAM model's scan-every-channel mode.
 	reference bool
 	// origins records each lazily initialized page's stream and virtual
-	// base for archLine.
-	origins map[mem.LineAddr]pageOrigin
+	// base for archLine, indexed by the page's allocation index
+	// (vm.System.PageIndex).
+	origins []pageOrigin
 
 	now         int64
 	windowStart int64
@@ -68,8 +93,7 @@ type Simulator struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
-	tlb     []tlbEntry // per-core direct-mapped TLB (fast path only)
-	scratch [64]byte   // reusable line buffer for store mutation
+	scratch [64]byte // reusable line buffer for store mutation
 
 	// initPage's buffers: one synthesized line and one page's screen
 	// words. Fields rather than locals because the sources they are
@@ -81,16 +105,6 @@ type Simulator struct {
 	demandAccesses uint64
 	pageInits      uint64
 }
-
-// tlbEntry caches one vpage translation per core (performance only; the
-// page tables in internal/vm remain authoritative).
-type tlbEntry struct {
-	vpage uint64
-	paddr mem.LineAddr // physical line address of the page base
-	valid bool
-}
-
-const tlbSize = 64 // entries per core, direct-mapped
 
 // llcAdapter exposes the shared L3 to the controller, enforcing inclusion
 // by back-invalidating private caches on every L3 removal.
@@ -125,8 +139,7 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, reference: reference,
-		mshr: make(map[mem.LineAddr][]waiter), origins: make(map[mem.LineAddr]pageOrigin)}
+	s := &Simulator{cfg: cfg, reference: reference}
 
 	// Workload streams: rate mode (one workload, all cores), a mix, or
 	// caller-provided sources (trace replay).
@@ -188,6 +201,8 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	s.vmsys = vmsys
 	s.arch = mem.NewStore()
 	s.img = mem.NewStore()
+	s.arch.SetNumbering(vmsys.Numbering())
+	s.img.SetNumbering(vmsys.Numbering())
 
 	d, err := dram.New(cfg.DRAM)
 	if err != nil {
@@ -292,7 +307,6 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	for i := 0; i < cfg.Cores; i++ {
 		s.cores = append(s.cores, cpu.New(i, cfg.Core, s.streams[i], s.access))
 	}
-	s.tlb = make([]tlbEntry, cfg.Cores*tlbSize)
 	return s, nil
 }
 
@@ -384,18 +398,11 @@ func (s *Simulator) backInvalidate(a mem.LineAddr) {
 // translate maps and, on first touch of a page, synthesizes its contents
 // into the architectural store and the scheme's memory image.
 func (s *Simulator) translate(coreID int, vaddr uint64) (mem.LineAddr, bool) {
-	vpage := vaddr >> vm.PageShift
-	lineInPage := (vaddr >> 6) & (vm.PageLines - 1)
-	te := &s.tlb[coreID*tlbSize+int(vpage%tlbSize)]
-	if te.valid && te.vpage == vpage {
-		return te.paddr + mem.LineAddr(lineInPage), true
-	}
 	paddr, allocated, err := s.vmsys.Translate(coreID, vaddr)
 	if err != nil {
 		s.fatal = err
 		return 0, false
 	}
-	te.vpage, te.paddr, te.valid = vpage, paddr-mem.LineAddr(lineInPage), true
 	if allocated {
 		s.pageInits++
 		pageBase := paddr &^ (vm.PageLines - 1)
@@ -422,14 +429,12 @@ func (s *Simulator) access(coreID int, vaddr uint64, write bool, now int64, done
 		return
 	}
 	s.demandAccesses++
-	resident := false
-	if _, hit := s.l3.Probe(paddr); hit {
-		resident = true
-	}
-	if write && resident {
-		// Store to a resident line commits immediately.
-		s.streams[coreID].MutateLine(vaddr>>6, s.scratch[:])
-		s.arch.Write(paddr, s.scratch[:])
+	if write {
+		if _, resident := s.l3.Probe(paddr); resident {
+			// Store to a resident line commits immediately.
+			s.streams[coreID].MutateLine(vaddr>>6, s.scratch[:])
+			s.arch.Write(paddr, s.scratch[:])
+		}
 	}
 
 	if _, hit := s.l1[coreID].Lookup(paddr); hit {
@@ -465,16 +470,52 @@ func (s *Simulator) access(coreID int, vaddr uint64, write bool, now int64, done
 	// L3 miss: merge into an outstanding fill or start one. Merged
 	// (secondary) misses are not architectural L3 misses — MPKI counts
 	// primary misses only.
-	w := waiter{write: write, coreID: coreID, vaddr: vaddr, done: done}
-	if _, outstanding := s.mshr[paddr]; outstanding {
+	w := waiter{write: write, coreID: coreID, vaddr: vaddr, done: done, next: -1}
+	if slot, outstanding := s.mshrIndex.Get(paddr); outstanding {
 		s.l3.Stats.Misses--
-		s.mshr[paddr] = append(s.mshr[paddr], w)
+		s.addWaiter(slot, w)
 		return
 	}
-	s.mshr[paddr] = []waiter{w}
-	s.ctrl.Read(coreID, paddr, now, func(c int64) {
-		s.fillDone(coreID, paddr, c)
-	})
+	slot := s.allocMSHR(paddr, coreID)
+	s.addWaiter(slot, w)
+	s.ctrl.Read(coreID, paddr, now, s.mshrs[slot].fn)
+}
+
+// allocMSHR checks out an MSHR slot for a miss of paddr started by core
+// coreID (a new slot, with its completion, once the table is exhausted).
+func (s *Simulator) allocMSHR(paddr mem.LineAddr, coreID int) int {
+	var slot int
+	if n := len(s.freeMSHRs); n > 0 {
+		slot = s.freeMSHRs[n-1]
+		s.freeMSHRs = s.freeMSHRs[:n-1]
+	} else {
+		slot = len(s.mshrs)
+		s.mshrs = append(s.mshrs, mshr{fn: func(c int64) { s.fillDone(slot, c) }})
+	}
+	m := &s.mshrs[slot]
+	m.paddr, m.coreID, m.head, m.tail = paddr, coreID, -1, -1
+	s.mshrIndex.Put(paddr, slot)
+	return slot
+}
+
+// addWaiter appends w to MSHR slot's waiters.
+func (s *Simulator) addWaiter(slot int, w waiter) {
+	var i int32
+	if n := len(s.freeWaiters); n > 0 {
+		i = s.freeWaiters[n-1]
+		s.freeWaiters = s.freeWaiters[:n-1]
+		s.waiters[i] = w
+	} else {
+		i = int32(len(s.waiters))
+		s.waiters = append(s.waiters, w)
+	}
+	m := &s.mshrs[slot]
+	if m.tail < 0 {
+		m.head = i
+	} else {
+		s.waiters[m.tail].next = i
+	}
+	m.tail = i
 }
 
 // markDirty sets the L3 dirty bit (the single source of dirtiness truth).
@@ -491,15 +532,18 @@ func (s *Simulator) fillPrivate(coreID int, paddr mem.LineAddr) {
 	s.l1[coreID].Install(paddr, cache.Entry{Core: uint8(coreID)})
 }
 
-// fillDone completes an outstanding miss: the controller has installed the
-// line into L3; wake every merged waiter.
-func (s *Simulator) fillDone(coreID int, paddr mem.LineAddr, c int64) {
-	waiters := s.mshr[paddr]
-	delete(s.mshr, paddr)
+// fillDone completes the outstanding miss in MSHR slot: the controller
+// has installed the line into L3; wake every merged waiter. The slot and
+// the waiters return to their pools.
+func (s *Simulator) fillDone(slot int, c int64) {
+	m := &s.mshrs[slot]
+	paddr, coreID, head := m.paddr, m.coreID, m.head
+	s.mshrIndex.Delete(paddr)
+	s.freeMSHRs = append(s.freeMSHRs, slot)
 	if e, ok := s.l3.Probe(paddr); ok {
 		e.Prefetch = false
-		for _, w := range waiters {
-			if w.write {
+		for i := head; i >= 0; i = s.waiters[i].next {
+			if w := &s.waiters[i]; w.write {
 				// The write-allocate fill has arrived: commit the store.
 				s.streams[w.coreID].MutateLine(w.vaddr>>6, s.scratch[:])
 				s.arch.Write(paddr, s.scratch[:])
@@ -509,8 +553,13 @@ func (s *Simulator) fillDone(coreID int, paddr mem.LineAddr, c int64) {
 	}
 	s.fillPrivate(coreID, paddr)
 	end := c + s.cfg.L3Lat
-	for _, w := range waiters {
-		w.done(end)
+	for i := head; i >= 0; {
+		w := &s.waiters[i]
+		done, next := w.done, w.next
+		w.done = nil
+		s.freeWaiters = append(s.freeWaiters, i)
+		done(end)
+		i = next
 	}
 }
 

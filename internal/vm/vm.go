@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"ptmc/internal/mem"
+	"ptmc/internal/radix"
 )
 
 // Page geometry: 4 KB pages of 64 lines.
@@ -18,15 +19,22 @@ const (
 
 // System is the address-translation layer. Physical pages are handed out
 // first-touch in a seeded pseudo-random (but deterministic) order so that
-// DRAM bank/row mappings see realistic scatter.
+// DRAM bank/row mappings see realistic scatter. Allocation index i gets
+// physical page permute(i); PageIndex inverts that, so a page's index is a
+// dense number any per-page table can be a slice over.
 type System struct {
 	totalPages    uint64 // physical pages available to data
 	reservedPages uint64 // carved out at the top (metadata table region)
 	nextIdx       uint64
 	mult          uint64 // odd multiplier => bijection over power-of-two space
+	multInv       uint64 // mult's inverse modulo 2^64
 	xor           uint64
-	tables        []map[uint64]uint64 // per-core vpage -> ppage
-	allocated     uint64
+	// tables are the per-core page tables, vpage -> ppage+1. A radix
+	// table's memory is bounded by the pages a core touched, whatever
+	// the magnitude of its virtual addresses (a trace replays any 64-bit
+	// vaddr).
+	tables    []radix.Table
+	allocated uint64
 }
 
 // New creates a VM for a physical memory of memBytes (must make the page
@@ -42,17 +50,29 @@ func New(memBytes uint64, cores int, seed int64, reservedBytes uint64) (*System,
 	if reserved >= pages {
 		return nil, fmt.Errorf("vm: reservation %d pages exceeds memory %d", reserved, pages)
 	}
+	if pages >= 1<<32 {
+		return nil, fmt.Errorf("vm: %d pages exceed the page tables' 32-bit page numbers", pages)
+	}
 	s := &System{
 		totalPages:    pages,
 		reservedPages: reserved,
 		mult:          uint64(seed)*2 + 2654435761, // always odd
 		xor:           uint64(seed) * 0x9E3779B97F4A7C15,
-		tables:        make([]map[uint64]uint64, cores),
+		tables:        make([]radix.Table, cores),
 	}
-	for i := range s.tables {
-		s.tables[i] = make(map[uint64]uint64)
-	}
+	s.multInv = inverse(s.mult)
 	return s, nil
+}
+
+// inverse returns the multiplicative inverse of odd m modulo 2^64 by
+// Newton's iteration: each step doubles the number of correct low bits,
+// and m is its own inverse modulo 8.
+func inverse(m uint64) uint64 {
+	x := m
+	for i := 0; i < 5; i++ {
+		x *= 2 - m*x
+	}
+	return x
 }
 
 // permute maps allocation index i to a physical page, a bijection over the
@@ -62,15 +82,28 @@ func (s *System) permute(i uint64) uint64 {
 	return (i*s.mult ^ s.xor) & (s.totalPages - 1)
 }
 
+// PageIndex is permute's inverse: the allocation index whose page is
+// ppage (< the physical page count). Allocated pages have indices below
+// the number of pages allocated plus the few skipped for the reserved
+// region, so a table indexed by PageIndex is as dense as the footprint.
+func (s *System) PageIndex(ppage uint64) uint64 { return s.Numbering().Of(ppage) }
+
+// Numbering is PageIndex as a mem.Numbering, extended to a bijection over
+// every page number (the bits above the physical page space pass through),
+// so the byte stores can file pages under their dense index.
+func (s *System) Numbering() mem.Numbering {
+	return mem.Numbering{Mask: s.totalPages - 1, Xor: s.xor, Mult: s.multInv}
+}
+
 // Translate maps (core, virtual byte address) to a physical line address,
 // allocating a physical page on first touch. allocated reports whether this
 // call performed the first-touch allocation (the caller initializes the
 // page's contents then).
 func (s *System) Translate(core int, vaddr uint64) (addr mem.LineAddr, allocated bool, err error) {
 	vpage := vaddr >> PageShift
-	tbl := s.tables[core]
-	ppage, ok := tbl[vpage]
-	if !ok {
+	tbl := &s.tables[core]
+	ppage := uint64(tbl.Get(vpage)) - 1
+	if ppage == ^uint64(0) {
 		limit := s.totalPages - s.reservedPages
 		if s.allocated >= limit {
 			return 0, false, fmt.Errorf("vm: out of physical memory (%d pages)", limit)
@@ -83,7 +116,7 @@ func (s *System) Translate(core int, vaddr uint64) (addr mem.LineAddr, allocated
 			}
 		}
 		s.allocated++
-		tbl[vpage] = ppage
+		tbl.Set(vpage, uint32(ppage+1))
 		allocated = true
 	}
 	lineInPage := (vaddr >> 6) & (PageLines - 1)

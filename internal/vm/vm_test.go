@@ -147,3 +147,137 @@ func TestFootprintAndTotals(t *testing.T) {
 		t.Errorf("total lines = %d", s.TotalLines())
 	}
 }
+
+// TestPageIndexInvertsPermute checks the dense numbering: PageIndex
+// undoes permute for every allocation index of a small memory, and for a
+// sample of indices of a 16 GB one, under several seeds; and Numbering,
+// its extension to every page number, is still one-to-one above the
+// physical page space.
+func TestPageIndexInvertsPermute(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7} {
+		small, err := New(1<<22, 1, seed, 0) // 1024 pages
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[uint64]bool, small.totalPages)
+		for i := uint64(0); i < small.totalPages; i++ {
+			p := small.permute(i)
+			if got := small.PageIndex(p); got != i {
+				t.Fatalf("seed %d: PageIndex(permute(%d)) = %d", seed, i, got)
+			}
+			seen[p] = true
+		}
+		if uint64(len(seen)) != small.totalPages {
+			t.Fatalf("seed %d: permute hit %d of %d pages", seed, len(seen), small.totalPages)
+		}
+
+		big, err := New(16<<30, 8, seed, 16<<30/256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 100_000; k++ {
+			i := k*k*2654435761 + k*977 // spread over the whole index space
+			i &= big.totalPages - 1
+			if got := big.PageIndex(big.permute(i)); got != i {
+				t.Fatalf("seed %d, 16 GB: PageIndex(permute(%d)) = %d", seed, i, got)
+			}
+		}
+		n := big.Numbering()
+		for _, pn := range []uint64{big.totalPages, big.totalPages + 5, 1 << 40, 1<<58 - 1} {
+			if got := n.Of(pn); got&^(big.totalPages-1) != pn&^(big.totalPages-1) {
+				t.Errorf("seed %d: Numbering.Of(%#x) = %#x changed the bits above the page space", seed, pn, got)
+			}
+		}
+	}
+}
+
+// TestPageIndexIsDense: translations hand out pages whose indices are at
+// most the pages allocated plus the few skipped for the reserved region.
+func TestPageIndexIsDense(t *testing.T) {
+	s, err := New(1<<30, 2, 5, 1<<30/256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxIdx uint64
+	for v := uint64(0); v < 3000; v++ {
+		a, _, err := s.Translate(int(v%2), v<<PageShift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := s.PageIndex(uint64(a) / PageLines); i > maxIdx {
+			maxIdx = i
+		}
+	}
+	if maxIdx >= s.nextIdx || s.nextIdx > s.AllocatedPages()+s.AllocatedPages()/16 {
+		t.Errorf("max page index %d, next index %d, for %d pages allocated", maxIdx, s.nextIdx, s.AllocatedPages())
+	}
+}
+
+// traceVAddrs is a trace-style source's address set: pages near 0, near
+// 2^40 and near 2^63 — trace.Replay passes any 64-bit vaddr through.
+var traceVAddrs = func() []uint64 {
+	var out []uint64
+	for _, base := range []uint64{0, 1 << 40, 1 << 63, ^uint64(0) - 8<<PageShift} {
+		for p := uint64(0); p < 8; p++ {
+			out = append(out, base+p<<PageShift+0x40*p)
+		}
+	}
+	return out
+}()
+
+// TestTraceVAddrsTranslate: every core translates the far-flung addresses
+// stably, line-exact, and to pages no other (core, page) got.
+func TestTraceVAddrsTranslate(t *testing.T) {
+	const cores = 3
+	s, err := New(1<<26, cores, 9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[uint64][2]uint64{} // ppage -> (core, vpage)
+	for core := 0; core < cores; core++ {
+		for _, v := range traceVAddrs {
+			a, allocated, err := s.Translate(core, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !allocated {
+				t.Fatalf("core %d: first touch of %#x did not allocate", core, v)
+			}
+			if uint64(a)%PageLines != (v>>6)%PageLines {
+				t.Fatalf("core %d: %#x landed on line %d of its page", core, v, uint64(a)%PageLines)
+			}
+			pp := uint64(a) / PageLines
+			if o, dup := owner[pp]; dup {
+				t.Fatalf("core %d vpage %#x shares physical page %d with core %d vpage %#x", core, v>>PageShift, pp, o[0], o[1])
+			}
+			owner[pp] = [2]uint64{uint64(core), v >> PageShift}
+		}
+		for _, v := range traceVAddrs {
+			a, allocated, _ := s.Translate(core, v)
+			if allocated || owner[uint64(a)/PageLines] != [2]uint64{uint64(core), v >> PageShift} {
+				t.Fatalf("core %d: retranslating %#x gave page %d (allocated %v)", core, v, uint64(a)/PageLines, allocated)
+			}
+		}
+	}
+}
+
+// TestPageTableSizedByTouchedPages: a core's page table over the
+// far-flung trace addresses holds a few nodes per touched page, however
+// large the addresses — 32 pages, not 2^52 virtual pages' worth.
+func TestPageTableSizedByTouchedPages(t *testing.T) {
+	s, err := New(1<<26, 1, 9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range traceVAddrs {
+		if _, _, err := s.Translate(0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const levels, nodeBytes = 8, 1 << 10 // 64-bit keys, 8 bits a level
+	max := 2 * (1 + len(traceVAddrs)*levels) * nodeBytes
+	if got := s.tables[0].Bytes(); got == 0 || got > max {
+		t.Errorf("page table of %d touched pages takes %d bytes, want at most %d", len(traceVAddrs), got, max)
+	}
+	t.Logf("%d touched pages: %d table bytes", len(traceVAddrs), s.tables[0].Bytes())
+}

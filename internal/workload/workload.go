@@ -83,6 +83,13 @@ type Stream struct {
 	rng      *rand.Rand
 	seed     uint64
 	versions map[uint64]uint32 // vline -> mutation count
+	// held marks last as the line most recently mutated, with lastVer
+	// its count, which versions does not hold until another line is
+	// mutated: about half of all stores repeat the previous store's line
+	// (dwell), and those skip the map.
+	held    bool
+	last    uint64
+	lastVer uint32
 
 	lines      uint64 // footprint in lines
 	hotLines   uint64
@@ -214,13 +221,27 @@ func (s *Stream) newBurst() {
 // vline (vaddr>>6) into buf. Used on first touch.
 func (s *Stream) FillLine(vline uint64, buf []byte) {
 	kind := s.w.Mix.kindFor(vline>>(vm.PageShift-6), s.seed)
-	synthLine(kind, vline, s.versions[vline], s.seed, buf)
+	synthLine(kind, vline, s.version(vline), s.seed, buf)
+}
+
+// version returns vline's mutation count.
+func (s *Stream) version(vline uint64) uint32 {
+	if s.held && vline == s.last {
+		return s.lastVer
+	}
+	return s.versions[vline]
 }
 
 // MutateLine advances the line's value (a store hit) and writes the new
 // contents into buf. The value kind — hence compressibility — is stable.
 func (s *Stream) MutateLine(vline uint64, buf []byte) {
-	s.versions[vline]++
+	if !s.held || vline != s.last {
+		if s.held {
+			s.versions[s.last] = s.lastVer
+		}
+		s.held, s.last, s.lastVer = true, vline, s.versions[vline]
+	}
+	s.lastVer++
 	s.FillLine(vline, buf)
 }
 

@@ -2,9 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"ptmc/internal/compress"
+	"ptmc/internal/vm"
 )
 
 func TestTableValidates(t *testing.T) {
@@ -232,5 +234,32 @@ func TestHotSetReuse(t *testing.T) {
 	// Strong reuse: distinct lines far fewer than accesses.
 	if len(seen) > 15_000 {
 		t.Errorf("cache-resident workload touched %d distinct lines in 30k accesses", len(seen))
+	}
+}
+
+// TestMutateLineCountsPerLine interleaves stores to a few lines — runs on
+// one line and switches between lines — and checks every synthesized
+// value against each line's own mutation count.
+func TestMutateLineCountsPerLine(t *testing.T) {
+	w, err := Lookup("mcf06")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := w.NewStream(3)
+	rng := rand.New(rand.NewSource(4))
+	count := map[uint64]uint32{}
+	got, want := make([]byte, 64), make([]byte, 64)
+	for i := 0; i < 5000; i++ {
+		vline := uint64(rng.Intn(6)) * 67
+		check := s.FillLine
+		if rng.Intn(3) > 0 {
+			count[vline]++
+			check = s.MutateLine
+		}
+		check(vline, got)
+		synthLine(w.Mix.kindFor(vline>>(vm.PageShift-6), s.seed), vline, count[vline], s.seed, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("op %d: line %d after %d stores reads a different value", i, vline, count[vline])
+		}
 	}
 }
