@@ -68,8 +68,7 @@ func serve(args []string) error {
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile = fs.String("addr-file", "", "write the bound address to this file (for scripts with -addr :0)")
 		dir      = fs.String("data", "ptmcd-data", "durable job-store directory (WAL + results)")
-		workers  = fs.Int("workers", 1, "concurrent jobs")
-		parallel = fs.Int("parallel", 0, "scheme-simulation pool size (0 = GOMAXPROCS)")
+		parallel = fs.Int("parallel", 0, "simulations, and so jobs, at once (0 = GOMAXPROCS)")
 		queue    = fs.Int("queue", 64, "max queued jobs before 503")
 		quota    = fs.Int("tenant-quota", 0, "max queued+running jobs per tenant (0 = unlimited)")
 		timeout  = fs.Duration("job-timeout", 0, "default per-scheme deadline (0 = none)")
@@ -84,7 +83,6 @@ func serve(args []string) error {
 
 	srv, err := server.New(server.Config{
 		Dir:          *dir,
-		Workers:      *workers,
 		Parallel:     *parallel,
 		QueueCap:     *queue,
 		TenantQuota:  *quota,
@@ -112,7 +110,7 @@ func serve(args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("ptmcd: listening on %s (data %s, %d workers)\n", bound, *dir, *workers)
+	fmt.Printf("ptmcd: listening on %s (data %s, %d workers)\n", bound, *dir, srv.Parallel())
 
 	hs := &http.Server{Handler: srv.Handler()}
 	httpDone := make(chan error, 1)

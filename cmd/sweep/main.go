@@ -41,12 +41,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ptmc"
@@ -137,81 +136,85 @@ func main() {
 
 	fmt.Printf("sweep %s on %s (%s vs uncompressed)\n", *kind, run.Workload, *scheme)
 
-	rows, errs, _ := sweep(context.Background(), run, *scheme, points, *parallel, *timeout, out)
-	failed, timedOut := false, 0
-	for i := range points {
-		if errs[i] == nil {
-			fmt.Println(rows[i])
+	simulate := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		cfg.MetricsInterval = out.MetricsInterval()
+		return sim.RunContext(ctx, cfg)
+	}
+	rows, errs, _ := sweep(context.Background(), run, *scheme, points, *parallel, *timeout, out, simulate)
+	os.Exit(report(os.Stdout, os.Stderr, rows, errs, *timeout))
+}
+
+// report prints the completed rows in sweep order to stdout, then every
+// failed point to stderr, and returns the exit status: 1 if any point
+// failed.
+func report(stdout, stderr io.Writer, rows []string, errs []error, timeout time.Duration) (status int) {
+	for i, err := range errs {
+		if err == nil {
+			fmt.Fprintln(stdout, rows[i])
 		}
 	}
-	for i := range points {
-		if errs[i] != nil {
-			failed = true
-			if errors.Is(errs[i], context.DeadlineExceeded) {
-				timedOut++
-				fmt.Fprintf(os.Stderr, "sweep: %v (timed out after %v)\n", errs[i], *timeout)
-			} else {
-				fmt.Fprintln(os.Stderr, "sweep:", errs[i])
-			}
+	timedOut := 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			continue
+		case errors.Is(err, context.DeadlineExceeded):
+			timedOut++
+			fmt.Fprintf(stderr, "sweep: %v (timed out after %v)\n", err, timeout)
+		default:
+			fmt.Fprintln(stderr, "sweep:", err)
 		}
+		status = 1
 	}
 	if timedOut > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d of %d points timed out (-timeout %v)\n",
-			timedOut, len(points), *timeout)
+		fmt.Fprintf(stderr, "sweep: %d of %d points timed out (-timeout %v)\n",
+			timedOut, len(errs), timeout)
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return status
 }
 
 // sweep runs every point's uncompressed baseline and scheme-under-test
-// simulation through one keyed result cache on a pool of parallel workers,
-// each simulation under its own timeout. The key is the normalized run
-// spec's Key, so points whose runs cannot differ (a baseline that reads
-// none of the point's fields) share one simulation. Every point settles
-// even if another fails: rows[i] is point i's report line when errs[i] is
-// nil (a point's error is its baseline's, else its scheme's), and sims
-// counts the simulations that ran. A point's metrics and trace files are
-// written from its scheme-under-test result.
+// simulation through one keyed result cache on a pool of parallel workers
+// (exec.Cache.DoAll), each simulation under its own timeout. A point is a
+// one-workload sim.Matrix over the run spec, so its cells key like any
+// other matrix's: points whose runs cannot differ (a baseline that reads
+// none of the point's fields) share one simulation. simulate is the
+// simulation entry point (sim.RunContext when nil); a result with
+// integrity errors fails its point (sim.RunSpec.Exec). Every point
+// settles even if another fails: rows[i] is point i's report line when
+// errs[i] is nil (a point's error is its baseline's, else its scheme's),
+// and sims counts the simulations that ran. A point's metrics and trace
+// files are written from its scheme-under-test result.
 func sweep(ctx context.Context, run sim.Spec, scheme string, points []point, parallel int,
-	timeout time.Duration, out obs.Flags) (rows []string, errs []error, sims int) {
-	schemes := [2]string{ptmc.SchemeUncompressed, scheme}
+	timeout time.Duration, out obs.Flags, simulate func(context.Context, sim.Config) (*sim.Result, error)) (rows []string, errs []error, sims int) {
+	var runs []sim.RunSpec
+	for _, p := range points {
+		runs = append(runs, sim.Matrix{Base: p.spec.Or(run), Workloads: []string{run.Workload},
+			Schemes: []string{ptmc.SchemeUncompressed, scheme}}.Runs()...)
+	}
+	keys := make([]string, len(runs))
+	for i, r := range runs {
+		keys[i] = r.Key()
+	}
 	cache := exec.NewCache[*sim.Result](exec.NewPool(parallel))
-	results := make([][2]*sim.Result, len(points))
-	runErrs := make([][2]error, len(points))
-	var simulated atomic.Int64
-	var wg sync.WaitGroup
-	for i, p := range points {
-		s := p.spec.Or(run)
-		s.Normalize()
-		for k, sch := range schemes {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r, ran, err := cache.DoJob(ctx, s.Key(sch), timeout,
-					func(ctx context.Context) (*sim.Result, error) {
-						cfg := s.Config(sch)
-						cfg.MetricsInterval = out.MetricsInterval()
-						r, err := ptmc.RunContext(ctx, cfg)
-						if err != nil {
-							return nil, fmt.Errorf("%s/%s: %w", s.Workload, sch, err)
-						}
-						return r, nil
-					})
-				if ran {
-					simulated.Add(1)
-				}
-				results[i][k], runErrs[i][k] = r, err
-			}()
+	results, ran, runErrs := cache.DoAll(ctx, keys, timeout, func(ctx context.Context, i int) (*sim.Result, error) {
+		r, err := runs[i].Exec(ctx, simulate)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", runs[i].Spec.Workload, runs[i].Scheme, err)
+		}
+		return r, nil
+	})
+	for _, ok := range ran {
+		if ok {
+			sims++
 		}
 	}
-	wg.Wait()
 
 	rows = make([]string, len(points))
 	errs = make([]error, len(points))
 	for i, p := range points {
-		b, r := results[i][0], results[i][1]
-		err := exec.FirstError(runErrs[i][:])
+		b, r := results[2*i], results[2*i+1]
+		err := exec.FirstError(runErrs[2*i : 2*i+2])
 		if err == nil {
 			pout := obs.Flags{Metrics: pointPath(out.Metrics, p.label), Trace: pointPath(out.Trace, p.label)}
 			err = pout.WriteFiles(r.Metrics, r.TraceEvents)
@@ -222,7 +225,7 @@ func sweep(ctx context.Context, run sim.Spec, scheme string, points []point, par
 		}
 		rows[i] = row(p.label, r, b)
 	}
-	return rows, errs, int(simulated.Load())
+	return rows, errs, sims
 }
 
 // row is a point's report line: the scheme-under-test result r against

@@ -9,6 +9,8 @@
 //     pool. Concurrent requests for one key run the function once, on
 //     one worker slot, under an optional per-run timeout, and share its
 //     result; a failure is forgotten so a later request runs it again;
+//   - Cache.DoAll: a settle-all fan-out of a keyed job set through
+//     DoJob, with results in input order; every run matrix uses it;
 //   - Pool.ForEach: a deterministic fan-out that runs an indexed job set
 //     over the pool and cancels the remainder on first error.
 //
@@ -248,6 +250,41 @@ func (c *Cache[V]) DoJob(ctx context.Context, key string, timeout time.Duration,
 		return err
 	})
 	return f.val, true, f.err
+}
+
+// DoAll runs fn(ctx, i) for every keys[i] through DoJob, all at once, and
+// waits for every key to settle: a failure neither cancels nor skips the
+// others. vals, ran and errs are in input order, as DoJob returns them. A
+// key repeated in keys runs once, for its first index; later copies share
+// its value and error with ran false, so which index ran is deterministic.
+// Only the pool bounds how many fn run at once, so DoAll must not be
+// called from inside a pool slot (Pool.ForEach): with one slot it would
+// wait forever for its own.
+func (c *Cache[V]) DoAll(ctx context.Context, keys []string, timeout time.Duration, fn func(ctx context.Context, i int) (V, error)) (vals []V, ran []bool, errs []error) {
+	n := len(keys)
+	vals, ran, errs = make([]V, n), make([]bool, n), make([]error, n)
+	first := make(map[string]int, n)
+	var wg sync.WaitGroup
+	for i, key := range keys {
+		if _, dup := first[key]; dup {
+			continue
+		}
+		first[key] = i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vals[i], ran[i], errs[i] = c.DoJob(ctx, key, timeout, func(ctx context.Context) (V, error) {
+				return fn(ctx, i)
+			})
+		}()
+	}
+	wg.Wait()
+	for i, key := range keys {
+		if f := first[key]; f != i {
+			vals[i], errs[i] = vals[f], errs[f]
+		}
+	}
+	return vals, ran, errs
 }
 
 // forget removes a failed flight so the next DoJob runs it again.

@@ -310,3 +310,32 @@ func TestPoolHistograms(t *testing.T) {
 		t.Errorf("run-time p50 %d ns implausibly small for 1ms jobs", p.RunTime().Quantile(0.5))
 	}
 }
+
+// TestCacheDoAllSettlesEveryKey: a failing key neither cancels nor skips
+// the others, results come back in input order, and a key repeated in the
+// input runs once, for its first index.
+func TestCacheDoAllSettlesEveryKey(t *testing.T) {
+	c := NewCache[int](NewPool(1))
+	boom := errors.New("boom")
+	var calls atomic.Int32
+	keys := []string{"a", "fail", "b", "a"}
+	vals, ran, errs := c.DoAll(context.Background(), keys, 0, func(ctx context.Context, i int) (int, error) {
+		calls.Add(1)
+		if keys[i] == "fail" {
+			return 0, boom
+		}
+		return 10 * i, nil
+	})
+	if n := calls.Load(); n != 3 {
+		t.Errorf("fn ran %d times, want 3 (the repeated key once)", n)
+	}
+	if vals[0] != 0 || vals[2] != 20 || vals[3] != 0 {
+		t.Errorf("vals = %v, want [0 _ 20 0]", vals)
+	}
+	if want := []bool{true, true, true, false}; fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Errorf("ran = %v, want %v", ran, want)
+	}
+	if errs[0] != nil || !errors.Is(errs[1], boom) || errs[2] != nil || errs[3] != nil {
+		t.Errorf("errs = %v, want only index 1 to fail", errs)
+	}
+}

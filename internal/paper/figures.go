@@ -19,18 +19,12 @@ func (r *Runner) Figure4() error {
 	r.header("Figure 4: bandwidth of Table-TMC, normalized to uncompressed")
 	fmt.Fprintf(r.Out, "%-14s %8s %8s %8s %8s\n", "workload", "data", "extraWr", "metadata", "total")
 	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeTableTMC)...); err != nil {
+	rows, err := r.Results(r.matrix(wls, sim.SchemeUncompressed, sim.SchemeTableTMC))
+	if err != nil {
 		return err
 	}
-	for _, wl := range wls {
-		base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
-		if err != nil {
-			return err
-		}
-		tt, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeTableTMC})
-		if err != nil {
-			return err
-		}
+	for i, wl := range wls {
+		base, tt := rows[i][0], rows[i][1]
 		norm := float64(base.Mem.Total())
 		data := float64(tt.Mem.DemandReads+tt.Mem.DirtyWrites) / norm
 		extra := float64(tt.Mem.CleanCompIntoW) / norm
@@ -48,19 +42,13 @@ func (r *Runner) Figure5() error {
 	r.header("Figure 5: speedup of Ideal TMC vs TMC-with-metadata")
 	fmt.Fprintf(r.Out, "%-14s %10s %10s\n", "workload", "ideal", "table-tmc")
 	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeIdeal, sim.SchemeTableTMC)...); err != nil {
+	rows, err := r.Results(r.matrix(wls, sim.SchemeUncompressed, sim.SchemeIdeal, sim.SchemeTableTMC))
+	if err != nil {
 		return err
 	}
 	var ideals, tables []float64
-	for _, wl := range wls {
-		si, err := r.speedup(wl, sim.SchemeIdeal)
-		if err != nil {
-			return err
-		}
-		st, err := r.speedup(wl, sim.SchemeTableTMC)
-		if err != nil {
-			return err
-		}
+	for i, wl := range wls {
+		si, st := speedup(rows[i], 1), speedup(rows[i], 2)
 		ideals = append(ideals, si)
 		tables = append(tables, st)
 		fmt.Fprintf(r.Out, "%-14s %10.3f %10.3f\n", wl, si, st)
@@ -133,19 +121,13 @@ func (r *Runner) Figure9() error {
 	r.header("Figure 9: metadata-cache hit rate vs LLP accuracy")
 	fmt.Fprintf(r.Out, "%-14s %10s %10s\n", "workload", "mcache", "LLP")
 	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeTableTMC, sim.SchemePTMC)...); err != nil {
+	rows, err := r.Results(r.matrix(wls, sim.SchemeTableTMC, sim.SchemePTMC))
+	if err != nil {
 		return err
 	}
 	var mc, llp []float64
-	for _, wl := range wls {
-		tt, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeTableTMC})
-		if err != nil {
-			return err
-		}
-		pt, err := r.Result(Job{Workload: wl, Scheme: sim.SchemePTMC})
-		if err != nil {
-			return err
-		}
+	for i, wl := range wls {
+		tt, pt := rows[i][0], rows[i][1]
 		mc = append(mc, tt.MCacheHitRate)
 		llp = append(llp, pt.LLPAccuracy)
 		fmt.Fprintf(r.Out, "%-14s %9.1f%% %9.1f%%\n",
@@ -168,19 +150,13 @@ func (r *Runner) Figure12() error {
 	r.header("Figure 12: speedup of Table-TMC vs PTMC (inline metadata + LLP)")
 	fmt.Fprintf(r.Out, "%-14s %10s %10s\n", "workload", "table-tmc", "ptmc")
 	wls := r.figure12Set()
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeTableTMC, sim.SchemePTMC)...); err != nil {
+	rows, err := r.Results(r.matrix(wls, sim.SchemeUncompressed, sim.SchemeTableTMC, sim.SchemePTMC))
+	if err != nil {
 		return err
 	}
 	var ts, ps []float64
-	for _, wl := range wls {
-		st, err := r.speedup(wl, sim.SchemeTableTMC)
-		if err != nil {
-			return err
-		}
-		sp, err := r.speedup(wl, sim.SchemePTMC)
-		if err != nil {
-			return err
-		}
+	for i, wl := range wls {
+		st, sp := speedup(rows[i], 1), speedup(rows[i], 2)
 		ts = append(ts, st)
 		ps = append(ps, sp)
 		fmt.Fprintf(r.Out, "%-14s %10.3f %10.3f\n", wl, st, sp)
@@ -202,18 +178,12 @@ func (r *Runner) Figure14() error {
 	r.header("Figure 14: bandwidth of PTMC, normalized to uncompressed")
 	fmt.Fprintf(r.Out, "%-14s %8s %10s %10s %8s\n", "workload", "data", "clean+inv", "mispredict", "total")
 	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemePTMC)...); err != nil {
+	rows, err := r.Results(r.matrix(wls, sim.SchemeUncompressed, sim.SchemePTMC))
+	if err != nil {
 		return err
 	}
-	for _, wl := range wls {
-		base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
-		if err != nil {
-			return err
-		}
-		pt, err := r.Result(Job{Workload: wl, Scheme: sim.SchemePTMC})
-		if err != nil {
-			return err
-		}
+	for i, wl := range wls {
+		base, pt := rows[i][0], rows[i][1]
 		norm := float64(base.Mem.Total())
 		data := float64(pt.Mem.DemandReads+pt.Mem.DirtyWrites) / norm
 		maint := float64(pt.Mem.CleanCompIntoW+pt.Mem.Invalidates) / norm
@@ -235,18 +205,15 @@ func (r *Runner) Figure15() error {
 	wls := r.figure12Set()
 	per := map[string][]float64{}
 	schemes := []string{sim.SchemeTableTMC, sim.SchemePTMC, sim.SchemeDynamicPTMC, sim.SchemeIdeal}
-	if err := r.Prefetch(jobsFor(wls, append([]string{sim.SchemeUncompressed}, schemes...)...)...); err != nil {
+	rows, err := r.Results(r.matrix(wls, append([]string{sim.SchemeUncompressed}, schemes...)...))
+	if err != nil {
 		return err
 	}
-	for _, wl := range wls {
+	for i, wl := range wls {
 		row := make([]float64, len(schemes))
-		for i, sch := range schemes {
-			s, err := r.speedup(wl, sch)
-			if err != nil {
-				return err
-			}
-			row[i] = s
-			per[sch] = append(per[sch], s)
+		for k, sch := range schemes {
+			row[k] = speedup(rows[i], 1+k)
+			per[sch] = append(per[sch], row[k])
 		}
 		fmt.Fprintf(r.Out, "%-14s %10.3f %10.3f %12.3f %10.3f  %s\n",
 			wl, row[0], row[1], row[2], row[3], bar(row[2]))
@@ -262,16 +229,13 @@ func (r *Runner) Figure15() error {
 // is flat at 1.0 on the left and rises to ~1.7 on the right.
 func (r *Runner) Figure17() error {
 	r.header("Figure 17: Dynamic-PTMC speedup across workloads, sorted")
-	if err := r.Prefetch(jobsFor(r.Opts.all(), sim.SchemeUncompressed, sim.SchemeDynamicPTMC)...); err != nil {
+	rows, err := r.Results(r.matrix(r.Opts.all(), sim.SchemeUncompressed, sim.SchemeDynamicPTMC))
+	if err != nil {
 		return err
 	}
 	var vs []float64
-	for _, wl := range r.Opts.all() {
-		s, err := r.speedup(wl, sim.SchemeDynamicPTMC)
-		if err != nil {
-			return err
-		}
-		vs = append(vs, s)
+	for _, row := range rows {
+		vs = append(vs, speedup(row, 1))
 	}
 	sorted := sortedCopy(vs)
 	for i, v := range sorted {
@@ -290,18 +254,12 @@ func (r *Runner) Figure18() error {
 	fmt.Fprintf(r.Out, "%-14s %8s %8s %8s %8s\n", "workload", "speedup", "power", "energy", "EDP")
 	var sp, pw, en, ed []float64
 	wls := r.figure12Set()
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeDynamicPTMC)...); err != nil {
+	rows, err := r.Results(r.matrix(wls, sim.SchemeUncompressed, sim.SchemeDynamicPTMC))
+	if err != nil {
 		return err
 	}
-	for _, wl := range wls {
-		base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
-		if err != nil {
-			return err
-		}
-		dyn, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeDynamicPTMC})
-		if err != nil {
-			return err
-		}
+	for i, wl := range wls {
+		base, dyn := rows[i][0], rows[i][1]
 		s := dyn.WeightedSpeedupOver(base)
 		p := stats.Ratio(dyn.Energy.AvgWatts, base.Energy.AvgWatts)
 		e := stats.Ratio(dyn.Energy.TotalJ, base.Energy.TotalJ)
@@ -320,25 +278,20 @@ func (r *Runner) LLPAblation(sizes []int) error {
 	r.header("Ablation: LLP size sweep")
 	fmt.Fprintf(r.Out, "%8s %10s %10s\n", "entries", "accuracy", "speedup")
 	wl := r.Opts.spec()[0]
-	jobs := []Job{{Workload: wl, Scheme: sim.SchemeUncompressed}}
+	// No uncompressed run reads the LLP size: one baseline serves every
+	// point.
+	m := r.matrix([]string{wl}, sim.SchemeUncompressed, sim.SchemePTMC)
 	for _, n := range sizes {
-		jobs = append(jobs, Job{Workload: wl, Scheme: sim.SchemePTMC,
-			Point: sim.Point{LLPEntries: n}})
+		m.Points = append(m.Points, sim.Point{LLPEntries: n})
 	}
-	if err := r.Prefetch(jobs...); err != nil {
-		return err
-	}
-	base, err := r.Result(jobs[0])
+	rows, err := r.Results(m)
 	if err != nil {
 		return err
 	}
-	for i, n := range sizes {
-		res, err := r.Result(jobs[1+i])
-		if err != nil {
-			return err
-		}
+	for i, p := range m.Points {
+		res := rows[i][1]
 		fmt.Fprintf(r.Out, "%8d %9.1f%% %10.3f\n",
-			n, 100*res.LLPAccuracy, res.WeightedSpeedupOver(base))
+			p.LLPEntries, 100*res.LLPAccuracy, speedup(rows[i], 1))
 	}
 	return nil
 }
@@ -366,24 +319,14 @@ func (r *Runner) RelatedWork() error {
 	r.header("Related work: MemZip vs Table-TMC vs Dynamic-PTMC")
 	fmt.Fprintf(r.Out, "%-14s %8s %10s %12s\n", "workload", "memzip", "table-tmc", "dynamic-ptmc")
 	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeMemZip,
-		sim.SchemeTableTMC, sim.SchemeDynamicPTMC)...); err != nil {
+	rows, err := r.Results(r.matrix(wls, sim.SchemeUncompressed, sim.SchemeMemZip,
+		sim.SchemeTableTMC, sim.SchemeDynamicPTMC))
+	if err != nil {
 		return err
 	}
 	var mz, tt, dp []float64
-	for _, wl := range wls {
-		a, err := r.speedup(wl, sim.SchemeMemZip)
-		if err != nil {
-			return err
-		}
-		b, err := r.speedup(wl, sim.SchemeTableTMC)
-		if err != nil {
-			return err
-		}
-		c, err := r.speedup(wl, sim.SchemeDynamicPTMC)
-		if err != nil {
-			return err
-		}
+	for i, wl := range wls {
+		a, b, c := speedup(rows[i], 1), speedup(rows[i], 2), speedup(rows[i], 3)
 		mz, tt, dp = append(mz, a), append(tt, b), append(dp, c)
 		fmt.Fprintf(r.Out, "%-14s %8.3f %10.3f %12.3f\n", wl, a, b, c)
 	}

@@ -20,7 +20,6 @@ import (
 
 	"ptmc/internal/exec"
 	"ptmc/internal/sim"
-	"ptmc/internal/stats"
 	"ptmc/internal/workload"
 )
 
@@ -109,7 +108,7 @@ func (o *Options) all() []string {
 }
 
 // Runner executes experiments against a shared, goroutine-safe result
-// cache. Simulations fan out over a bounded worker pool (see Prefetch);
+// cache. Simulations fan out over a bounded worker pool (see Results);
 // concurrent requests for the same run key are singleflight-deduplicated
 // so each simulation runs exactly once per process, however many
 // artifacts or goroutines ask for it.
@@ -129,15 +128,12 @@ func NewRunner(opts Options, out io.Writer) *Runner {
 
 // NewParallelRunner bounds concurrent simulations to parallel workers
 // (<= 0 selects runtime.GOMAXPROCS(0)). Report bytes are identical at any
-// worker count: artifacts submit their full job set up front via Prefetch
-// and then format exclusively from the cache in submission order.
+// worker count: an artifact runs its whole matrix through Results and
+// formats from the rows it returns, in matrix order.
 func NewParallelRunner(opts Options, out io.Writer, parallel int) *Runner {
 	pool := exec.NewPool(parallel)
 	return &Runner{Opts: opts, Out: out, pool: pool, cache: exec.NewCache[*sim.Result](pool)}
 }
-
-// Parallelism reports the worker-pool size.
-func (r *Runner) Parallelism() int { return r.pool.Size() }
 
 // Pool exposes the runner's worker pool; its queue-wait and run-time
 // histograms summarize how the simulation fan-out scheduled after a run
@@ -152,146 +148,100 @@ type Job struct {
 	Point    sim.Point
 }
 
-// jobsFor builds the cross product of workloads × schemes at the run's
-// point, in deterministic workload-major order.
-func jobsFor(wls []string, schemes ...string) []Job {
-	jobs := make([]Job, 0, len(wls)*len(schemes))
-	for _, wl := range wls {
-		for _, sch := range schemes {
-			jobs = append(jobs, Job{Workload: wl, Scheme: sch})
-		}
+// matrix is the cross product of workloads × schemes over the runner's
+// run spec; a caller may add a Points axis.
+func (r *Runner) matrix(wls []string, schemes ...string) sim.Matrix {
+	return sim.Matrix{Base: r.Opts.Run, Workloads: wls, Schemes: schemes}
+}
+
+// cell is j's normalized run: the one cell of j's matrix, so a job at a
+// Table I point is the same run as the default job.
+func (r *Runner) cell(j Job) sim.RunSpec {
+	m := r.matrix([]string{j.Workload}, j.Scheme)
+	m.Points = []sim.Point{j.Point}
+	return m.Runs()[0]
+}
+
+// do runs the cells through the deduplicated cache, all at once, and
+// waits for every one to settle. Then it prints one progress line per
+// cell this call simulated, in input order (under the output lock:
+// Result may be called from many goroutines), and returns the
+// lowest-index failure, which names its cell. A run at a design point
+// other than Table I ends its line with the point's key suffix, so Table
+// IV's 1- and 4-channel runs do not print like the Table I run of the
+// same workload.
+func (r *Runner) do(runs []sim.RunSpec) ([]*sim.Result, error) {
+	keys := make([]string, len(runs))
+	for i, run := range runs {
+		keys[i] = run.Key()
 	}
-	return jobs
-}
-
-// spec is j's normalized run spec: the runner's shared spec for j's
-// workload, with j's point over the run's. Normalizing zeroes Table I
-// values, so a job at a Table I point is the same run as the default job.
-func (r *Runner) spec(j Job) sim.Spec {
-	s := sim.Spec{Workload: j.Workload, Point: j.Point}.Or(r.Opts.Run)
-	s.Normalize()
-	return s
-}
-
-// run executes (or recalls) one job through the deduplicated cache. ran
-// reports whether this call performed the simulation.
-func (r *Runner) run(ctx context.Context, j Job) (res *sim.Result, ran bool, err error) {
-	s := r.spec(j)
-	return r.cache.DoJob(ctx, s.Key(j.Scheme), 0, func(context.Context) (*sim.Result, error) {
-		res, err := sim.Run(s.Config(j.Scheme))
+	res, ran, errs := r.cache.DoAll(context.Background(), keys, 0, func(ctx context.Context, i int) (*sim.Result, error) {
+		run := runs[i]
+		res, err := run.Exec(ctx, nil)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s%s: %w", j.Workload, j.Scheme, s.Point.Key(), err)
-		}
-		if res.Mem.IntegrityErrs > 0 {
-			return nil, fmt.Errorf("%s/%s%s: %d integrity errors",
-				j.Workload, j.Scheme, s.Point.Key(), res.Mem.IntegrityErrs)
+			return nil, fmt.Errorf("%s/%s%s: %w", run.Spec.Workload, run.Scheme, run.Spec.Point.Key(), err)
 		}
 		return res, nil
 	})
-}
-
-// printRan emits one progress line (under the output lock: Result may be
-// called from many goroutines). A run at a design point other than Table
-// I ends with the point's key suffix, so Table IV's 1- and 4-channel runs
-// do not print like the Table I run of the same workload.
-func (r *Runner) printRan(j Job, res *sim.Result) {
-	if r.Opts.Silent {
-		return
+	if !r.Opts.Silent {
+		r.outMu.Lock()
+		for i, run := range runs {
+			if ran[i] && errs[i] == nil {
+				fmt.Fprintf(r.Out, "    [ran] %v%s\n", res[i], run.Spec.Point.For(run.Scheme).Key())
+			}
+		}
+		r.outMu.Unlock()
 	}
-	r.outMu.Lock()
-	fmt.Fprintf(r.Out, "    [ran] %v%s\n", res, r.spec(j).Point.For(j.Scheme).Key())
-	r.outMu.Unlock()
+	return res, exec.FirstError(errs)
 }
 
 // Result runs (or recalls) one job's simulation. Result is goroutine-safe
 // and deduplicates concurrent calls for the same run key.
 func (r *Runner) Result(j Job) (*sim.Result, error) {
-	res, ran, err := r.run(context.Background(), j)
+	res, err := r.do([]sim.RunSpec{r.cell(j)})
+	return res[0], err
+}
+
+// Results runs every cell of m over the worker pool and blocks until all
+// of them have settled; a failure neither cancels nor skips the rest, and
+// the error returned is the first failing cell's in matrix order. Equal
+// run keys collapse. Progress lines print in matrix order after the batch
+// settles — never in completion order — so the rendered bytes are
+// identical whether the pool has 1 worker or 64. The results come back
+// one row per workload (and point, for a matrix with a Points axis) in
+// matrix order, one column per scheme; m has no Seeds axis.
+func (r *Runner) Results(m sim.Matrix) ([][]*sim.Result, error) {
+	res, err := r.do(m.Runs())
 	if err != nil {
 		return nil, err
 	}
-	if ran {
-		r.printRan(j, res)
+	var rows [][]*sim.Result
+	for n := len(m.Schemes); len(res) > 0; res = res[n:] {
+		rows = append(rows, res[:n])
 	}
-	return res, nil
+	return rows, nil
 }
 
-// Prefetch fans jobs out over the worker pool and blocks until every job
-// has completed or one has failed (failure cancels jobs still waiting for
-// a worker; running simulations finish and populate the cache). Duplicate
-// keys collapse. Progress lines print in submission order after the batch
-// settles — never in completion order — so the rendered bytes are
-// identical whether the pool has 1 worker or 64. The returned error is
-// the earliest-submitted failure among the jobs that ran; when several
-// jobs fail close together, which of them reached a worker first (and is
-// therefore reported) can vary with the worker count.
-func (r *Runner) Prefetch(jobs ...Job) error {
-	uniq := make([]Job, 0, len(jobs))
-	seen := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		if k := r.spec(j).Key(j.Scheme); !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, j)
-		}
-	}
-
-	type outcome struct {
-		res *sim.Result
-		ran bool
-		err error
-	}
-	outs := make([]outcome, len(uniq))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	for i, j := range uniq {
-		wg.Add(1)
-		go func(i int, j Job) {
-			defer wg.Done()
-			res, ran, err := r.run(ctx, j)
-			outs[i] = outcome{res, ran, err}
-			if err != nil {
-				cancel()
-			}
-		}(i, j)
-	}
-	wg.Wait()
-
-	errs := make([]error, len(outs))
-	for i, o := range outs {
-		errs[i] = o.err
-		if o.err == nil && o.ran {
-			r.printRan(uniq[i], o.res)
-		}
-	}
-	return exec.FirstError(errs)
+// speedup is the weighted speedup of row's scheme k over its scheme 0,
+// the uncompressed baseline.
+func speedup(row []*sim.Result, k int) float64 {
+	return row[k].WeightedSpeedupOver(row[0])
 }
 
-// speedup returns the weighted speedup of scheme over the uncompressed
-// baseline for one workload.
-func (r *Runner) speedup(wl, scheme string) (float64, error) {
-	base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
-	if err != nil {
-		return 0, err
+// suites is the SPEC, GAP and mix workload sets, and all of them in that
+// order.
+func (r *Runner) suites() (suites []suite, all []string) {
+	suites = []suite{{"SPEC", r.Opts.spec()}, {"GAP", r.Opts.graph()}, {"MIX", r.Opts.mixes()}}
+	for _, s := range suites {
+		all = append(all, s.wls...)
 	}
-	res, err := r.Result(Job{Workload: wl, Scheme: scheme})
-	if err != nil {
-		return 0, err
-	}
-	return res.WeightedSpeedupOver(base), nil
+	return suites, all
 }
 
-// geoMeanSpeedup averages a scheme's speedup over a workload list.
-func (r *Runner) geoMeanSpeedup(wls []string, scheme string) (float64, error) {
-	var vs []float64
-	for _, wl := range wls {
-		s, err := r.speedup(wl, scheme)
-		if err != nil {
-			return 0, err
-		}
-		vs = append(vs, s)
-	}
-	return stats.GeoMean(vs), nil
+// suite is a named workload set.
+type suite struct {
+	name string
+	wls  []string
 }
 
 // header prints an experiment banner.

@@ -119,8 +119,8 @@ func TestTablePointsDedupeDefaults(t *testing.T) {
 	opts.Silent = false
 	var buf bytes.Buffer
 	r := NewRunner(opts, &buf)
-	if err := r.Prefetch(jobsFor(opts.Spec,
-		sim.SchemeUncompressed, sim.SchemeDynamicPTMC, sim.SchemePTMC)...); err != nil {
+	if _, err := r.Results(r.matrix(opts.Spec,
+		sim.SchemeUncompressed, sim.SchemeDynamicPTMC, sim.SchemePTMC)); err != nil {
 		t.Fatal(err)
 	}
 	ran := func() int {

@@ -113,8 +113,8 @@ func TestPrefetchProgressOrder(t *testing.T) {
 	run := func(parallel int) []byte {
 		var buf bytes.Buffer
 		r := NewParallelRunner(opts, &buf, parallel)
-		if err := r.Prefetch(jobsFor([]string{"libquantum06", "pr-twitter"},
-			sim.SchemeUncompressed, sim.SchemeTableTMC)...); err != nil {
+		if _, err := r.Results(r.matrix([]string{"libquantum06", "pr-twitter"},
+			sim.SchemeUncompressed, sim.SchemeTableTMC)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

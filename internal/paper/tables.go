@@ -32,14 +32,12 @@ func (r *Runner) TableII() error {
 	fmt.Fprintf(r.Out, "%-10s %-14s %8s %12s %12s\n",
 		"suite", "workload", "L3 MPKI", "decl.footpr", "touched")
 	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed)...); err != nil {
+	rows, err := r.Results(r.matrix(wls, sim.SchemeUncompressed))
+	if err != nil {
 		return err
 	}
-	for _, wl := range wls {
-		res, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
-		if err != nil {
-			return err
-		}
+	for i, wl := range wls {
+		res := rows[i][0]
 		w, _ := lookupWorkload(wl)
 		fmt.Fprintf(r.Out, "%-10s %-14s %8.1f %9d MB %9d MB\n",
 			w.Suite, wl, res.MPKI, w.FootprintBytes>>20, res.FootprintBytes>>20)
@@ -80,34 +78,18 @@ func (r *Runner) TableIII() {
 func (r *Runner) TableIV() error {
 	r.header("Table IV: sensitivity to number of memory channels")
 	fmt.Fprintf(r.Out, "%10s %12s\n", "channels", "avg speedup")
-	channels := []int{1, 2, 4}
-	var jobs []Job
-	for _, ch := range channels {
-		for _, wl := range r.Opts.spec() {
-			p := sim.Point{Channels: ch}
-			jobs = append(jobs,
-				Job{Workload: wl, Scheme: sim.SchemeUncompressed, Point: p},
-				Job{Workload: wl, Scheme: sim.SchemeDynamicPTMC, Point: p})
-		}
-	}
-	if err := r.Prefetch(jobs...); err != nil {
+	m := r.matrix(r.Opts.spec(), sim.SchemeUncompressed, sim.SchemeDynamicPTMC)
+	m.Points = []sim.Point{{Channels: 1}, {Channels: 2}, {Channels: 4}}
+	rows, err := r.Results(m)
+	if err != nil {
 		return err
 	}
-	perCh := len(jobs) / len(channels)
-	for i, ch := range channels {
+	for k, p := range m.Points {
 		var vs []float64
-		for k := i * perCh; k < (i+1)*perCh; k += 2 {
-			base, err := r.Result(jobs[k])
-			if err != nil {
-				return err
-			}
-			dyn, err := r.Result(jobs[k+1])
-			if err != nil {
-				return err
-			}
-			vs = append(vs, dyn.WeightedSpeedupOver(base))
+		for w := range m.Workloads {
+			vs = append(vs, speedup(rows[w*len(m.Points)+k], 1))
 		}
-		fmt.Fprintf(r.Out, "%10d %11.1f%%\n", ch, 100*(stats.GeoMean(vs)-1))
+		fmt.Fprintf(r.Out, "%10d %11.1f%%\n", p.Channels, 100*(stats.GeoMean(vs)-1))
 	}
 	return nil
 }
@@ -123,41 +105,26 @@ func (r *Runner) TableV() error {
 	// free-served column reports that fraction — the modern-MLP
 	// equivalent of the paper's L3-hit-rate delta.
 	fmt.Fprintf(r.Out, "%-8s %10s %14s %12s\n", "suite", "baseline", "dynamic-ptmc", "free-served")
-	suites := []struct {
-		name string
-		wls  []string
-	}{
-		{"SPEC", r.Opts.spec()},
-		{"GAP", r.Opts.graph()},
-		{"MIX", r.Opts.mixes()},
-	}
-	var jobs []Job
-	for _, s := range suites {
-		jobs = append(jobs, jobsFor(s.wls, sim.SchemeUncompressed, sim.SchemeDynamicPTMC)...)
-	}
-	if err := r.Prefetch(jobs...); err != nil {
+	suites, wls := r.suites()
+	rows, err := r.Results(r.matrix(wls, sim.SchemeUncompressed, sim.SchemeDynamicPTMC))
+	if err != nil {
 		return err
 	}
 	for _, s := range suites {
-		if len(s.wls) == 0 {
+		suite := rows[:len(s.wls)]
+		rows = rows[len(s.wls):]
+		if len(suite) == 0 {
 			continue
 		}
 		var b, d, free float64
-		for _, wl := range s.wls {
-			base, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeUncompressed})
-			if err != nil {
-				return err
-			}
-			dyn, err := r.Result(Job{Workload: wl, Scheme: sim.SchemeDynamicPTMC})
-			if err != nil {
-				return err
-			}
+		for _, row := range suite {
+			base, dyn := row[0], row[1]
 			b += base.L3.HitRate()
 			d += dyn.L3.HitRate()
 			served := float64(dyn.Mem.CoalescedReads)
 			free += served / (served + float64(dyn.Mem.DemandReads))
 		}
-		n := float64(len(s.wls))
+		n := float64(len(suite))
 		fmt.Fprintf(r.Out, "%-8s %9.1f%% %13.1f%% %11.1f%%\n",
 			s.name, 100*b/n, 100*d/n, 100*free/n)
 	}
@@ -170,35 +137,23 @@ func (r *Runner) TableV() error {
 func (r *Runner) TableVI() error {
 	r.header("Table VI: next-line prefetch vs Dynamic-PTMC (avg speedup)")
 	fmt.Fprintf(r.Out, "%-8s %12s %14s\n", "suite", "next-line", "dynamic-ptmc")
-	suites := []struct {
-		name string
-		wls  []string
-	}{
-		{"SPEC", r.Opts.spec()},
-		{"GAP", r.Opts.graph()},
-		{"MIX", r.Opts.mixes()},
-	}
-	var jobs []Job
-	for _, s := range suites {
-		jobs = append(jobs, jobsFor(s.wls,
-			sim.SchemeUncompressed, sim.SchemeNextLine, sim.SchemeDynamicPTMC)...)
-	}
-	if err := r.Prefetch(jobs...); err != nil {
+	suites, wls := r.suites()
+	rows, err := r.Results(r.matrix(wls, sim.SchemeUncompressed, sim.SchemeNextLine, sim.SchemeDynamicPTMC))
+	if err != nil {
 		return err
 	}
 	for _, s := range suites {
-		if len(s.wls) == 0 {
+		suite := rows[:len(s.wls)]
+		rows = rows[len(s.wls):]
+		if len(suite) == 0 {
 			continue
 		}
-		nl, err := r.geoMeanSpeedup(s.wls, sim.SchemeNextLine)
-		if err != nil {
-			return err
+		var nl, dp []float64
+		for _, row := range suite {
+			nl, dp = append(nl, speedup(row, 1)), append(dp, speedup(row, 2))
 		}
-		dp, err := r.geoMeanSpeedup(s.wls, sim.SchemeDynamicPTMC)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(r.Out, "%-8s %+11.1f%% %+13.1f%%\n", s.name, 100*(nl-1), 100*(dp-1))
+		fmt.Fprintf(r.Out, "%-8s %+11.1f%% %+13.1f%%\n", s.name,
+			100*(stats.GeoMean(nl)-1), 100*(stats.GeoMean(dp)-1))
 	}
 	return nil
 }

@@ -140,8 +140,7 @@ func (c *chaosTrial) boot(armCrash bool) (*Server, *httptest.Server) {
 	}
 	s, err := newFromStore(Config{
 		Dir:      c.dir,
-		Workers:  1 + c.rng.Intn(2),
-		Parallel: 2,
+		Parallel: 1 + c.rng.Intn(2),
 		QueueCap: 16,
 		Backoff:  time.Millisecond,
 		RunSim:   c.sims.run,

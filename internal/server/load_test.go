@@ -40,7 +40,7 @@ func TestLoadKillRestart(t *testing.T) {
 		return fakeResult(c), nil
 	}
 	dir := t.TempDir()
-	s1, err := New(Config{Dir: dir, Workers: 8, Parallel: 8,
+	s1, err := New(Config{Dir: dir, Parallel: 8,
 		QueueCap: jobs + 64, RunSim: slowStub})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestLoadKillRestart(t *testing.T) {
 	// Life 2: instant sims, invocation ledger for the duplicate-work check.
 	var imu sync.Mutex
 	var invoked []sim.Config
-	s2, err := New(Config{Dir: dir, Workers: 8, Parallel: 8,
+	s2, err := New(Config{Dir: dir, Parallel: 8,
 		QueueCap: jobs + 64,
 		RunSim: func(ctx context.Context, c sim.Config) (*sim.Result, error) {
 			imu.Lock()

@@ -88,7 +88,12 @@ func TestFinishTerminalEventVisibleOnDone(t *testing.T) {
 		go func() { // blocker: receives j.mu by hand-off at finish's unlock
 			defer wg.Done()
 			j.mu.Lock()
-			<-gate
+			// Hold the lock only if finish has run. A blocker that got it
+			// first would wait on gate, which needs j.done, which needs
+			// finish to take this lock: release it at once instead.
+			if j.state == StateDone {
+				<-gate
+			}
 			j.mu.Unlock()
 		}()
 		go func() { // waiter: the SSE handler's wake-on-done path
@@ -216,7 +221,7 @@ func TestTransientStoreFaultRequeuesInProcess(t *testing.T) {
 		return nil
 	}
 	s, err := newFromStore(Config{
-		Dir: dir, Workers: 1, Parallel: 1, QueueCap: 8,
+		Dir: dir, Parallel: 1, QueueCap: 8,
 		TenantQuota: 1, // one in-flight job per tenant: a leak would 429 the follow-up
 		Backoff:     time.Millisecond,
 		RunSim: func(ctx context.Context, c sim.Config) (*sim.Result, error) {

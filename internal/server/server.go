@@ -22,8 +22,7 @@ import (
 // field selects the documented default.
 type Config struct {
 	Dir          string        // job-store directory (required)
-	Workers      int           // concurrent jobs (default 1; each job runs its schemes via the exec pool)
-	Parallel     int           // exec pool size for scheme simulations (default GOMAXPROCS)
+	Parallel     int           // simulations, and so jobs, at once (default GOMAXPROCS)
 	QueueCap     int           // max jobs waiting for a worker (default 64)
 	TenantQuota  int           // max queued+running jobs per tenant (0 = unlimited)
 	JobTimeout   time.Duration // default per-scheme deadline (0 = none; spec may override)
@@ -120,9 +119,6 @@ func New(cfg Config) (*Server, error) {
 // from New so tests can arm fault-injection hooks on the store before any
 // worker goroutine can observe it.
 func newFromStore(cfg Config, store *Store) (*Server, error) {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = 64
 	}
@@ -229,7 +225,9 @@ func newFromStore(cfg Config, store *Store) (*Server, error) {
 			go s.sweepCoordinator(sw)
 		}
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	// One worker per pool slot: a job fans its schemes out over the pool,
+	// and priority decides which queued job takes the next free worker.
+	for i := 0; i < pool.Size(); i++ {
 		s.workers.Add(1)
 		go s.worker()
 	}
@@ -264,6 +262,9 @@ func (s *Server) registerMetrics() {
 	g("ptmcd.wal_segments", func() uint64 { return uint64(s.store.Segments()) })
 	c("ptmcd.wal_compacted_segments", func() uint64 { return uint64(s.store.CompactedSegments()) })
 }
+
+// Parallel reports how many simulations, and jobs, run at once.
+func (s *Server) Parallel() int { return s.pool.Size() }
 
 // worker pulls jobs in priority order until drain.
 func (s *Server) worker() {
@@ -307,39 +308,54 @@ func (s *Server) runJob(j *job) {
 	if j.spec.TimeoutSec > 0 {
 		timeout = time.Duration(j.spec.TimeoutSec) * time.Second
 	}
-	// Per-job tracer: one KindJob span per scheme (wall µs, tid = matrix
-	// index), plus the simulator's own cycle-stamped events when the spec
-	// asked for them. Persisted best-effort after settlement.
-	start := time.Now()
+	// The schemes run at once through the shared flights and settle
+	// together; the artifact keeps matrix order. Per-job tracer: one
+	// KindJob span per scheme (wall µs, tid = matrix index, arg 1 for a
+	// simulation this job ran; one it shared with another job spans the
+	// whole fan-out, arg 0), plus the simulator's own cycle-stamped events
+	// when the spec asked for them. Persisted best-effort after settlement.
+	runs := sim.Matrix{Base: j.spec.Spec, Workloads: []string{j.spec.Workload}, Schemes: j.spec.Schemes}.Runs()
+	keys := make([]string, len(runs))
+	for i, r := range runs {
+		keys[i] = r.Key()
+	}
 	tracer := obs.NewTracer(1 << 16)
+	start := time.Now()
+	span := func(i int, t0 time.Duration, simulated int64) {
+		tracer.Emit(obs.KindJob, t0.Microseconds(), (time.Since(start)-t0).Microseconds()+1, i, 0, simulated)
+	}
+	results, ran, errs := s.flights.DoAll(s.baseCtx, keys, timeout,
+		func(ctx context.Context, i int) (*sim.Result, error) {
+			s.m.simsRun.Add(1)
+			t0 := time.Since(start)
+			defer span(i, t0, 1)
+			return runs[i].Exec(ctx, s.runSim)
+		})
 	var simEvents []obs.Event
 	art := ResultArtifact{ID: j.id, Spec: j.spec}
-	for i, scheme := range j.spec.Schemes {
-		t0 := time.Now()
-		res, ran, err := s.flights.DoJob(s.baseCtx, j.spec.Spec.Key(scheme), timeout,
-			func(ctx context.Context) (*sim.Result, error) {
-				s.m.simsRun.Add(1)
-				return s.runSim(ctx, j.spec.Config(scheme))
-			})
-		if err != nil {
-			s.settleFailure(j, scheme, err)
-			return
+	for i, r := range runs {
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("%s: %w", r.Scheme, errs[i])
+			continue
 		}
-		simulated := int64(0) // the span's arg: 1 if this job ran the simulation, 0 if it shared one
-		if ran {
-			simulated = 1
+		if !ran[i] {
+			span(i, 0, 0)
 		}
-		tracer.Emit(obs.KindJob, t0.Sub(start).Microseconds(),
-			time.Since(t0).Microseconds()+1, i, 0, simulated)
-		if j.spec.Trace && res != nil {
-			simEvents = append(simEvents, res.TraceEvents...)
+		if j.spec.Trace {
+			simEvents = append(simEvents, results[i].TraceEvents...)
 		}
-		art.Results = append(art.Results, SchemeResult{Scheme: scheme, Result: res})
+		art.Results = append(art.Results, SchemeResult{Scheme: r.Scheme, Result: results[i]})
 		j.mu.Lock()
 		j.schemesDone++
 		n := j.schemesDone
 		j.mu.Unlock()
-		j.emit("scheme", fmt.Sprintf("%s done (%d/%d)", scheme, n, len(j.spec.Schemes)))
+		j.emit("scheme", fmt.Sprintf("%s done (%d/%d)", r.Scheme, n, len(runs)))
+	}
+	// The lowest-index failure is the one the job reports, whatever order
+	// the schemes settled in.
+	if err := exec.FirstError(errs); err != nil {
+		s.settleFailure(j, err)
+		return
 	}
 
 	// Durability order: artifact first, then the done record. A crash
@@ -369,13 +385,14 @@ func (s *Server) saveTrace(id string, events []obs.Event) {
 	_ = s.store.SaveTrace(id, buf.Bytes())
 }
 
-// settleFailure classifies a scheme failure and persists the typed
-// outcome — except drain cancellation, which is not a job failure: the
-// job stays accepted in the WAL and the next boot replays it.
-func (s *Server) settleFailure(j *job, scheme string, err error) {
+// settleFailure classifies a scheme failure (err names the scheme) and
+// persists the typed outcome — except drain cancellation, which is not a
+// job failure: the job stays accepted in the WAL and the next boot
+// replays it.
+func (s *Server) settleFailure(j *job, err error) {
 	if s.baseCtx.Err() != nil {
 		// Drain (or shutdown) cancelled the run at its next cycle checkpoint.
-		j.emit("canceled", fmt.Sprintf("%s interrupted by drain; job will replay", scheme))
+		j.emit("canceled", fmt.Sprintf("%v: interrupted by drain; job will replay", err))
 		return
 	}
 	kind := FailKindSim
@@ -388,7 +405,7 @@ func (s *Server) settleFailure(j *job, scheme string, err error) {
 	case errors.Is(err, context.Canceled):
 		kind = FailKindCanceled
 	}
-	msg := fmt.Sprintf("%s: %v", scheme, err)
+	msg := err.Error()
 	if werr := s.store.CompleteFailed(j.id, kind, msg); werr != nil {
 		s.leaveForReplay(j, werr)
 		return
@@ -679,8 +696,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// "queued" is emitted before the job becomes visible to workers, so a
 	// worker's "started" can never precede it in the event log.
 	j.emit("queued", "")
+	// The 202 reports the accepted job: snapshot it before Commit lets a
+	// worker take it.
+	st := j.status()
 	s.queue.Commit(j)
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 // handleSweepSubmit accepts a sweep: one durable batched WAL append

@@ -40,7 +40,7 @@ func newTestServer(t *testing.T, mutate func(*Config), stub func(ctx context.Con
 			return fakeResult(c), nil
 		}
 	}
-	cfg := Config{Dir: t.TempDir(), Workers: 2, Parallel: 2, QueueCap: 8, RunSim: stub}
+	cfg := Config{Dir: t.TempDir(), Parallel: 2, QueueCap: 8, RunSim: stub}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -163,7 +163,7 @@ func TestQueueFullAndTenantQuota(t *testing.T) {
 		}
 	}
 	_, hs := newTestServer(t, func(c *Config) {
-		c.Workers = 1
+		c.Parallel = 1
 		c.QueueCap = 1
 		c.TenantQuota = 2
 	}, stub)
@@ -202,7 +202,7 @@ func TestQueueFullAndTenantQuota(t *testing.T) {
 	// Tenant quota: tenant a already has 1 in flight (quota 2) — a second
 	// job for a would exceed the queue, so test quota on its own server.
 	_, hs2 := newTestServer(t, func(c *Config) {
-		c.Workers = 1
+		c.Parallel = 1
 		c.QueueCap = 8
 		c.TenantQuota = 2
 	}, stub)
@@ -359,7 +359,7 @@ func TestHealthReadyMetricsAndDrain(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	s, hs := newTestServer(t, func(c *Config) { c.Workers = 1 }, stub)
+	s, hs := newTestServer(t, func(c *Config) { c.Parallel = 1 }, stub)
 
 	for _, ep := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(hs.URL + ep)
@@ -419,7 +419,7 @@ func TestHealthReadyMetricsAndDrain(t *testing.T) {
 	}
 
 	// The interrupted job replays on the next boot and completes.
-	s2, err := New(Config{Dir: s.cfg.Dir, Workers: 1,
+	s2, err := New(Config{Dir: s.cfg.Dir, Parallel: 1,
 		RunSim: func(ctx context.Context, c sim.Config) (*sim.Result, error) {
 			return fakeResult(c), nil
 		}})
@@ -461,5 +461,73 @@ func TestRunKeyDropsUnreadPointFields(t *testing.T) {
 	}
 	if a, b := llp.Spec.Key(sim.SchemePTMC), plain.Spec.Key(sim.SchemePTMC); a == b {
 		t.Errorf("ptmc run key ignores llp_entries: %s", a)
+	}
+}
+
+// TestIntegrityErrorFailsJob: a result that reports an integrity error is
+// not a result. The job settles failed with kind sim and no artifact is
+// written, though the simulator itself returned no error.
+func TestIntegrityErrorFailsJob(t *testing.T) {
+	stub := func(ctx context.Context, c sim.Config) (*sim.Result, error) {
+		r := fakeResult(c)
+		if c.Scheme == sim.SchemePTMC {
+			r.Mem.IntegrityErrs = 1
+		}
+		return r, nil
+	}
+	s, hs := newTestServer(t, nil, stub)
+	_, st := submit(t, hs, tinySpec)
+	fin := waitState(t, hs, st.ID, StateFailed)
+	if fin.FailKind != FailKindSim || !strings.Contains(fin.Error, "ptmc: 1 integrity errors") {
+		t.Fatalf("fail kind %q err %q, want sim with ptmc's integrity error", fin.FailKind, fin.Error)
+	}
+	if s.store.HasResult(st.ID) {
+		t.Error("a job whose run read back wrong data persisted an artifact")
+	}
+}
+
+// TestJobSchemesRunConcurrently: with two pool slots, a two-scheme job
+// runs both schemes at once. The stub holds each scheme until both have
+// started, so a job that ran its schemes one after another times out.
+func TestJobSchemesRunConcurrently(t *testing.T) {
+	var started atomic.Int32
+	both := make(chan struct{})
+	stub := func(ctx context.Context, c sim.Config) (*sim.Result, error) {
+		if started.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+			return fakeResult(c), nil
+		case <-time.After(3 * time.Second):
+			return nil, errors.New("schemes ran one at a time")
+		}
+	}
+	_, hs := newTestServer(t, func(c *Config) { c.Parallel = 2 }, stub)
+	_, st := submit(t, hs, tinySpec)
+	if fin := waitState(t, hs, st.ID, StateDone); fin.SchemesDone != 2 {
+		t.Fatalf("schemes_done = %d, want 2", fin.SchemesDone)
+	}
+}
+
+// TestJobReportsLowestFailingScheme: when several schemes of one job fail,
+// the job reports the first failing scheme in matrix order, as a serial
+// loop would, even though a later scheme failed sooner.
+func TestJobReportsLowestFailingScheme(t *testing.T) {
+	stub := func(ctx context.Context, c sim.Config) (*sim.Result, error) {
+		switch c.Scheme {
+		case sim.SchemePTMC:
+			time.Sleep(50 * time.Millisecond)
+			return nil, errors.New("second failed")
+		case sim.SchemeTableTMC:
+			return nil, errors.New("third failed")
+		}
+		return fakeResult(c), nil
+	}
+	_, hs := newTestServer(t, func(c *Config) { c.Parallel = 3 }, stub)
+	_, st := submit(t, hs, `{"workload":"lbm06","schemes":["uncompressed","ptmc","table-tmc"],"cores":2,"warmup_instr":100,"measure_instr":200}`)
+	fin := waitState(t, hs, st.ID, StateFailed)
+	if fin.FailKind != FailKindSim || fin.Error != "ptmc: second failed" {
+		t.Fatalf("fail kind %q err %q, want sim %q", fin.FailKind, fin.Error, "ptmc: second failed")
 	}
 }

@@ -57,9 +57,14 @@ func (s *SweepSpec) Normalize() error {
 		}
 		seenW[w] = true
 	}
+	base := sim.Spec{Cores: s.Cores, Warmup: s.Warmup, Measure: s.Measure}
+	base.Normalize()
+	s.Cores, s.Warmup, s.Measure = base.Cores, base.Warmup, base.Measure
 	seenSd := map[int64]bool{}
 	for i := range s.Seeds {
-		s.Seeds[i] = s.run(s.Seeds[i]).Seed
+		if s.Seeds[i] == 0 {
+			s.Seeds[i] = base.Seed
+		}
 		if seenSd[s.Seeds[i]] {
 			return badRequest(fmt.Sprintf("duplicate seed %d", s.Seeds[i]))
 		}
@@ -72,8 +77,6 @@ func (s *SweepSpec) Normalize() error {
 	if n > maxSweepPoints {
 		return badRequest(fmt.Sprintf("sweep has %d points (max %d)", n, maxSweepPoints))
 	}
-	run := s.run(0)
-	s.Cores, s.Warmup, s.Measure = run.Cores, run.Warmup, run.Measure
 	// Child validation covers scheme names, knob ranges, and workload
 	// resolution.
 	_, specs := s.children()
@@ -85,35 +88,25 @@ func (s *SweepSpec) Normalize() error {
 	return nil
 }
 
-// run is the normalized run spec the sweep's shared knobs and seed
-// describe (workload left to the caller).
-func (s *SweepSpec) run(seed int64) sim.Spec {
-	r := sim.Spec{Cores: s.Cores, Warmup: s.Warmup, Measure: s.Measure, Seed: seed}
-	r.Normalize()
-	return r
-}
-
-// children derives the deterministic fan-out: workloads outermost, then
-// schemes, then seeds. Each point is a single-scheme job at sweep-child
-// priority; its id is the ordinary content key, which is what makes
-// resumed (or overlapping) sweeps dedupe for free. Every child's run spec
-// is normalized, also for a sweep persisted before seeds were.
+// children derives the deterministic fan-out, the sweep's sim.Matrix
+// (workloads outermost, then schemes, then seeds). Each point is a
+// single-scheme job at sweep-child priority; its id is the ordinary
+// content key, which is what makes resumed (or overlapping) sweeps dedupe
+// for free. Every child's run spec is normalized, also for a sweep
+// persisted before seeds were.
 func (s *SweepSpec) children() (ids []string, specs []JobSpec) {
-	for _, w := range s.Workloads {
-		for _, sc := range s.Schemes {
-			for _, sd := range s.Seeds {
-				spec := JobSpec{
-					Spec:       s.run(sd),
-					Schemes:    []string{sc},
-					TimeoutSec: s.TimeoutSec,
-					Tenant:     s.Tenant,
-					Priority:   PrioritySweepChild,
-				}
-				spec.Workload = w
-				ids = append(ids, spec.Key())
-				specs = append(specs, spec)
-			}
+	m := sim.Matrix{Base: sim.Spec{Cores: s.Cores, Warmup: s.Warmup, Measure: s.Measure},
+		Workloads: s.Workloads, Schemes: s.Schemes, Seeds: s.Seeds}
+	for _, r := range m.Runs() {
+		spec := JobSpec{
+			Spec:       r.Spec,
+			Schemes:    []string{r.Scheme},
+			TimeoutSec: s.TimeoutSec,
+			Tenant:     s.Tenant,
+			Priority:   PrioritySweepChild,
 		}
+		ids = append(ids, spec.Key())
+		specs = append(specs, spec)
 	}
 	return ids, specs
 }

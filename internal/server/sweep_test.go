@@ -269,7 +269,7 @@ func TestSweepAdoptsExistingJob(t *testing.T) {
 // checkpointed, store dropped — only what the WAL already holds survives.
 func bootServer(t *testing.T, dir string, stub func(ctx context.Context, c sim.Config) (*sim.Result, error)) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{Dir: dir, Workers: 2, Parallel: 2, QueueCap: 64, RunSim: stub})
+	s, err := New(Config{Dir: dir, Parallel: 2, QueueCap: 64, RunSim: stub})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -155,6 +157,74 @@ func scaled(n, shift int) int {
 func (s Spec) Key(scheme string) string {
 	return fmt.Sprintf("%s|%s|c%d|w%d|m%d|s%d|sh0|evfalse|tr%t",
 		s.Workload, scheme, s.Cores, s.Warmup, s.Measure, s.Seed, s.Trace) + s.Point.For(scheme).Key()
+}
+
+// Matrix is a set of runs: Base under every workload, design point,
+// scheme and seed on its axes. An empty workload or scheme axis has no
+// runs (Base's workload is unused); an empty point or seed axis is Base's.
+// paperbench, sweep and ptmcd all expand their runs here.
+type Matrix struct {
+	Base      Spec
+	Workloads []string
+	Points    []Point
+	Schemes   []string
+	Seeds     []int64
+}
+
+// RunSpec is one cell of a Matrix: a normalized spec under one scheme.
+type RunSpec struct {
+	Spec   Spec
+	Scheme string
+}
+
+// Key is the cell's run key.
+func (r RunSpec) Key() string { return r.Spec.Key(r.Scheme) }
+
+// Runs expands m in workloads → points → schemes → seeds order. A cell is
+// its axis values over Base, normalized, so a Table I point keys like the
+// default run.
+func (m Matrix) Runs() []RunSpec {
+	var runs []RunSpec
+	for _, w := range m.Workloads {
+		for _, p := range axis(m.Points) {
+			for _, sc := range m.Schemes {
+				for _, sd := range axis(m.Seeds) {
+					s := Spec{Workload: w, Seed: sd, Point: p}.Or(m.Base)
+					s.Normalize()
+					runs = append(runs, RunSpec{Spec: s, Scheme: sc})
+				}
+			}
+		}
+	}
+	return runs
+}
+
+// axis is xs, or one zero value (Base's, through Or) when xs is empty.
+func axis[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return make([]T, 1)
+	}
+	return xs
+}
+
+// ErrIntegrity marks a run whose cores read back data they did not write.
+var ErrIntegrity = errors.New("integrity errors")
+
+// Exec simulates r with simulate (RunContext when nil). A result with
+// integrity errors has no speedup to report, so Exec returns it as an
+// ErrIntegrity error; RunContext itself returns it as data.
+func (r RunSpec) Exec(ctx context.Context, simulate func(context.Context, Config) (*Result, error)) (*Result, error) {
+	if simulate == nil {
+		simulate = RunContext
+	}
+	res, err := simulate(ctx, r.Spec.Config(r.Scheme))
+	if err != nil {
+		return nil, err
+	}
+	if n := res.Mem.IntegrityErrs; n > 0 {
+		return nil, fmt.Errorf("%d %w", n, ErrIntegrity)
+	}
+	return res, nil
 }
 
 // BindFlags binds -cores, -warmup, -insts and -seed to s. Each flag's

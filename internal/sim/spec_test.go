@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -133,5 +136,61 @@ func TestPointNormalizeAndKey(t *testing.T) {
 	}
 	if got := (Spec{Point: Point{L3MB: 4}}).Or(Spec{Point: Point{L3MB: 1, Channels: 1}}).Point; got != (Point{Channels: 1, L3MB: 4}) {
 		t.Fatalf("Or point = %+v", got)
+	}
+}
+
+// TestMatrixRunsOrderAndNormalize: a matrix expands workloads → points →
+// schemes → seeds, each cell normalized over the base, so a point equal to
+// Table I keys like the default run; an empty point or seed axis is the
+// base's own, an empty workload axis has no runs.
+func TestMatrixRunsOrderAndNormalize(t *testing.T) {
+	base := Spec{Cores: 2, Warmup: 100, Measure: 200, Point: Point{L3MB: 1}}
+	m := Matrix{Base: base, Workloads: []string{"lbm06", "mcf06"},
+		Points: []Point{{}, {Channels: 1}}, Schemes: []string{SchemeUncompressed, SchemePTMC},
+		Seeds: []int64{1, 2}}
+	var got []string
+	for _, r := range m.Runs() {
+		got = append(got, fmt.Sprintf("%s/%d/%s/%d", r.Spec.Workload, r.Spec.Channels, r.Scheme, r.Spec.Seed))
+		if r.Spec.L3MB != 1 {
+			t.Errorf("%s lost the base's point", r.Key())
+		}
+	}
+	var want []string
+	for _, w := range m.Workloads {
+		for _, ch := range []int{0, 1} {
+			for _, sc := range m.Schemes {
+				for _, sd := range m.Seeds {
+					want = append(want, fmt.Sprintf("%s/%d/%s/%d", w, ch, sc, sd))
+				}
+			}
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("runs = %v\nwant %v", got, want)
+	}
+
+	one := Matrix{Base: Spec{Cores: 2}, Workloads: []string{"lbm06"},
+		Points: []Point{{Channels: Default().DRAM.Channels}}, Schemes: []string{SchemePTMC}}.Runs()
+	def := Spec{Workload: "lbm06", Cores: 2}
+	def.Normalize()
+	if len(one) != 1 || one[0].Key() != def.Key(SchemePTMC) {
+		t.Errorf("a Table I point keys %v, want the default run %s", one, def.Key(SchemePTMC))
+	}
+	if n := len(Matrix{Base: def, Schemes: []string{SchemePTMC}}.Runs()); n != 0 {
+		t.Errorf("a matrix with no workloads has %d runs, want 0", n)
+	}
+}
+
+// TestRunSpecExecFailsIntegrityErrors: a result that reports integrity
+// errors is an ErrIntegrity error, however the simulator returned it.
+func TestRunSpecExecFailsIntegrityErrors(t *testing.T) {
+	r := RunSpec{Spec: Spec{Workload: "lbm06"}, Scheme: SchemePTMC}
+	bad := func(ctx context.Context, cfg Config) (*Result, error) {
+		res := &Result{Workload: cfg.Workload, Scheme: cfg.Scheme}
+		res.Mem.IntegrityErrs = 3
+		return res, nil
+	}
+	if _, err := r.Exec(context.Background(), bad); !errors.Is(err, ErrIntegrity) || err.Error() != "3 integrity errors" {
+		t.Errorf("Exec = %v, want 3 integrity errors", err)
 	}
 }

@@ -19,13 +19,13 @@ trap cleanup EXIT
 
 go build -o "$work/ptmcd" ./cmd/ptmcd
 
-# boot_daemon DATA_DIR WORKERS -> sets $daemon_pid and $base (URL). Tiny
+# boot_daemon DATA_DIR PARALLEL -> sets $daemon_pid and $base (URL). Tiny
 # WAL segments so the load exercises rotation + compaction, not just
 # appends.
 boot_daemon() {
 	rm -f "$work/addr"
 	"$work/ptmcd" -addr 127.0.0.1:0 -addr-file "$work/addr" -data "$1" \
-		-workers "$2" -queue $((jobs + 16)) -wal-segment 4096 \
+		-parallel "$2" -queue $((jobs + 16)) -wal-segment 4096 \
 		>> "$work/daemon.log" 2>&1 &
 	daemon_pid=$!
 	i=0
@@ -41,8 +41,8 @@ boot_daemon() {
 	base="http://$(cat "$work/addr")"
 }
 
-# One worker in the first life: the backlog builds behind it, so the
-# kill -9 below reliably lands with work queued and in flight.
+# One simulation at a time in the first life: the backlog builds behind
+# it, so the kill -9 below reliably lands with work queued and in flight.
 boot_daemon "$work/data" 1
 
 # Submit the full batch: unique seeds (unique jobs), alternating priority

@@ -37,7 +37,7 @@ spec='{"workload":"lbm06","schemes":["dynamic-ptmc"],"cores":2,"warmup_instr":50
 boot_daemon() {
 	rm -f "$work/addr"
 	"$work/ptmcd" -addr 127.0.0.1:0 -addr-file "$work/addr" -data "$1" \
-		-workers 1 >> "$work/daemon.log" 2>&1 &
+		-parallel 1 >> "$work/daemon.log" 2>&1 &
 	daemon_pid=$!
 	i=0
 	while [ ! -f "$work/addr" ]; do
