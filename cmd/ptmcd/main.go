@@ -213,10 +213,6 @@ func client(cmd string, args []string) error {
 		if *id == "" {
 			return errors.New("wait: -id is required")
 		}
-		what := "job"
-		if *sweepMode {
-			what = "sweep"
-		}
 		deadline := time.Now().Add(*timeout)
 		for {
 			st, err := status(resource, *id)
@@ -226,7 +222,7 @@ func client(cmd string, args []string) error {
 					fmt.Println("done")
 					return nil
 				case "failed":
-					return fmt.Errorf("%s failed (%s): %s", what, st.FailKind, st.Error)
+					return fmt.Errorf("job failed (%s): %s", st.FailKind, st.Error)
 				}
 			}
 			// Transient fetch errors (daemon restarting mid-wait) retry
@@ -246,7 +242,8 @@ func client(cmd string, args []string) error {
 }
 
 // waitStatus is the subset of job/sweep status that wait needs; both
-// resources serve it under the same field names.
+// resources serve state under the same name. Only a job can be failed:
+// a sweep is done once every point is terminal, failed points included.
 type waitStatus struct {
 	State    string `json:"state"`
 	FailKind string `json:"fail_kind"`

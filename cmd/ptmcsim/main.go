@@ -8,18 +8,14 @@
 // With -baseline, the uncompressed baseline runs too and the weighted
 // speedup is reported. -list prints the available workloads and schemes.
 // -channels and -l3mb set the run's design point (sim.Point); 0 keeps the
-// Table I value (2 channels, 8 MB).
-//
-// With -inject N, ptmcsim instead runs an N-trial fault-injection campaign
-// against the controller (seeded by -seed) and fails if any injected fault
-// goes undetected without being harmless; cmd/faultprobe exposes the full
-// campaign surface.
+// Table I value (2 channels, 8 MB). Fault-injection campaigns are
+// cmd/faultprobe's.
 //
 // Observability (see EXPERIMENTS.md "Observability"): -metrics out.json
 // writes the per-window stats snapshot time series, -trace out.trace writes
 // a Chrome trace-event file of controller events (load in chrome://tracing
 // or Perfetto), and -pprof addr serves net/http/pprof while the run
-// executes. All three also work in -inject mode.
+// executes.
 package main
 
 import (
@@ -47,7 +43,6 @@ func main() {
 		scheme   = flag.String("scheme", ptmc.SchemeDynamicPTMC, "memory-controller scheme")
 		baseline = flag.Bool("baseline", false, "also run the uncompressed baseline and report speedup")
 		list     = flag.Bool("list", false, "list workloads and schemes, then exit")
-		inject   = flag.Int("inject", 0, "run an N-trial fault-injection campaign instead of a simulation")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent scheme simulations")
 	)
 	flag.Parse()
@@ -59,29 +54,6 @@ func main() {
 		for _, w := range ptmc.Workloads() {
 			fmt.Println("  " + w)
 		}
-		return
-	}
-
-	if *inject > 0 {
-		rep, err := ptmc.RunFaultCampaign(context.Background(), ptmc.FaultConfig{
-			Trials:  *inject,
-			Seed:    run.Seed,
-			Dynamic: *scheme == ptmc.SchemeDynamicPTMC,
-			Trace:   out.Trace != "",
-			Metrics: out.Metrics != "",
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ptmcsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("fault campaign: %d trials, seed %d\n", len(rep.Trials), run.Seed)
-		fmt.Print(rep.Summary())
-		out.Write(rep.Metrics, rep.TraceEvents, rep.TraceDropped)
-		if rep.Silent != 0 {
-			fmt.Fprintf(os.Stderr, "ptmcsim: %d SILENT corruptions\n", rep.Silent)
-			os.Exit(1)
-		}
-		fmt.Println("no silent corruptions")
 		return
 	}
 

@@ -10,9 +10,8 @@
 //     one worker slot, under an optional per-run timeout, and share its
 //     result; a failure is forgotten so a later request runs it again;
 //   - Cache.DoAll: a settle-all fan-out of a keyed job set through
-//     DoJob, with results in input order; every run matrix uses it;
-//   - Pool.ForEach: a deterministic fan-out that runs an indexed job set
-//     over the pool and cancels the remainder on first error.
+//     DoJob, with results in input order; every fan-out uses it, and
+//     FirstError picks the error it reports.
 //
 // A simulation is a pure function of its run spec (every sim.Run builds
 // its own memory image, caches and seeded streams), so the engine only
@@ -122,41 +121,6 @@ func (p *Pool) call(ctx context.Context, timeout time.Duration, fn func(ctx cont
 	return fn(ctx)
 }
 
-// ForEach runs fn(ctx, i) for every i in [0, n) on the pool. The first
-// failure cancels the context handed to the remaining jobs (jobs already
-// executing run to completion — simulations are not interruptible — but
-// queued jobs abort before starting). The returned error is deterministic
-// regardless of completion order: the lowest-index real failure, falling
-// back to the lowest-index cancellation. A panicking job fails with a
-// *PanicError; the other jobs and the pool are unaffected.
-func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if err := p.acquire(ctx); err != nil {
-			errs[i] = err
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer p.release()
-			// A job that acquired its slot runs even if the fan-out was
-			// cancelled meanwhile: that keeps error selection deterministic.
-			if err := p.call(ctx, 0, func(ctx context.Context) error {
-				return fn(ctx, i)
-			}); err != nil {
-				errs[i] = err
-				cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return FirstError(errs)
-}
-
 // FirstError returns the lowest-index non-cancellation error in errs,
 // falling back to the lowest-index cancellation, or nil. It is the
 // deterministic error-selection rule used throughout the engine: whatever
@@ -258,8 +222,8 @@ func (c *Cache[V]) DoJob(ctx context.Context, key string, timeout time.Duration,
 // key repeated in keys runs once, for its first index; later copies share
 // its value and error with ran false, so which index ran is deterministic.
 // Only the pool bounds how many fn run at once, so DoAll must not be
-// called from inside a pool slot (Pool.ForEach): with one slot it would
-// wait forever for its own.
+// called from inside a pool slot: with one slot it would wait forever for
+// its own.
 func (c *Cache[V]) DoAll(ctx context.Context, keys []string, timeout time.Duration, fn func(ctx context.Context, i int) (V, error)) (vals []V, ran []bool, errs []error) {
 	n := len(keys)
 	vals, ran, errs = make([]V, n), make([]bool, n), make([]error, n)

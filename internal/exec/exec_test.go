@@ -10,10 +10,19 @@ import (
 	"time"
 )
 
+// indexKeys returns n distinct keys, one per index.
+func indexKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprint(i)
+	}
+	return keys
+}
+
 func TestPoolBoundsConcurrency(t *testing.T) {
 	p := NewPool(3)
 	var cur, max atomic.Int32
-	err := p.ForEach(context.Background(), 32, func(ctx context.Context, i int) error {
+	_, _, errs := NewCache[int](p).DoAll(context.Background(), indexKeys(32), 0, func(ctx context.Context, i int) (int, error) {
 		n := cur.Add(1)
 		for {
 			m := max.Load()
@@ -23,9 +32,9 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 		cur.Add(-1)
-		return nil
+		return i, nil
 	})
-	if err != nil {
+	if err := FirstError(errs); err != nil {
 		t.Fatal(err)
 	}
 	if got := max.Load(); got > 3 {
@@ -42,35 +51,20 @@ func TestPoolDefaultSize(t *testing.T) {
 	}
 }
 
-func TestForEachFirstErrorIsDeterministic(t *testing.T) {
+func TestDoAllFirstErrorIsDeterministic(t *testing.T) {
 	p := NewPool(8)
 	// Fail several indices; whatever order they complete in, the reported
 	// error must be the lowest failing index.
 	for trial := 0; trial < 20; trial++ {
-		err := p.ForEach(context.Background(), 16, func(ctx context.Context, i int) error {
+		_, _, errs := NewCache[int](p).DoAll(context.Background(), indexKeys(16), 0, func(ctx context.Context, i int) (int, error) {
 			if i%5 == 3 { // fails at 3, 8, 13
-				return fmt.Errorf("job %d failed", i)
+				return 0, fmt.Errorf("job %d failed", i)
 			}
-			return nil
+			return i, nil
 		})
-		if err == nil || err.Error() != "job 3 failed" {
+		if err := FirstError(errs); err == nil || err.Error() != "job 3 failed" {
 			t.Fatalf("trial %d: got %v, want job 3 failed", trial, err)
 		}
-	}
-}
-
-func TestForEachCancelsQueuedJobs(t *testing.T) {
-	p := NewPool(1)
-	var started atomic.Int32
-	err := p.ForEach(context.Background(), 100, func(ctx context.Context, i int) error {
-		started.Add(1)
-		return errors.New("boom")
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if n := started.Load(); n == 100 {
-		t.Error("cancellation should stop queued jobs from starting")
 	}
 }
 
@@ -168,25 +162,25 @@ func TestFirstErrorPrefersRealFailures(t *testing.T) {
 	}
 }
 
-// TestForEachPanicIsIsolated panics one job inside an 8-way ForEach and
+// TestDoAllPanicIsIsolated panics one job inside an 8-way DoAll and
 // asserts the remaining jobs run, the caller gets a PanicError, and the
 // pool remains fully usable afterwards (no leaked slots).
-func TestForEachPanicIsIsolated(t *testing.T) {
+func TestDoAllPanicIsIsolated(t *testing.T) {
 	p := NewPool(8)
 	var completed atomic.Int32
 	var started sync.WaitGroup
 	started.Add(8) // barrier: every job is executing before any panics
-	err := p.ForEach(context.Background(), 8, func(ctx context.Context, i int) error {
+	_, _, errs := NewCache[int](p).DoAll(context.Background(), indexKeys(8), 0, func(ctx context.Context, i int) (int, error) {
 		started.Done()
 		started.Wait()
 		if i == 3 {
 			panic("job 3 exploded")
 		}
 		completed.Add(1)
-		return nil
+		return i, nil
 	})
 	var pe *PanicError
-	if !errors.As(err, &pe) {
+	if err := FirstError(errs); !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
 	if pe.Value != "job 3 exploded" {
@@ -200,9 +194,10 @@ func TestForEachPanicIsIsolated(t *testing.T) {
 		t.Errorf("completed = %d, want 7", n)
 	}
 	// Pool stays usable at full capacity: all 8 slots must be acquirable.
-	if err := p.ForEach(context.Background(), 16, func(ctx context.Context, i int) error {
-		return nil
-	}); err != nil {
+	_, _, errs = NewCache[int](p).DoAll(context.Background(), indexKeys(16), 0, func(ctx context.Context, i int) (int, error) {
+		return i, nil
+	})
+	if err := FirstError(errs); err != nil {
 		t.Fatalf("pool unusable after panic: %v", err)
 	}
 	if len(p.sem) != 0 {
@@ -292,11 +287,11 @@ func TestRunJobTimeout(t *testing.T) {
 func TestPoolHistograms(t *testing.T) {
 	p := NewPool(2)
 	const jobs = 8
-	err := p.ForEach(context.Background(), jobs, func(context.Context, int) error {
+	_, _, errs := NewCache[int](p).DoAll(context.Background(), indexKeys(jobs), 0, func(context.Context, int) (int, error) {
 		time.Sleep(time.Millisecond)
-		return nil
+		return 0, nil
 	})
-	if err != nil {
+	if err := FirstError(errs); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.RunTime().Count(); got != jobs {

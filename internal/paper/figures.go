@@ -6,6 +6,7 @@ import (
 
 	"ptmc/internal/compress"
 	"ptmc/internal/core"
+	"ptmc/internal/exec"
 	"ptmc/internal/sim"
 	"ptmc/internal/stats"
 	"ptmc/internal/workload"
@@ -68,13 +69,13 @@ func (r *Runner) Figure6() error {
 	alg := compress.Hybrid{}
 	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
 	// The offline pair scan is CPU-bound with no shared state, so each
-	// workload's row computes in parallel; rows print in workload order
-	// afterwards so the report bytes match a serial run.
-	v64s, v60s := make([]float64, len(wls)), make([]float64, len(wls))
-	err := r.pool.ForEach(context.Background(), len(wls), func(ctx context.Context, i int) error {
+	// workload's row computes in parallel on the runner's pool; rows print
+	// in workload order afterwards so the report bytes match a serial run.
+	rows := exec.NewCache[[2]float64](r.pool)
+	fits, _, errs := rows.DoAll(context.Background(), wls, 0, func(ctx context.Context, i int) ([2]float64, error) {
 		w, err := workload.Lookup(wls[i])
 		if err != nil {
-			return err
+			return [2]float64{}, err
 		}
 		s := w.NewStream(r.Opts.Run.Seed)
 		const pairs = 4000
@@ -94,23 +95,19 @@ func (r *Runner) Figure6() error {
 				fit60++
 			}
 		}
-		v64s[i] = float64(fit64) / pairs
-		v60s[i] = float64(fit60) / pairs
-		return nil
+		return [2]float64{float64(fit64) / pairs, float64(fit60) / pairs}, nil
 	})
-	if err != nil {
+	if err := exec.FirstError(errs); err != nil {
 		return err
 	}
-	for i, wl := range wls {
-		fmt.Fprintf(r.Out, "%-14s %9.1f%% %9.1f%%\n", wl, 100*v64s[i], 100*v60s[i])
-	}
 	a64, a60 := 0.0, 0.0
-	for i := range v64s {
-		a64 += v64s[i]
-		a60 += v60s[i]
+	for i, wl := range wls {
+		fmt.Fprintf(r.Out, "%-14s %9.1f%% %9.1f%%\n", wl, 100*fits[i][0], 100*fits[i][1])
+		a64 += fits[i][0]
+		a60 += fits[i][1]
 	}
 	fmt.Fprintf(r.Out, "%-14s %9.1f%% %9.1f%%\n", "AVERAGE",
-		100*a64/float64(len(v64s)), 100*a60/float64(len(v60s)))
+		100*a64/float64(len(fits)), 100*a60/float64(len(fits)))
 	return nil
 }
 

@@ -97,6 +97,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(legacy, []byte("garbage after the last frame"), uint8(1))
 	f.Add(append(legacy, "\n\n"...), []byte(nil), uint8(2))
 	f.Add([]byte(`{"op":"accept","id":"x"}`+"\n"+`not json`), []byte{0xff, 0, 0, 0}, uint8(4))
+	f.Add(append(append(legacy, '\n'), legacySweepDone...), []byte(nil), uint8(1))
 	f.Fuzz(func(t *testing.T, records, tail []byte, layout uint8) {
 		recs := bytes.Split(records, []byte("\n"))
 		nseg := 1 + int(layout)%3

@@ -166,6 +166,11 @@ var legacyWALRecords = []string{
 	`{"op":"sweep","id":"sb1ce8d13e6700619","sweep":{"workloads":["lbm06"],"schemes":["uncompressed","ptmc"],"seeds":[1],"cores":2,"warmup_instr":100,"measure_instr":200,"shards":4,"event_driven":true,"tenant":"default"}}`,
 }
 
+// legacySweepDone settles legacyWALRecords' sweep as earlier daemons did,
+// which also stored the aggregate as results/<id>.json. Replay ignores it:
+// a sweep's state is derived from its children.
+const legacySweepDone = `{"op":"done","id":"sb1ce8d13e6700619","status":"ok"}`
+
 // appendFrame appends payload to wal as one WAL frame: its length and
 // CRC-32, little endian, then the payload.
 func appendFrame(wal, payload []byte) []byte {
@@ -179,14 +184,22 @@ func appendFrame(wal, payload []byte) []byte {
 // event_driven fields were removed: accept and sweep records carrying
 // "shards":4,"event_driven":true. Every persisted job must complete under
 // its persisted id. The sweep's children are re-derived without the
-// knobs, so they get new ids and run once; the sweep still completes.
+// knobs, so they get new ids and run once; the sweep still completes over
+// them, although an earlier daemon had settled it with a done record and
+// a stored aggregate.
 func TestLegacyWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	var wal []byte
-	for _, r := range legacyWALRecords {
+	for _, r := range append(legacyWALRecords, legacySweepDone) {
 		wal = appendFrame(wal, []byte(r))
 	}
 	if err := os.WriteFile(filepath.Join(dir, "wal-000001.log"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "results", "sb1ce8d13e6700619.json"), []byte(`{"stale":true}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,6 +219,18 @@ func TestLegacyWALReplay(t *testing.T) {
 	for _, id := range ids {
 		if _, err := s.store.Result(id); err != nil {
 			t.Errorf("re-derived sweep child %s has no result: %v", id, err)
+		}
+	}
+	var art SweepArtifact
+	if err := json.Unmarshal(sweepArtifactBytes(t, hs, "sb1ce8d13e6700619"), &art); err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Points) != len(ids) {
+		t.Fatalf("legacy sweep aggregate has %d points, want %d", len(art.Points), len(ids))
+	}
+	for i, p := range art.Points {
+		if p.JobID != ids[i] || p.State != StateDone {
+			t.Errorf("legacy sweep point %d = %s %s, want re-derived child %s done", i, p.JobID, p.State, ids[i])
 		}
 	}
 }

@@ -99,7 +99,6 @@ type metrics struct {
 	simsRun      atomic.Uint64 // actual simulator invocations (the duplicate-work proof metric)
 	storeRetries atomic.Uint64 // settlements re-tried in-process after a transient store failure
 	sweeps       atomic.Uint64 // sweeps durably accepted
-	sweepsDone   atomic.Uint64 // sweeps aggregated and settled
 }
 
 // New opens the store, replays the WAL (re-enqueueing interrupted work),
@@ -182,47 +181,30 @@ func newFromStore(cfg Config, store *Store) (*Server, error) {
 		}
 	}
 	// Sweep recovery (after jobs: children are ordinary jobs and most were
-	// just handled above). An unfinished sweep gets its coordinator back;
-	// any child missing from the store (torn fan-out batch) is re-accepted
-	// — the fan-out is a deterministic function of the sweep spec.
+	// just handled above). A sweep has no state of its own, so every stored
+	// sweep is handled alike: any child missing from the store (a torn
+	// fan-out batch, or a sweep persisted before its children's ids
+	// changed) is re-accepted — the fan-out is a deterministic function of
+	// the sweep spec. A child the store cannot accept now keeps the sweep
+	// unfinished until a later boot accepts it.
 	for _, ss := range store.Sweeps() {
 		ids, specs := ss.Spec.children()
-		sw := newSweep(ss.ID, ss.Spec, ids)
-		s.sweeps[ss.ID] = sw
+		s.sweeps[ss.ID] = &sweep{id: ss.ID, spec: ss.Spec, children: ids}
 		s.sweepOrder = append(s.sweepOrder, ss.ID)
-		switch ss.State {
-		case StateDone:
-			sw.state = StateDone
-			close(sw.done)
-		case StateFailed:
-			sw.state, sw.failKind, sw.errMsg = StateFailed, ss.FailKind, ss.Error
-			close(sw.done)
-		case StateAccepted:
-			if store.HasResult(ss.ID) {
-				if err := store.CompleteOK(ss.ID); err == nil {
-					sw.state = StateDone
-					close(sw.done)
-					s.m.recovered.Add(1)
-					continue
-				}
+		for i, cid := range ids {
+			if _, ok := s.jobs[cid]; ok {
+				continue
 			}
-			for i, cid := range ids {
-				if _, ok := s.jobs[cid]; ok {
-					continue
-				}
-				if err := store.Accept(cid, specs[i]); err != nil {
-					continue // store wedged; the sweep settles on a later boot
-				}
-				cj := newJob(cid, specs[i])
-				cj.replayed = true
-				s.jobs[cid] = cj
-				s.order = append(s.order, cid)
-				cj.emit("replayed", "sweep child re-accepted after restart")
-				s.m.replayed.Add(1)
-				s.queue.EnqueueReplayed(cj)
+			if err := store.Accept(cid, specs[i]); err != nil {
+				continue
 			}
-			s.workers.Add(1)
-			go s.sweepCoordinator(sw)
+			cj := newJob(cid, specs[i])
+			cj.replayed = true
+			s.jobs[cid] = cj
+			s.order = append(s.order, cid)
+			cj.emit("replayed", "sweep child re-accepted after restart")
+			s.m.replayed.Add(1)
+			s.queue.EnqueueReplayed(cj)
 		}
 	}
 	// One worker per pool slot: a job fans its schemes out over the pool,
@@ -248,7 +230,7 @@ func (s *Server) registerMetrics() {
 	c("ptmcd.sims_run", s.m.simsRun.Load)
 	c("ptmcd.store_retries", s.m.storeRetries.Load)
 	c("ptmcd.sweeps_accepted", s.m.sweeps.Load)
-	c("ptmcd.sweeps_completed", s.m.sweepsDone.Load)
+	c("ptmcd.sweeps_completed", s.sweepsDone)
 	g("ptmcd.jobs_inflight", s.m.inflight.Load)
 	g("ptmcd.queue_depth", func() uint64 { return uint64(s.queue.Depth()) })
 	g("ptmcd.draining", func() uint64 {
@@ -469,72 +451,23 @@ func (s *Server) storeBackoff(n int) time.Duration {
 	return min(d, maxStoreBackoff)
 }
 
-// sweepCoordinator waits for every child to settle, then aggregates the
-// child artifacts (read back from disk, so a resumed sweep aggregates
-// byte-identically) into the sweep artifact and settles the sweep. Child
-// failures become per-point failures in the artifact; the sweep itself
-// still settles done — degraded, never silent. A transient store failure
-// retries with backoff; drain leaves the sweep accepted for the next
-// boot.
-func (s *Server) sweepCoordinator(sw *sweep) {
-	defer s.workers.Done()
-	for _, cid := range sw.children {
-		j := s.lookup(cid)
-		if j == nil {
-			continue // recorded as a failed point at aggregation
-		}
-		select {
-		case <-j.done:
-		case <-s.baseCtx.Done():
-			return // drain: sweep stays accepted; the next boot resumes it
-		}
-	}
-	data := canonicalJSON(s.buildSweepArtifact(sw))
-	for n := 1; ; n++ {
-		if s.baseCtx.Err() != nil {
-			return
-		}
-		err := s.store.SaveResult(sw.id, data)
-		if err == nil {
-			err = s.store.CompleteOK(sw.id)
-		}
-		if err == nil {
-			break
-		}
-		if errors.Is(err, ErrStoreDead) {
-			return
-		}
-		s.m.storeRetries.Add(1)
-		select {
-		case <-time.After(s.storeBackoff(n)):
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-	s.m.sweepsDone.Add(1)
-	sw.finish(StateDone, "", "")
-}
-
-// buildSweepArtifact assembles the aggregate in deterministic matrix
-// order from the children's terminal states and on-disk artifacts.
+// buildSweepArtifact assembles the aggregate of a done sweep in
+// deterministic matrix order from the children's terminal states and
+// on-disk artifacts. Every child of a done sweep exists and is terminal,
+// and stays so, so the aggregate is the same bytes on every request.
 func (s *Server) buildSweepArtifact(sw *sweep) SweepArtifact {
 	art := SweepArtifact{ID: sw.id, Spec: sw.spec}
 	_, specs := sw.spec.children()
 	for i, spec := range specs {
 		cid := sw.children[i]
-		p := SweepPoint{Workload: spec.Workload, Scheme: spec.Schemes[0], Seed: spec.Seed, JobID: cid}
-		j := s.lookup(cid)
-		if j == nil {
-			p.State, p.FailKind, p.Error = StateFailed, "internal", "child job missing"
-		} else {
-			st := j.status()
-			p.State, p.FailKind, p.Error = st.State, st.FailKind, st.Error
-			if st.State == StateDone {
-				if data, err := s.store.Result(cid); err == nil {
-					p.Result = json.RawMessage(data)
-				} else {
-					p.State, p.FailKind, p.Error = StateFailed, "artifact", err.Error()
-				}
+		st := s.lookup(cid).status()
+		p := SweepPoint{Workload: spec.Workload, Scheme: spec.Schemes[0], Seed: spec.Seed, JobID: cid,
+			State: st.State, FailKind: st.FailKind, Error: st.Error}
+		if st.State == StateDone {
+			if data, err := s.store.Result(cid); err == nil {
+				p.Result = json.RawMessage(data)
+			} else {
+				p.State, p.FailKind, p.Error = StateFailed, "artifact", err.Error()
 			}
 		}
 		art.Points = append(art.Points, p)
@@ -544,11 +477,11 @@ func (s *Server) buildSweepArtifact(sw *sweep) SweepArtifact {
 
 // Drain is the graceful-shutdown path: stop accepting (readyz and POST
 // /jobs flip to 503), cancel in-flight runs — sim.RunContext returns at
-// its next cycle checkpoint — wait for the workers (and
-// sweep coordinators and requeue timers), checkpoint the queue, and close
-// the store. Interrupted jobs stay accepted in the WAL; the next boot
-// replays them. Returns nil on a clean drain; ctx bounds how long to wait
-// for workers.
+// its next cycle checkpoint — wait for the workers (and requeue timers;
+// a sweep has no goroutine of its own to wait for), checkpoint the queue,
+// and close the store. Interrupted jobs stay accepted in the WAL; the
+// next boot replays them. Returns nil on a clean drain; ctx bounds how
+// long to wait for workers.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.queue.SetDraining(true)
@@ -584,7 +517,8 @@ func (s *Server) lookupSweep(id string) *sweep {
 	return s.sweeps[id]
 }
 
-// sweepStatus snapshots a sweep including its children's progress.
+// sweepStatus derives a sweep's state from its children: done once every
+// child job exists and is terminal (done or failed), accepted until then.
 func (s *Server) sweepStatus(sw *sweep) SweepStatus {
 	s.mu.Lock()
 	pointsDone := 0
@@ -596,7 +530,41 @@ func (s *Server) sweepStatus(sw *sweep) SweepStatus {
 		}
 	}
 	s.mu.Unlock()
-	return sw.status(pointsDone)
+	state := StateAccepted
+	if pointsDone == len(sw.children) {
+		state = StateDone
+	}
+	return SweepStatus{
+		ID:         sw.id,
+		State:      state,
+		Tenant:     sw.spec.Tenant,
+		Workloads:  append([]string(nil), sw.spec.Workloads...),
+		Schemes:    append([]string(nil), sw.spec.Schemes...),
+		Points:     len(sw.children),
+		PointsDone: pointsDone,
+	}
+}
+
+// sweepList snapshots every sweep in acceptance order.
+func (s *Server) sweepList() []*sweep {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sws := make([]*sweep, 0, len(s.sweepOrder))
+	for _, id := range s.sweepOrder {
+		sws = append(sws, s.sweeps[id])
+	}
+	return sws
+}
+
+// sweepsDone counts the done sweeps (the ptmcd.sweeps_completed series).
+func (s *Server) sweepsDone() uint64 {
+	var n uint64
+	for _, sw := range s.sweepList() {
+		if s.sweepStatus(sw).State == StateDone {
+			n++
+		}
+	}
+	return n
 }
 
 // Handler returns the HTTP API.
@@ -706,10 +674,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // handleSweepSubmit accepts a sweep: one durable batched WAL append
 // covers the sweep record and every child job the matrix fans out to
 // (existing child keys dedupe — that is the whole resume story), then the
-// children enter the queue at sweep-child priority and a coordinator
-// goroutine waits to aggregate. Children bypass the admission cap — the
-// sweep record is their durable admission — but still count toward the
-// tenant's quota so interactive submissions see the true load.
+// children enter the queue at sweep-child priority. Nothing waits on the
+// sweep: its state and aggregate follow from its children. Children
+// bypass the admission cap — the sweep record is their durable admission
+// — but still count toward the tenant's quota so interactive submissions
+// see the true load.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
@@ -738,7 +707,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 			Msg: "durable accept failed: " + err.Error()})
 		return
 	}
-	sw := newSweep(id, spec, ids)
+	sw := &sweep{id: id, spec: spec, children: ids}
 	s.mu.Lock()
 	if prior, ok := s.sweeps[id]; ok {
 		s.mu.Unlock()
@@ -765,18 +734,11 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		s.queue.EnqueueReplayed(cj)
 	}
 	s.m.sweeps.Add(1)
-	s.workers.Add(1)
-	go s.sweepCoordinator(sw)
 	writeJSON(w, http.StatusAccepted, s.sweepStatus(sw))
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sws := make([]*sweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		sws = append(sws, s.sweeps[id])
-	}
-	s.mu.Unlock()
+	sws := s.sweepList()
 	out := make([]SweepStatus, 0, len(sws))
 	for _, sw := range sws {
 		out = append(out, s.sweepStatus(sw))
@@ -794,30 +756,20 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sw := s.lookupSweep(id)
+	sw := s.lookupSweep(r.PathValue("id"))
 	if sw == nil {
 		writeJSON(w, http.StatusNotFound, &APIError{Reason: "unknown_sweep", Msg: "no such sweep"})
 		return
 	}
-	st := s.sweepStatus(sw)
-	switch st.State {
-	case StateFailed:
-		writeJSON(w, http.StatusConflict, &APIError{Reason: "sweep_failed",
-			Msg: st.FailKind + ": " + st.Error})
-	case StateDone:
-		data, err := s.store.Result(id)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError,
-				&APIError{Reason: "artifact", Msg: err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	default:
+	// The aggregate is served, not stored: built from the children's
+	// artifacts on every request, byte-identical each time.
+	if st := s.sweepStatus(sw); st.State != StateDone {
 		writeJSON(w, http.StatusNotFound, &APIError{Reason: "not_finished",
 			Msg: fmt.Sprintf("sweep is %s (%d/%d points)", st.State, st.PointsDone, st.Points)})
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(canonicalJSON(s.buildSweepArtifact(sw)))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

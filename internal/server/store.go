@@ -16,7 +16,7 @@ import (
 // result directory:
 //
 //	<dir>/wal-NNNNNN.log     length+CRC framed, fsync'd append-only segments
-//	<dir>/results/<key>.json whole-file results, written tmp+rename+fsync
+//	<dir>/results/<key>.json whole-file job results, written tmp+rename+fsync
 //	<dir>/results/<key>.trace.json per-job Chrome-trace artifacts (best effort)
 //
 // Each WAL record is [len uint32][crc32 uint32][payload JSON], little
@@ -31,9 +31,10 @@ import (
 //
 // Segment rotation: when the active segment passes SegmentBytes the
 // store seals it and appends to a fresh one. A sealed segment whose every
-// referenced job/sweep is terminal is compacted live: one summary record
-// per id (accept + done, current state) is appended to the active
-// segment and fsync'd, then the sealed file is deleted. Replay is
+// referenced job is terminal is compacted live: each id's summary records
+// (a job's accept + done, a sweep's sweep record) are appended to the
+// active segment and fsync'd, then the sealed file is deleted. A sweep
+// never pins a segment: it has no state beyond its spec. Replay is
 // idempotent — a duplicate accept keeps the first spec, a duplicate done
 // re-applies the same terminal state — so a crash anywhere inside
 // compaction (before the summary, between summary and delete, after the
@@ -44,15 +45,18 @@ import (
 // Crash-recovery state machine (replayed in segment + WAL order):
 //
 //	accept(id)        -> job pending
-//	sweep(id)         -> sweep pending (children are ordinary jobs)
-//	done(id, ok)      -> job/sweep done (result file must exist; if the
-//	                     artifact vanished the entry degrades to pending
+//	sweep(id)         -> sweep known (children are ordinary jobs)
+//	done(id, ok)      -> job done (result file must exist; if the
+//	                     artifact vanished the job degrades to pending
 //	                     and is simply re-run — simulations are
 //	                     deterministic, so the re-run is byte-identical)
-//	done(id, failed)  -> failed (typed kind + message preserved)
+//	done(id, failed)  -> job failed (typed kind + message preserved)
 //
 // A job that was running at the moment of the crash has an accept record
-// and no done record, so replay re-enqueues it.
+// and no done record, so replay re-enqueues it. done settles jobs only: a
+// sweep's state and aggregate are derived from its children, so replay
+// ignores the sweep done records (and results/<sweep>.json aggregates)
+// that earlier daemons wrote.
 
 // ErrStoreDead is returned by every operation after an injected crash:
 // the chaos harness uses it to guarantee a "dead" store stops mutating
@@ -98,15 +102,12 @@ type StoredJob struct {
 	Error    string
 }
 
-// StoredSweep is one sweep's durable state after replay. Children are
-// not persisted with the sweep — they are ordinary jobs, recomputed
-// deterministically from the spec on replay.
+// StoredSweep is one sweep's durable record after replay: its spec and
+// nothing more. Children are not persisted with the sweep — they are
+// ordinary jobs, recomputed deterministically from the spec on replay.
 type StoredSweep struct {
-	ID       string
-	Spec     SweepSpec
-	State    string
-	FailKind string
-	Error    string
+	ID   string
+	Spec SweepSpec
 }
 
 // segment is one WAL file plus the set of job/sweep ids it references
@@ -316,28 +317,20 @@ func (s *Store) apply(rec walRecord) {
 		if _, ok := s.sweeps[rec.ID]; ok {
 			return
 		}
-		s.sweeps[rec.ID] = &StoredSweep{ID: rec.ID, Spec: *rec.Sweep, State: StateAccepted}
+		s.sweeps[rec.ID] = &StoredSweep{ID: rec.ID, Spec: *rec.Sweep}
 		s.sweepOrder = append(s.sweepOrder, rec.ID)
 	case "done":
-		if j, ok := s.jobs[rec.ID]; ok {
-			if rec.Status == "ok" {
-				if s.hasResultFile(rec.ID) {
-					j.State = StateDone
-				}
-				// No artifact: leave pending, the job re-runs deterministically.
-			} else {
-				j.State, j.FailKind, j.Error = StateFailed, rec.FailKind, rec.Error
-			}
-			return
+		j, ok := s.jobs[rec.ID]
+		if !ok {
+			return // an unknown id, or a sweep an earlier daemon settled
 		}
-		if sw, ok := s.sweeps[rec.ID]; ok {
-			if rec.Status == "ok" {
-				if s.hasResultFile(rec.ID) {
-					sw.State = StateDone
-				}
-			} else {
-				sw.State, sw.FailKind, sw.Error = StateFailed, rec.FailKind, rec.Error
+		if rec.Status == "ok" {
+			if s.hasResultFile(rec.ID) {
+				j.State = StateDone
 			}
+			// No artifact: leave pending, the job re-runs deterministically.
+		} else {
+			j.State, j.FailKind, j.Error = StateFailed, rec.FailKind, rec.Error
 		}
 	}
 }
@@ -463,32 +456,30 @@ func (s *Store) summaryLocked(id string) (recs []walRecord, terminal bool) {
 		return j.summary()
 	}
 	if sw, ok := s.sweeps[id]; ok {
-		return sw.summary()
+		return sw.summary(), true
 	}
 	return nil, true
 }
 
+// summary is a job's state as records: its accept record, plus a done
+// record once the state is terminal.
 func (j *StoredJob) summary() ([]walRecord, bool) {
 	spec := j.Spec
-	return summary(walRecord{Op: "accept", ID: j.ID, Spec: &spec}, j.State, j.FailKind, j.Error)
-}
-
-func (sw *StoredSweep) summary() ([]walRecord, bool) {
-	spec := sw.Spec
-	return summary(walRecord{Op: "sweep", ID: sw.ID, Sweep: &spec}, sw.State, sw.FailKind, sw.Error)
-}
-
-// summary is a job's or sweep's state as records: head (its accept or
-// sweep record), plus a done record once the state is terminal.
-func summary(head walRecord, state, failKind, errMsg string) ([]walRecord, bool) {
-	recs := []walRecord{head}
-	switch state {
+	recs := []walRecord{{Op: "accept", ID: j.ID, Spec: &spec}}
+	switch j.State {
 	case StateDone:
-		return append(recs, walRecord{Op: "done", ID: head.ID, Status: "ok"}), true
+		return append(recs, walRecord{Op: "done", ID: j.ID, Status: "ok"}), true
 	case StateFailed:
-		return append(recs, walRecord{Op: "done", ID: head.ID, Status: "failed", FailKind: failKind, Error: errMsg}), true
+		return append(recs, walRecord{Op: "done", ID: j.ID, Status: "failed", FailKind: j.FailKind, Error: j.Error}), true
 	}
 	return recs, false
+}
+
+// summary is a sweep's one record. It is always terminal: a sweep has no
+// state beyond its spec, so it never pins a segment.
+func (sw *StoredSweep) summary() []walRecord {
+	spec := sw.Spec
+	return []walRecord{{Op: "sweep", ID: sw.ID, Sweep: &spec}}
 }
 
 // maybeCompactLocked removes sealed segments whose every referenced id is
@@ -611,52 +602,40 @@ func (s *Store) AcceptSweep(id string, spec SweepSpec, childIDs []string, childS
 		s.jobs[cid] = &StoredJob{ID: cid, Spec: childSpecs[i], State: StateAccepted}
 		s.order = append(s.order, cid)
 	}
-	s.sweeps[id] = &StoredSweep{ID: id, Spec: spec, State: StateAccepted}
+	s.sweeps[id] = &StoredSweep{ID: id, Spec: spec}
 	s.sweepOrder = append(s.sweepOrder, id)
 	return nil
 }
 
-// CompleteOK durably marks the job (or sweep) done. The result artifact
-// must have been saved first (SaveResult); the ordering is what makes
-// "done" imply "result readable" across any crash. Settlement is also the
+// CompleteOK durably marks the job done. The result artifact must have
+// been saved first (SaveResult); the ordering is what makes "done" imply
+// "result readable" across any crash. Settlement is also the
 // live-compaction trigger: a terminal record is what lets a sealed
 // segment become fully settled.
 func (s *Store) CompleteOK(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, jok := s.jobs[id]
-	sw, sok := s.sweeps[id]
-	if !jok && !sok {
-		return fmt.Errorf("server: complete: unknown job %s", id)
-	}
-	if err := s.append(walRecord{Op: "done", ID: id, Status: "ok"}); err != nil {
-		return err
-	}
-	if jok {
-		j.State = StateDone
-	} else {
-		sw.State = StateDone
-	}
-	return s.maybeCompactLocked()
+	return s.complete(walRecord{Op: "done", ID: id, Status: "ok"})
 }
 
-// CompleteFailed durably records a typed failure for a job or sweep.
+// CompleteFailed durably records a typed failure for a job.
 func (s *Store) CompleteFailed(id, failKind, msg string) error {
+	return s.complete(walRecord{Op: "done", ID: id, Status: "failed", FailKind: failKind, Error: msg})
+}
+
+// complete appends a job's done record and applies it.
+func (s *Store) complete(rec walRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, jok := s.jobs[id]
-	sw, sok := s.sweeps[id]
-	if !jok && !sok {
-		return fmt.Errorf("server: complete: unknown job %s", id)
+	j, ok := s.jobs[rec.ID]
+	if !ok {
+		return fmt.Errorf("server: complete: unknown job %s", rec.ID)
 	}
-	rec := walRecord{Op: "done", ID: id, Status: "failed", FailKind: failKind, Error: msg}
 	if err := s.append(rec); err != nil {
 		return err
 	}
-	if jok {
-		j.State, j.FailKind, j.Error = StateFailed, failKind, msg
+	if rec.Status == "ok" {
+		j.State = StateDone
 	} else {
-		sw.State, sw.FailKind, sw.Error = StateFailed, failKind, msg
+		j.State, j.FailKind, j.Error = StateFailed, rec.FailKind, rec.Error
 	}
 	return s.maybeCompactLocked()
 }
@@ -701,7 +680,7 @@ func writeFileAtomic(path string, data []byte) error {
 	return syncDir(dir)
 }
 
-// SaveResult atomically persists the job's (or sweep's) result artifact.
+// SaveResult atomically persists the job's result artifact.
 func (s *Store) SaveResult(id string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -748,7 +727,7 @@ func (s *Store) HasResult(id string) bool {
 	return s.hasResultFile(id)
 }
 
-// Checkpoint compacts the whole WAL to one summary per job/sweep in a
+// Checkpoint compacts the whole WAL to one summary per job and sweep in a
 // fresh segment, removing every older segment. Atomic: the new segment is
 // written tmp+rename before the old ones are deleted, and replay collapses
 // any crash-window duplicates. Called on graceful drain so a restart
@@ -763,14 +742,15 @@ func (s *Store) Checkpoint() error {
 	// keeps it while any of them is pending.
 	var buf []byte
 	ids := map[string]bool{}
-	add := func(recs []walRecord, _ bool) {
+	add := func(recs []walRecord) {
 		for _, rec := range recs {
 			buf = append(buf, frame(rec)...)
 			ids[rec.ID] = true
 		}
 	}
 	for _, id := range s.order {
-		add(s.jobs[id].summary())
+		recs, _ := s.jobs[id].summary()
+		add(recs)
 	}
 	for _, id := range s.sweepOrder {
 		add(s.sweeps[id].summary())

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"ptmc/internal/sim"
 )
@@ -17,11 +16,11 @@ const maxSweepPoints = 400
 // SweepSpec is the wire form of a parameter sweep: a workload × scheme ×
 // seed matrix plus the shared knobs. The daemon fans it into one
 // content-keyed child job per point (single-scheme, sweep-child priority)
-// and aggregates the child artifacts into one sweep artifact. Children
-// are derived deterministically from the normalized spec — they are never
-// persisted with the sweep, so replay recomputes exactly the same
-// fan-out, and points shared with earlier jobs or other sweeps dedupe on
-// their keys.
+// and serves the aggregate of the child artifacts as the sweep artifact.
+// Children are derived deterministically from the normalized spec — they
+// are never persisted with the sweep, so replay recomputes exactly the
+// same fan-out, and points shared with earlier jobs or other sweeps
+// dedupe on their keys.
 type SweepSpec struct {
 	Workloads []string `json:"workloads"`
 	Schemes   []string `json:"schemes"`
@@ -131,17 +130,19 @@ type SweepPoint struct {
 	Result   json.RawMessage `json:"result,omitempty"`
 }
 
-// SweepArtifact is the persisted (and served) aggregate: the normalized
-// spec plus every point in deterministic matrix order. Built exclusively
-// from on-disk child artifacts (canonicalJSON all the way down), so a
-// resumed sweep's aggregate is byte-identical to an uninterrupted run's.
+// SweepArtifact is the served aggregate: the normalized spec plus every
+// point in deterministic matrix order. Built on request from on-disk
+// child artifacts (canonicalJSON all the way down), so a resumed sweep's
+// aggregate is byte-identical to an uninterrupted run's.
 type SweepArtifact struct {
 	ID     string       `json:"id"`
 	Spec   SweepSpec    `json:"spec"`
 	Points []SweepPoint `json:"points"`
 }
 
-// SweepStatus is the client-visible state of one sweep.
+// SweepStatus is the client-visible state of one sweep. It is derived
+// from the sweep's child jobs on every read: State is "done" once every
+// point is terminal and "accepted" until then.
 type SweepStatus struct {
 	ID         string   `json:"id"`
 	State      string   `json:"state"`
@@ -150,57 +151,17 @@ type SweepStatus struct {
 	Schemes    []string `json:"schemes"`
 	Points     int      `json:"points"`
 	PointsDone int      `json:"points_done"` // terminal children (done or failed)
-	FailKind   string   `json:"fail_kind,omitempty"`
-	Error      string   `json:"error,omitempty"`
 }
 
-// sweep is the in-memory record the server tracks per sweep key. Child
-// jobs are ordinary jobs in s.jobs; the sweep holds their ids in matrix
-// order. A sweep settles "done" even when points failed — per-point
-// failures are recorded in the artifact (degrade gracefully, never
-// silently) — and "failed" only when the aggregate itself cannot settle.
+// sweep is the in-memory record the server tracks per sweep key: the
+// normalized spec and its child job ids in matrix order. It has no state
+// of its own. Child jobs are ordinary jobs in s.jobs, and the sweep's
+// state and aggregate are derived from theirs on request (sweepStatus,
+// buildSweepArtifact), so no second copy exists to settle, store or
+// disagree with them. Per-point failures are recorded in the aggregate
+// (degrade gracefully, never silently).
 type sweep struct {
 	id       string
 	spec     SweepSpec
 	children []string
-
-	mu       sync.Mutex
-	state    string
-	failKind string
-	errMsg   string
-	done     chan struct{} // closed on done/failed
-}
-
-func newSweep(id string, spec SweepSpec, children []string) *sweep {
-	return &sweep{id: id, spec: spec, children: children,
-		state: StateAccepted, done: make(chan struct{})}
-}
-
-// finish moves the sweep to a terminal state exactly once.
-func (sw *sweep) finish(state, failKind, errMsg string) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if sw.state == StateDone || sw.state == StateFailed {
-		return
-	}
-	sw.state, sw.failKind, sw.errMsg = state, failKind, errMsg
-	close(sw.done)
-}
-
-// status snapshots the client-visible state; pointsDone is supplied by
-// the server (it owns the child jobs).
-func (sw *sweep) status(pointsDone int) SweepStatus {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return SweepStatus{
-		ID:         sw.id,
-		State:      sw.state,
-		Tenant:     sw.spec.Tenant,
-		Workloads:  append([]string(nil), sw.spec.Workloads...),
-		Schemes:    append([]string(nil), sw.spec.Schemes...),
-		Points:     len(sw.children),
-		PointsDone: pointsDone,
-		FailKind:   sw.failKind,
-		Error:      sw.errMsg,
-	}
 }

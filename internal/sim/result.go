@@ -114,23 +114,21 @@ func Compare(cfg Config, schemes ...string) (map[string]*Result, error) {
 }
 
 // CompareParallel is Compare with an explicit worker bound (<= 0 selects
-// runtime.GOMAXPROCS(0)) and cancellation: the first failure cancels
-// schemes still waiting for a worker, and the earliest-listed failure is
-// the one returned, regardless of completion order.
+// runtime.GOMAXPROCS(0)) and cancellation. Every scheme runs to the end
+// (a repeated scheme runs once), and the earliest-listed failure is the
+// one returned, regardless of completion order.
 func CompareParallel(ctx context.Context, parallel int, cfg Config, schemes ...string) (map[string]*Result, error) {
-	results := make([]*Result, len(schemes))
-	pool := exec.NewPool(parallel)
-	err := pool.ForEach(ctx, len(schemes), func(ctx context.Context, i int) error {
+	cache := exec.NewCache[*Result](exec.NewPool(parallel))
+	results, _, errs := cache.DoAll(ctx, schemes, 0, func(ctx context.Context, i int) (*Result, error) {
 		c := cfg
 		c.Scheme = schemes[i]
 		r, err := RunContext(ctx, c)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", cfg.Workload, schemes[i], err)
+			return nil, fmt.Errorf("%s/%s: %w", cfg.Workload, schemes[i], err)
 		}
-		results[i] = r
-		return nil
+		return r, nil
 	})
-	if err != nil {
+	if err := exec.FirstError(errs); err != nil {
 		return nil, err
 	}
 	out := make(map[string]*Result, len(schemes))

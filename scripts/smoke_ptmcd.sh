@@ -15,7 +15,8 @@
 #      mid-matrix. The restarted daemon must finish the sweep with a
 #      byte-identical aggregate, and its sims_run metric must equal
 #      exactly the points that had no artifact at kill time — zero
-#      re-simulated points.
+#      re-simulated points. The aggregate is served, not stored: no
+#      results/<sweep id>.json may exist once the sweep has completed.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -123,12 +124,12 @@ wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 
 # Points already settled at kill time: one result artifact per child job
-# (the aggregate and trace files don't count).
+# (trace files don't count).
 pre=0
 for f in "$work/sweep-data/results/"*.json; do
 	[ -e "$f" ] || continue
 	case "$f" in
-	*".trace.json" | */"$sid.json") continue ;;
+	*".trace.json") continue ;;
 	esac
 	pre=$((pre + 1))
 done
@@ -146,6 +147,12 @@ if ! cmp -s "$work/sweep-ref.json" "$work/sweep-resumed.json"; then
 	diff "$work/sweep-ref.json" "$work/sweep-resumed.json" >&2 || true
 	exit 1
 fi
+for d in sweep-ref-data sweep-data; do
+	if [ -e "$work/$d/results/$sid.json" ]; then
+		echo "smoke_ptmcd: completed sweep left a stored aggregate $d/results/$sid.json (it must be served, not stored)" >&2
+		exit 1
+	fi
+done
 want=$((points - pre))
 if [ "$sims" != "$want" ]; then
 	echo "smoke_ptmcd: restart ran $sims sims for $points-point sweep with $pre settled pre-kill (want $want — duplicate or lost work)" >&2
