@@ -72,8 +72,7 @@ func serve(args []string) error {
 		queue    = fs.Int("queue", 64, "max queued jobs before 503")
 		quota    = fs.Int("tenant-quota", 0, "max queued+running jobs per tenant (0 = unlimited)")
 		timeout  = fs.Duration("job-timeout", 0, "default per-scheme deadline (0 = none)")
-		backoff  = fs.Duration("backoff", 100*time.Millisecond, "base delay before re-trying a failed store write (doubles per try, max 5s)")
-		segBytes = fs.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes (0 = default 4MiB)")
+		segBytes = fs.Int64("wal-segment", 0, "never rewrite a WAL smaller than this many bytes (0 = default 4MiB)")
 		drainT   = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	)
 	var out obs.Flags
@@ -87,7 +86,6 @@ func serve(args []string) error {
 		QueueCap:     *queue,
 		TenantQuota:  *quota,
 		JobTimeout:   *timeout,
-		Backoff:      *backoff,
 		SegmentBytes: *segBytes,
 	})
 	if err != nil {

@@ -1,10 +1,10 @@
 package server
 
 // Chaos campaign for the durable job queue. Each trial boots a daemon over
-// one on-disk store with tiny WAL segments (so rotation and live
-// compaction run constantly), submits jobs and the occasional sweep, then
-// kills it rudely: an injected store crash at a random WAL point
-// (before-append / after-write / after-sync / after-result / mid-compact),
+// one on-disk store with a tiny WAL rewrite floor (so rewrites run
+// constantly), submits jobs and the occasional sweep, then kills it
+// rudely: an injected store crash at a random WAL point
+// (before-append / after-write / after-sync / after-result / mid-rewrite),
 // a mid-run drain (SIGTERM), or an abrupt stop (kill -9), optionally
 // followed by garbage appended to the newest segment's tail (a torn
 // in-progress record — the only tear a fsync'd append-only log can suffer).
@@ -16,8 +16,8 @@ package server
 //	LOST      — anything else: unknown to the restarted daemon, or never
 //	            reaching a terminal state
 //
-// The bar is zero LOST across the whole campaign. The driver asserts
-// >= 200 trials (ISSUE acceptance).
+// The bar is zero LOST across the whole campaign, and a full campaign
+// (200 trials) must fire an armed crash at every CrashPoint at least once.
 
 import (
 	"context"
@@ -104,11 +104,17 @@ type chaosTrial struct {
 	// ackedSweeps holds every acknowledged sweep id: a restarted daemon
 	// must finish each one and serve its aggregate artifact.
 	ackedSweeps map[string]bool
+	// fired counts, campaign-wide, the CrashPoint each armed crash fired at.
+	fired map[CrashPoint]int
 }
 
-// chaosSegBytes keeps segments tiny so every trial exercises rotation and
-// live compaction, not just the append path.
+// chaosSegBytes keeps the rewrite floor tiny so every trial exercises
+// rewrites, not just the append path.
 const chaosSegBytes = 512
+
+// chaosCrashPoints are the points an armed crash may be set to fire at.
+var chaosCrashPoints = []CrashPoint{CrashBeforeAppend, CrashAfterWrite,
+	CrashAfterSync, CrashAfterResult, CrashDuringCompact}
 
 func (c *chaosTrial) boot(armCrash bool) (*Server, *httptest.Server) {
 	store, err := OpenStoreSegmented(c.dir, chaosSegBytes)
@@ -120,9 +126,7 @@ func (c *chaosTrial) boot(armCrash bool) (*Server, *httptest.Server) {
 		// at a random point. The store wedges (ErrStoreDead) exactly as if
 		// the process were gone. Armed before newFromStore so no worker
 		// goroutine races the hook installation.
-		points := []CrashPoint{CrashBeforeAppend, CrashAfterWrite,
-			CrashAfterSync, CrashAfterResult, CrashDuringCompact}
-		at := points[c.rng.Intn(len(points))]
+		at := chaosCrashPoints[c.rng.Intn(len(chaosCrashPoints))]
 		fuse := c.rng.Intn(5)
 		var mu sync.Mutex
 		store.crash = func(p CrashPoint) error {
@@ -135,6 +139,7 @@ func (c *chaosTrial) boot(armCrash bool) (*Server, *httptest.Server) {
 				fuse--
 				return nil
 			}
+			c.fired[at]++
 			return errors.New("chaos: injected crash")
 		}
 	}
@@ -142,7 +147,7 @@ func (c *chaosTrial) boot(armCrash bool) (*Server, *httptest.Server) {
 		Dir:      c.dir,
 		Parallel: 1 + c.rng.Intn(2),
 		QueueCap: 16,
-		Backoff:  time.Millisecond,
+		backoff:  time.Millisecond,
 		RunSim:   c.sims.run,
 	}, store)
 	if err != nil {
@@ -404,6 +409,7 @@ func TestChaosCampaign(t *testing.T) {
 		trials = 25
 	}
 	var recovered, degraded int
+	fired := map[CrashPoint]int{}
 	for i := 0; i < trials; i++ {
 		i := i
 		ok := t.Run(fmt.Sprintf("trial%03d", i), func(t *testing.T) {
@@ -413,6 +419,7 @@ func TestChaosCampaign(t *testing.T) {
 				sims:        newChaosSim(int64(i)),
 				acked:       map[string]bool{},
 				ackedSweeps: map[string]bool{},
+				fired:       fired,
 			}
 			// 1-2 rude lifecycles before the clean boot.
 			for phase := 0; phase <= rng.Intn(2); phase++ {
@@ -438,5 +445,13 @@ func TestChaosCampaign(t *testing.T) {
 		trials, recovered, degraded)
 	if recovered == 0 {
 		t.Fatal("campaign exercised nothing: zero recovered jobs")
+	}
+	t.Logf("armed crashes fired: %v", fired)
+	if trials == chaosTrials {
+		for _, p := range chaosCrashPoints {
+			if fired[p] == 0 {
+				t.Errorf("no armed crash fired at %s in %d trials", p, trials)
+			}
+		}
 	}
 }

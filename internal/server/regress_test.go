@@ -223,7 +223,7 @@ func TestTransientStoreFaultRequeuesInProcess(t *testing.T) {
 	s, err := newFromStore(Config{
 		Dir: dir, Parallel: 1, QueueCap: 8,
 		TenantQuota: 1, // one in-flight job per tenant: a leak would 429 the follow-up
-		Backoff:     time.Millisecond,
+		backoff:     time.Millisecond,
 		RunSim: func(ctx context.Context, c sim.Config) (*sim.Result, error) {
 			return fakeResult(c), nil
 		},

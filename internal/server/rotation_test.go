@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// Tiny segments force rollover every few records so the tests exercise
-// the rotation + live-compaction machinery that production only reaches
-// after megabytes of churn.
+// A tiny rewrite floor forces rewrites every few records so the tests
+// exercise the machinery that production only reaches after megabytes
+// of churn.
 const tinySeg = 256
 
 func walFiles(t *testing.T, dir string) []string {
@@ -77,8 +77,8 @@ func TestStoreUnsettledSegmentSurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// A job that never settles pins its segment: everything it references
-	// must survive however much later churn compacts around it.
+	// A job that never settles must survive however many rewrites the
+	// later churn triggers: each rewrite carries its accept record.
 	if err := st.Accept("pinned", testSpec("lbm06")); err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,6 @@ func TestStoreUnsettledSegmentSurvivesCompaction(t *testing.T) {
 	}
 	if st.CompactedSegments() == 0 {
 		t.Fatal("settled churn segments were never compacted")
-	}
-	// The pinned job's segment (the oldest) must still be on disk.
-	if _, err := os.Stat(filepath.Join(dir, "wal-000001.log")); err != nil {
-		t.Fatalf("segment holding an unsettled job was deleted: %v", err)
 	}
 	st.Close()
 	re, err := OpenStoreSegmented(dir, tinySeg)
@@ -131,28 +127,37 @@ func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 		}
 		return nil
 	}
-	// Drive until a compaction actually fires. The crash lands in the
-	// worst window: the summary records are durable in the active segment
-	// but the sealed segment they duplicate was NOT deleted.
+	// Drive until a rewrite actually fires; any append can trigger one,
+	// Accept included. The crash lands in the worst window: the rewritten
+	// segment is durable but the segments it duplicates were NOT deleted.
+	// The record whose append triggered the rewrite was synced before the
+	// rewrite began, so it must replay too.
 	var crashed bool
-	var ids []string
+	want := map[string]string{}
 	for i := 0; i < 40 && !crashed; i++ {
 		id := fmt.Sprintf("j%03d", i)
-		ids = append(ids, id)
-		if err := st.Accept(id, testSpec("lbm06")); err != nil {
+		err := st.Accept(id, testSpec("lbm06"))
+		want[id] = StateAccepted
+		if errors.Is(err, boom) {
+			crashed = true
+			break
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := st.SaveResult(id, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.CompleteOK(id); errors.Is(err, boom) {
+		err = st.CompleteOK(id)
+		want[id] = StateDone
+		if errors.Is(err, boom) {
 			crashed = true
 		} else if err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !crashed {
-		t.Fatal("compaction never triggered with tiny segments")
+		t.Fatal("rewrite never triggered with a tiny floor")
 	}
 	// Dead store, like the process it models.
 	if err := st.Accept("late", testSpec("mcf06")); !errors.Is(err, ErrStoreDead) {
@@ -160,7 +165,7 @@ func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 	}
 	st.Close()
 
-	// Replay sees the sealed segment AND its summary duplicates; idempotent
+	// Replay sees the old segments AND their summary duplicates; idempotent
 	// apply collapses them to exactly the pre-crash state.
 	re, err := OpenStoreSegmented(dir, tinySeg)
 	if err != nil {
@@ -171,13 +176,13 @@ func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 	for _, j := range re.Jobs() {
 		got[j.ID] = j.State
 	}
-	for _, id := range ids {
-		if got[id] != StateDone {
-			t.Fatalf("%s: state %q after crash-during-compact replay, want done", id, got[id])
+	for id, state := range want {
+		if got[id] != state {
+			t.Fatalf("%s: state %q after crash-during-compact replay, want %q", id, got[id], state)
 		}
 	}
-	if len(got) != len(ids) {
-		t.Fatalf("replayed %d jobs, want %d", len(got), len(ids))
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", len(got), len(want))
 	}
 }
 
@@ -214,18 +219,18 @@ func TestStoreLegacyWALMigrates(t *testing.T) {
 
 func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, tinySeg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing settles, so nothing compacts: the chain grows one segment at
-	// a time and every record stays where it was written.
-	for i := 0; i < 12; i++ {
-		if err := st.Accept(fmt.Sprintf("j%03d", i), testSpec("lbm06")); err != nil {
+	// The store no longer rotates, so lay down the 3-segment chain an
+	// earlier daemon would have left: four accepts per segment.
+	for seg := 1; seg <= 3; seg++ {
+		var buf []byte
+		for i := 0; i < 4; i++ {
+			spec := testSpec("lbm06")
+			buf = append(buf, frame(walRecord{Op: "accept", ID: fmt.Sprintf("j%03d", 4*(seg-1)+i), Spec: &spec})...)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%06d.log", seg)), buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st.Close()
 	files := walFiles(t, dir)
 	if len(files) < 3 {
 		t.Fatalf("need >= 3 segments for this test, got %d", len(files))
@@ -258,7 +263,7 @@ func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := &Store{jobs: map[string]*StoredJob{}, sweeps: map[string]*StoredSweep{}}
-	probe.replay(first, nil)
+	probe.replay(first)
 	if len(re.Jobs()) != len(probe.jobs) {
 		t.Fatalf("replayed %d jobs, want exactly segment 1's %d", len(re.Jobs()), len(probe.jobs))
 	}
@@ -340,5 +345,151 @@ func TestStoreCheckpointKeepsPendingJobs(t *testing.T) {
 		if id := fmt.Sprintf("j%d", i); states[id] != StateDone {
 			t.Errorf("%s: state %q, want %q", id, states[id], StateDone)
 		}
+	}
+}
+
+// TestStoreRewriteIsAmortized: settled jobs are kept for good, so the
+// log's summary grows with every job. Rewriting it only when the log has
+// doubled since the last rewrite keeps the number of rewrites
+// logarithmic in the job count and the log within twice its summary.
+func TestStoreRewriteIsAmortized(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStoreSegmented(dir, tinySeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 1000
+	for i := 0; i < jobs; i++ {
+		id := fmt.Sprintf("j%04d", i)
+		if err := st.Accept(id, testSpec("lbm06")); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SaveResult(id, []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CompleteOK(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := st.CompactedSegments(); n > 20 {
+		t.Fatalf("%d segments removed for %d jobs, want <= 20 (rewrites not amortized)", n, jobs)
+	}
+	var summary int64
+	for _, j := range st.Jobs() {
+		for _, rec := range j.summary() {
+			summary += int64(len(frame(rec)))
+		}
+	}
+	var onDisk int64
+	for _, p := range walFiles(t, dir) {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if onDisk > 2*summary+tinySeg {
+		t.Fatalf("log holds %d bytes, want <= 2 x %d summary + %d", onDisk, summary, tinySeg)
+	}
+	st.Close()
+
+	re, err := OpenStoreSegmented(dir, tinySeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got := re.Jobs()
+	if len(got) != jobs {
+		t.Fatalf("replayed %d jobs, want %d", len(got), jobs)
+	}
+	for _, j := range got {
+		if j.State != StateDone {
+			t.Fatalf("%s: state %s after reopen, want done", j.ID, j.State)
+		}
+	}
+}
+
+// TestStoreEarlierDaemonChainCollapses: a daemon that rotated segments
+// left a chain behind, with a still-pending job's accept in the oldest
+// segment. The store replays every state from it, and its first rewrite
+// (a Checkpoint, or the first append past the floor) collapses the chain
+// to one segment that replays to the same states.
+func TestStoreEarlierDaemonChainCollapses(t *testing.T) {
+	for _, name := range []string{"checkpoint", "rewrite"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ok, failed := testSpec("lbm06"), testSpec("mcf06")
+			chain := [][]walRecord{
+				{{Op: "accept", ID: "pending", Spec: &ok}, {Op: "accept", ID: "a", Spec: &ok}},
+				{{Op: "done", ID: "a", Status: "ok"}, {Op: "accept", ID: "b", Spec: &failed}},
+				{{Op: "done", ID: "b", Status: "failed", FailKind: FailKindSim, Error: "boom"}},
+			}
+			for i, recs := range chain {
+				var buf []byte
+				for _, rec := range recs {
+					buf = append(buf, frame(rec)...)
+				}
+				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%06d.log", i+1)), buf, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "results", "a.json"), []byte(`{}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]string{"pending": StateAccepted, "a": StateDone, "b": StateFailed}
+			check := func(st *Store) {
+				t.Helper()
+				got := map[string]string{}
+				for _, j := range st.Jobs() {
+					got[j.ID] = j.State
+				}
+				if len(got) != len(want) {
+					t.Fatalf("replayed %v, want %v", got, want)
+				}
+				for id, state := range want {
+					if got[id] != state {
+						t.Fatalf("%s: state %q, want %q", id, got[id], state)
+					}
+				}
+			}
+
+			st, err := OpenStoreSegmented(dir, tinySeg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(st)
+			if n := st.Segments(); n != 3 {
+				t.Fatalf("Segments() = %d after opening a 3-segment chain", n)
+			}
+			if name == "checkpoint" {
+				err = st.Checkpoint()
+			} else {
+				// The chain already passes the tiny floor: the next append
+				// rewrites it.
+				err = st.Accept("c", ok)
+				want["c"] = StateAccepted
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if files := walFiles(t, dir); len(files) != 1 {
+				t.Fatalf("%d segments after the first rewrite, want 1: %v", len(files), files)
+			}
+			if n := st.CompactedSegments(); n != 3 {
+				t.Fatalf("CompactedSegments() = %d, want the chain's 3", n)
+			}
+			check(st)
+			st.Close()
+
+			re, err := OpenStoreSegmented(dir, tinySeg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			check(re)
+		})
 	}
 }

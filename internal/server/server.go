@@ -26,13 +26,14 @@ type Config struct {
 	QueueCap     int           // max jobs waiting for a worker (default 64)
 	TenantQuota  int           // max queued+running jobs per tenant (0 = unlimited)
 	JobTimeout   time.Duration // default per-scheme deadline (0 = none; spec may override)
-	Backoff      time.Duration // base delay before re-trying a failed store settlement (default 100ms)
-	SegmentBytes int64         // WAL segment rotation threshold (default DefaultSegmentBytes)
+	SegmentBytes int64         // WAL size below which the log is never rewritten (default DefaultSegmentBytes)
 	// RunSim is the simulation entry point (nil = sim.RunContext). Tests
 	// substitute fakes and fault injectors; it must be set here — not
 	// after New — because recovery may hand replayed jobs to workers
 	// before New returns.
 	RunSim func(ctx context.Context, cfg sim.Config) (*sim.Result, error)
+	// backoff overrides storeBackoffBase (tests shorten the wait).
+	backoff time.Duration
 }
 
 // ResultArtifact is the persisted (and served) outcome of one job: the
@@ -121,8 +122,8 @@ func newFromStore(cfg Config, store *Store) (*Server, error) {
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = 64
 	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 100 * time.Millisecond
+	if cfg.backoff <= 0 {
+		cfg.backoff = storeBackoffBase
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	pool := exec.NewPool(cfg.Parallel)
@@ -436,15 +437,18 @@ func (s *Server) leaveForReplay(j *job, err error) {
 	}()
 }
 
-// maxStoreBackoff caps the wait before re-trying a failed store
-// settlement.
-const maxStoreBackoff = 5 * time.Second
+// storeBackoffBase is the wait before the first re-try of a failed store
+// settlement; maxStoreBackoff caps the doubling after it.
+const (
+	storeBackoffBase = 100 * time.Millisecond
+	maxStoreBackoff  = 5 * time.Second
+)
 
 // storeBackoff is the wait before the n-th (from 1) re-try of a failed
-// store settlement: Config.Backoff doubled n-1 times, capped at
+// store settlement: the base wait doubled n-1 times, capped at
 // maxStoreBackoff.
 func (s *Server) storeBackoff(n int) time.Duration {
-	d := s.cfg.Backoff
+	d := s.cfg.backoff
 	for i := 1; i < n && d < maxStoreBackoff; i++ {
 		d *= 2
 	}

@@ -29,18 +29,21 @@ import (
 // operations that were fully written. Results are never written in
 // place; a result file either does not exist or is complete.
 //
-// Segment rotation: when the active segment passes SegmentBytes the
-// store seals it and appends to a fresh one. A sealed segment whose every
-// referenced job is terminal is compacted live: each id's summary records
-// (a job's accept + done, a sweep's sweep record) are appended to the
-// active segment and fsync'd, then the sealed file is deleted. A sweep
-// never pins a segment: it has no state beyond its spec. Replay is
-// idempotent — a duplicate accept keeps the first spec, a duplicate done
-// re-applies the same terminal state — so a crash anywhere inside
-// compaction (before the summary, between summary and delete, after the
-// delete) replays to the same state. Long-lived deployments therefore
-// keep O(live jobs) log bytes instead of growing one file forever;
-// Checkpoint (graceful drain) is now just a full compaction.
+// Rewrite: appends go to one segment. When the log on disk (that segment
+// plus any older ones still present) reaches max(SegmentBytes, 2 x the
+// bytes the last rewrite wrote), the store writes every job's and
+// sweep's summary records (a job's accept, plus its done once terminal;
+// a sweep's sweep record) into the next segment through writeFileAtomic,
+// deletes every older segment, and appends to the new one. A rewrite
+// writes at most twice the bytes appended since the previous one, so the
+// bytes rewritten stay within 2x the bytes appended. Done and failed
+// jobs are kept for good (resubmissions dedupe against them), so the log
+// holds O(jobs ever accepted) summary bytes, not O(live jobs). Replay is
+// idempotent: a duplicate accept keeps the first spec, a duplicate done
+// re-applies the same terminal state. A crash after the new segment is
+// durable but before the deletes replays the old chain and then its
+// summary, which is the same state. Checkpoint (graceful drain) is the
+// same rewrite without the size check.
 //
 // Crash-recovery state machine (replayed in segment + WAL order):
 //
@@ -71,15 +74,15 @@ const (
 	CrashAfterWrite    CrashPoint = "after-write"    // written, not synced: tail may tear
 	CrashAfterSync     CrashPoint = "after-sync"     // durable, caller never told
 	CrashAfterResult   CrashPoint = "after-result"   // result durable, done record absent
-	CrashDuringCompact CrashPoint = "during-compact" // summary durable, sealed segment not yet deleted
+	CrashDuringCompact CrashPoint = "during-compact" // rewritten segment durable, older ones not yet deleted
 )
 
 // maxRecord bounds one WAL payload; anything larger during replay is
 // treated as a torn/corrupt tail.
 const maxRecord = 1 << 20
 
-// DefaultSegmentBytes is the rotation threshold when the caller does not
-// choose one.
+// DefaultSegmentBytes is the log size below which the store never
+// rewrites, when the caller does not choose one.
 const DefaultSegmentBytes = 4 << 20
 
 // walRecord is the JSON payload of one frame.
@@ -110,14 +113,6 @@ type StoredSweep struct {
 	Spec SweepSpec
 }
 
-// segment is one WAL file plus the set of job/sweep ids it references
-// (the compaction unit).
-type segment struct {
-	index int
-	path  string
-	ids   map[string]bool
-}
-
 // Store is the durable job store. All methods are safe for concurrent
 // use; every mutation is fsync'd before it reports success.
 type Store struct {
@@ -125,16 +120,16 @@ type Store struct {
 	segBytes int64
 
 	mu         sync.Mutex
-	wal        *os.File   // active segment handle
-	cur        *segment   // active segment bookkeeping
-	walSize    int64      // bytes in the active segment
-	sealed     []*segment // older segments, oldest first
+	wal        *os.File // the segment appends go to
+	walIndex   int      // its index
+	older      []string // older segments still on disk, oldest first
+	logBytes   int64    // bytes in every segment on disk
+	rewritten  int64    // bytes the last rewrite wrote
 	jobs       map[string]*StoredJob
 	order      []string
 	sweeps     map[string]*StoredSweep
 	sweepOrder []string
 	dead       bool
-	compacting bool
 
 	// Truncated reports how many torn/untrustworthy tail bytes replay
 	// discarded — observability for the recovery path, asserted on by the
@@ -142,8 +137,8 @@ type Store struct {
 	Truncated int64
 	// Replayed counts the records recovered from the existing WAL.
 	Replayed int
-	// Compacted counts sealed segments removed by live compaction (and
-	// checkpoint) over this store's lifetime.
+	// Compacted counts segment files that rewrites removed over this
+	// store's lifetime.
 	Compacted int
 
 	// crash is the chaos hook (nil in production): consulted at each
@@ -161,8 +156,9 @@ func OpenStore(dir string) (*Store, error) {
 	return OpenStoreSegmented(dir, DefaultSegmentBytes)
 }
 
-// OpenStoreSegmented opens the store with an explicit rotation threshold
-// (tests use tiny segments to force rollover and live compaction).
+// OpenStoreSegmented opens the store with an explicit rewrite floor: a
+// log smaller than segBytes is never rewritten (tests use tiny values to
+// force rewrites).
 func OpenStoreSegmented(dir string, segBytes int64) (*Store, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
@@ -206,17 +202,21 @@ func (s *Store) openSegments() error {
 	if err != nil {
 		return fmt.Errorf("server: store: %w", err)
 	}
-	var segs []*segment
+	type segment struct {
+		index int
+		path  string
+	}
+	var segs []segment
 	for _, p := range paths {
 		var idx int
 		if _, err := fmt.Sscanf(filepath.Base(p), "wal-%06d.log", &idx); err != nil {
 			continue // not ours
 		}
-		segs = append(segs, &segment{index: idx, path: p, ids: map[string]bool{}})
+		segs = append(segs, segment{idx, p})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
 	if len(segs) == 0 {
-		segs = []*segment{{index: 1, path: s.segPath(1), ids: map[string]bool{}}}
+		segs = []segment{{1, s.segPath(1)}}
 	}
 
 	// Replay in order. An invalid frame in the NEWEST segment is the torn
@@ -224,7 +224,9 @@ func (s *Store) openSegments() error {
 	// continue appending there. An invalid frame in an older segment means
 	// everything after it is untrustworthy (same policy as the single-log
 	// store): truncate that segment, discard all later segments, and make
-	// the truncated one the active segment again.
+	// the truncated one the active segment again. Older segments exist
+	// when an earlier daemon rotated, or a rewrite crashed before its
+	// deletes; the next rewrite removes them.
 	active := len(segs) - 1
 	var activeValid int64
 	for i, seg := range segs {
@@ -232,7 +234,9 @@ func (s *Store) openSegments() error {
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("server: store: %w", err)
 		}
-		valid := s.replay(data, seg.ids)
+		valid := s.replay(data)
+		s.logBytes += valid
+		activeValid = valid
 		if valid < int64(len(data)) || err != nil {
 			s.Truncated += int64(len(data)) - valid
 			for _, later := range segs[i+1:] {
@@ -241,16 +245,14 @@ func (s *Store) openSegments() error {
 				}
 				os.Remove(later.path)
 			}
-			active, activeValid = i, valid
+			active = i
 			break
 		}
-		if i == active {
-			activeValid = valid
-		}
 	}
-	s.sealed = append(s.sealed, segs[:active]...)
-	s.cur = segs[active]
-	f, err := os.OpenFile(s.cur.path, os.O_CREATE|os.O_WRONLY, 0o644)
+	for _, seg := range segs[:active] {
+		s.older = append(s.older, seg.path)
+	}
+	f, err := os.OpenFile(segs[active].path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("server: store: %w", err)
 	}
@@ -258,19 +260,13 @@ func (s *Store) openSegments() error {
 		f.Close()
 		return fmt.Errorf("server: store: truncate torn tail: %w", err)
 	}
-	if _, err := f.Seek(activeValid, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("server: store: %w", err)
-	}
-	s.wal = f
-	s.walSize = activeValid
+	s.wal, s.walIndex = f, segs[active].index
 	return nil
 }
 
-// replay applies every fully-written record in data, adds touched ids to
-// ids, and returns the byte offset of the last valid frame's end
-// (everything past it is torn).
-func (s *Store) replay(data []byte, ids map[string]bool) int64 {
+// replay applies every fully-written record in data and returns the byte
+// offset of the last valid frame's end (everything past it is torn).
+func (s *Store) replay(data []byte) int64 {
 	off := 0
 	for {
 		if len(data)-off < 8 {
@@ -290,15 +286,14 @@ func (s *Store) replay(data []byte, ids map[string]bool) int64 {
 			return int64(off)
 		}
 		s.apply(rec)
-		if ids != nil {
-			ids[rec.ID] = true
-		}
 		s.Replayed++
 		off += 8 + int(n)
 	}
 }
 
 // apply folds one record into the in-memory state (replay rules above).
+// Replay and every successful append both fold through it, so live state
+// and replayed state cannot disagree.
 func (s *Store) apply(rec walRecord) {
 	switch rec.Op {
 	case "accept":
@@ -359,16 +354,16 @@ func (s *Store) Sweeps() []*StoredSweep {
 	return out
 }
 
-// Segments reports how many WAL segments exist (sealed + active) —
-// observability for the rotation path.
+// Segments reports how many WAL segments are on disk: the one appends go
+// to plus any older ones the next rewrite removes.
 func (s *Store) Segments() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sealed) + 1
+	return len(s.older) + 1
 }
 
-// CompactedSegments reports how many sealed segments live compaction (and
-// checkpoint) removed over this store's lifetime.
+// CompactedSegments reports how many segment files rewrites removed over
+// this store's lifetime.
 func (s *Store) CompactedSegments() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,9 +380,11 @@ func frame(rec walRecord) []byte {
 }
 
 // appendAll frames, writes, and fsyncs a batch of records as one write +
-// one sync while holding s.mu, then rotates the active segment if it
-// passed the size threshold. Batching is what makes a wide sweep fan-out
-// one durability round-trip instead of one per child.
+// one sync while holding s.mu, folds them into the in-memory state, then
+// rewrites the log if it reached the trigger size. Batching is what makes
+// a wide sweep fan-out one durability round-trip instead of one per
+// child. The rewrite runs after apply so it summarizes the batch that
+// triggered it.
 func (s *Store) appendAll(recs []walRecord) error {
 	if s.dead || s.wal == nil {
 		return ErrStoreDead
@@ -416,123 +413,78 @@ func (s *Store) appendAll(recs []walRecord) error {
 	if err := s.at(CrashAfterSync); err != nil {
 		return err
 	}
-	s.walSize += int64(len(buf))
+	s.logBytes += int64(len(buf))
 	for _, rec := range recs {
-		s.cur.ids[rec.ID] = true
+		s.apply(rec)
 	}
-	if s.walSize >= s.segBytes && !s.compacting {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
+	if s.logBytes >= max(s.segBytes, 2*s.rewritten) {
+		return s.rewriteLocked()
 	}
 	return nil
 }
 
 func (s *Store) append(rec walRecord) error { return s.appendAll([]walRecord{rec}) }
 
-// rotateLocked seals the active segment and opens the next one.
-func (s *Store) rotateLocked() error {
-	next := &segment{index: s.cur.index + 1, ids: map[string]bool{}}
-	next.path = s.segPath(next.index)
-	f, err := os.OpenFile(next.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: wal rotate: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		f.Close()
-		return err
-	}
-	s.wal.Close()
-	s.sealed = append(s.sealed, s.cur)
-	s.cur, s.wal, s.walSize = next, f, 0
-	return nil
-}
-
-// summaryLocked returns the records that re-persist id's current state
-// and whether that state is terminal. An unknown id has no state to
-// preserve: no records, terminal.
-func (s *Store) summaryLocked(id string) (recs []walRecord, terminal bool) {
-	if j, ok := s.jobs[id]; ok {
-		return j.summary()
-	}
-	if sw, ok := s.sweeps[id]; ok {
-		return sw.summary(), true
-	}
-	return nil, true
-}
-
 // summary is a job's state as records: its accept record, plus a done
 // record once the state is terminal.
-func (j *StoredJob) summary() ([]walRecord, bool) {
+func (j *StoredJob) summary() []walRecord {
 	spec := j.Spec
 	recs := []walRecord{{Op: "accept", ID: j.ID, Spec: &spec}}
 	switch j.State {
 	case StateDone:
-		return append(recs, walRecord{Op: "done", ID: j.ID, Status: "ok"}), true
+		return append(recs, walRecord{Op: "done", ID: j.ID, Status: "ok"})
 	case StateFailed:
-		return append(recs, walRecord{Op: "done", ID: j.ID, Status: "failed", FailKind: j.FailKind, Error: j.Error}), true
+		return append(recs, walRecord{Op: "done", ID: j.ID, Status: "failed", FailKind: j.FailKind, Error: j.Error})
 	}
-	return recs, false
+	return recs
 }
 
-// summary is a sweep's one record. It is always terminal: a sweep has no
-// state beyond its spec, so it never pins a segment.
-func (sw *StoredSweep) summary() []walRecord {
+// summary is a sweep's one record: a sweep has no state beyond its spec.
+func (sw *StoredSweep) summary() walRecord {
 	spec := sw.Spec
-	return []walRecord{{Op: "sweep", ID: sw.ID, Sweep: &spec}}
+	return walRecord{Op: "sweep", ID: sw.ID, Sweep: &spec}
 }
 
-// maybeCompactLocked removes sealed segments whose every referenced id is
-// terminal. Each victim's live state is first re-persisted as summary
-// records in the active segment (one fsync per victim), then the sealed
-// file is unlinked. Idempotent replay makes every crash window safe:
-// summary-without-delete replays duplicates (collapsed), delete-without-
-// summary cannot happen (the summary is synced first).
-func (s *Store) maybeCompactLocked() error {
-	if s.compacting || s.dead {
-		return nil
+// rewriteLocked writes every job's and sweep's summary records, in
+// acceptance order, into the next segment through writeFileAtomic, then
+// deletes every older segment and appends to the new one from here on.
+// A crash between the durable new segment and the deletes replays the
+// old chain and then its duplicate summary: the same state. A segment
+// that cannot be deleted stays on disk for the next rewrite.
+func (s *Store) rewriteLocked() error {
+	var buf []byte
+	for _, id := range s.order {
+		for _, rec := range s.jobs[id].summary() {
+			buf = append(buf, frame(rec)...)
+		}
 	}
-	s.compacting = true
-	defer func() { s.compacting = false }()
-	for i := 0; i < len(s.sealed); {
-		seg := s.sealed[i]
-		var summary []walRecord
-		settled := true
-		ids := make([]string, 0, len(seg.ids))
-		for id := range seg.ids {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			recs, term := s.summaryLocked(id)
-			if !term {
-				settled = false
-				break
-			}
-			summary = append(summary, recs...)
-		}
-		if !settled {
-			i++
+	for _, id := range s.sweepOrder {
+		buf = append(buf, frame(s.sweeps[id].summary())...)
+	}
+	next := s.walIndex + 1
+	path := s.segPath(next)
+	if err := writeFileAtomic(path, buf); err != nil {
+		return err
+	}
+	if err := s.at(CrashDuringCompact); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("server: wal rewrite: %w", err)
+	}
+	s.wal.Close()
+	old := append(s.older, s.segPath(s.walIndex))
+	s.wal, s.walIndex, s.older = f, next, nil
+	s.logBytes, s.rewritten = int64(len(buf)), int64(len(buf))
+	for _, p := range old {
+		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+			s.older = append(s.older, p)
 			continue
 		}
-		if len(summary) > 0 {
-			if err := s.appendAll(summary); err != nil {
-				return err
-			}
-		}
-		if err := s.at(CrashDuringCompact); err != nil {
-			return err
-		}
-		if err := os.Remove(seg.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("server: wal compact: %w", err)
-		}
-		if err := syncDir(s.dir); err != nil {
-			return err
-		}
-		s.sealed = append(s.sealed[:i], s.sealed[i+1:]...)
 		s.Compacted++
 	}
-	return nil
+	return syncDir(s.dir)
 }
 
 // at consults the crash hook; on injection the store dies in place.
@@ -559,12 +511,7 @@ func (s *Store) Accept(id string, spec JobSpec) error {
 	if _, ok := s.jobs[id]; ok {
 		return nil
 	}
-	if err := s.append(walRecord{Op: "accept", ID: id, Spec: &spec}); err != nil {
-		return err
-	}
-	s.jobs[id] = &StoredJob{ID: id, Spec: spec, State: StateAccepted}
-	s.order = append(s.order, id)
-	return nil
+	return s.append(walRecord{Op: "accept", ID: id, Spec: &spec})
 }
 
 // AcceptSweep durably records a sweep and every child job it fans out to
@@ -592,26 +539,12 @@ func (s *Store) AcceptSweep(id string, spec SweepSpec, childIDs []string, childS
 		recs = append(recs, walRecord{Op: "accept", ID: cid, Spec: &cs})
 	}
 	recs = append(recs, walRecord{Op: "sweep", ID: id, Sweep: &spec})
-	if err := s.appendAll(recs); err != nil {
-		return err
-	}
-	for i, cid := range childIDs {
-		if _, ok := s.jobs[cid]; ok {
-			continue
-		}
-		s.jobs[cid] = &StoredJob{ID: cid, Spec: childSpecs[i], State: StateAccepted}
-		s.order = append(s.order, cid)
-	}
-	s.sweeps[id] = &StoredSweep{ID: id, Spec: spec}
-	s.sweepOrder = append(s.sweepOrder, id)
-	return nil
+	return s.appendAll(recs)
 }
 
 // CompleteOK durably marks the job done. The result artifact must have
 // been saved first (SaveResult); the ordering is what makes "done" imply
-// "result readable" across any crash. Settlement is also the
-// live-compaction trigger: a terminal record is what lets a sealed
-// segment become fully settled.
+// "result readable" across any crash.
 func (s *Store) CompleteOK(id string) error {
 	return s.complete(walRecord{Op: "done", ID: id, Status: "ok"})
 }
@@ -621,23 +554,14 @@ func (s *Store) CompleteFailed(id, failKind, msg string) error {
 	return s.complete(walRecord{Op: "done", ID: id, Status: "failed", FailKind: failKind, Error: msg})
 }
 
-// complete appends a job's done record and applies it.
+// complete appends a job's done record.
 func (s *Store) complete(rec walRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[rec.ID]
-	if !ok {
+	if _, ok := s.jobs[rec.ID]; !ok {
 		return fmt.Errorf("server: complete: unknown job %s", rec.ID)
 	}
-	if err := s.append(rec); err != nil {
-		return err
-	}
-	if rec.Status == "ok" {
-		j.State = StateDone
-	} else {
-		j.State, j.FailKind, j.Error = StateFailed, rec.FailKind, rec.Error
-	}
-	return s.maybeCompactLocked()
+	return s.append(rec)
 }
 
 func (s *Store) resultPath(id string) string {
@@ -727,59 +651,15 @@ func (s *Store) HasResult(id string) bool {
 	return s.hasResultFile(id)
 }
 
-// Checkpoint compacts the whole WAL to one summary per job and sweep in a
-// fresh segment, removing every older segment. Atomic: the new segment is
-// written tmp+rename before the old ones are deleted, and replay collapses
-// any crash-window duplicates. Called on graceful drain so a restart
-// replays a minimal queue.
+// Checkpoint rewrites the log now, whatever its size, so a restart
+// replays one summary per job and sweep. Called on graceful drain.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
+	if s.dead || s.wal == nil {
 		return ErrStoreDead
 	}
-	// The new segment records every id it summarizes, so live compaction
-	// keeps it while any of them is pending.
-	var buf []byte
-	ids := map[string]bool{}
-	add := func(recs []walRecord) {
-		for _, rec := range recs {
-			buf = append(buf, frame(rec)...)
-			ids[rec.ID] = true
-		}
-	}
-	for _, id := range s.order {
-		recs, _ := s.jobs[id].summary()
-		add(recs)
-	}
-	for _, id := range s.sweepOrder {
-		add(s.sweeps[id].summary())
-	}
-	nextIdx := s.cur.index + 1
-	nextPath := s.segPath(nextIdx)
-	if err := writeFileAtomic(nextPath, buf); err != nil {
-		return err
-	}
-	// The compacted segment is durable; retire everything older.
-	old := append(append([]*segment(nil), s.sealed...), s.cur)
-	s.wal.Close()
-	for _, seg := range old {
-		if err := os.Remove(seg.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("server: checkpoint: %w", err)
-		}
-		s.Compacted++
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(nextPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: checkpoint: reopen: %w", err)
-	}
-	s.sealed = nil
-	s.cur = &segment{index: nextIdx, path: nextPath, ids: ids}
-	s.wal, s.walSize = f, int64(len(buf))
-	return nil
+	return s.rewriteLocked()
 }
 
 // Close releases the WAL handle (no flush needed: every append synced).

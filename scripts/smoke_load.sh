@@ -19,9 +19,9 @@ trap cleanup EXIT
 
 go build -o "$work/ptmcd" ./cmd/ptmcd
 
-# boot_daemon DATA_DIR PARALLEL -> sets $daemon_pid and $base (URL). Tiny
-# WAL segments so the load exercises rotation + compaction, not just
-# appends.
+# boot_daemon DATA_DIR PARALLEL -> sets $daemon_pid and $base (URL). A
+# tiny WAL rewrite floor (-wal-segment) so the load exercises live log
+# rewrites, not just appends.
 boot_daemon() {
 	rm -f "$work/addr"
 	"$work/ptmcd" -addr 127.0.0.1:0 -addr-file "$work/addr" -data "$1" \
@@ -120,6 +120,18 @@ fi
 id="$(head -n 1 "$work/ids")"
 "$work/ptmcd" result -server "$base" -id "$id" > /dev/null
 
+# The ledger is many times the 4 KiB rewrite floor, so the restarted
+# daemon has rewritten its log: some segment files were removed, and at
+# most one older segment (a rewrite's crash window) is left beside the
+# one appends go to.
+metrics="$("$work/ptmcd" metrics -server "$base")"
+compacted="$(echo "$metrics" | awk '$1 == "ptmcd.wal_compacted_segments" {print $2}')"
+segments="$(echo "$metrics" | awk '$1 == "ptmcd.wal_segments" {print $2}')"
+if [ "${compacted:-0}" -le 0 ] || [ "${segments:-0}" -lt 1 ] || [ "$segments" -gt 2 ]; then
+	echo "smoke_load: wal_compacted_segments=$compacted wal_segments=$segments (want > 0 and <= 2: log not rewritten)" >&2
+	exit 1
+fi
+
 # The restarted daemon must still drain to exit 0.
 kill -TERM "$daemon_pid"
 if ! wait "$daemon_pid"; then
@@ -128,4 +140,4 @@ if ! wait "$daemon_pid"; then
 	exit 1
 fi
 daemon_pid=""
-echo "smoke_load: $jobs jobs, kill -9 at $pre settled, 0 lost, 0 duplicate sims"
+echo "smoke_load: $jobs jobs, kill -9 at $pre settled, 0 lost, 0 duplicate sims, $compacted WAL segments rewritten away ($segments on disk)"
