@@ -5,9 +5,10 @@
 #                    formatting gate (no new tool dependencies)
 #   make smoke       regenerate the quick paperbench report and diff against
 #                    the committed paperbench_quick.txt (slow: full quick
-#                    set), then run a short fault-injection campaign, the
+#                    set), then run short static and dynamic fault campaigns, the
 #                    crash-safe daemon recovery stage, and the chaos campaign
-#   make fuzz-smoke  ~10s of native fuzzing per fuzz target
+#   make fuzz-smoke  ~10s of native fuzzing per fuzz target, minimization
+#                    bounded to 100 execs per new input
 #   make trace-smoke instrumented quickstart run; obscheck validates the
 #                    -metrics and -trace artifacts it produces
 #   make bench       compression + artifact micro-benchmarks with allocation
@@ -19,6 +20,10 @@
 
 GO ?= go
 FUZZTIME ?= 10s
+# A new-coverage input is minimized for at most this many execs (Go's
+# default is 60s), so no target spends its FUZZTIME window minimizing.
+FUZZMINIMIZETIME ?= 100x
+FUZZ = -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME)
 
 .PHONY: check lint vet build test smoke fuzz-smoke trace-smoke bench ptmcd ci
 
@@ -54,11 +59,11 @@ smoke:
 	./scripts/smoke.sh
 
 fuzz-smoke:
-	$(GO) test ./internal/core/ -run FuzzMarkerClassify -fuzz FuzzMarkerClassify -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server/ -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server/ -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/mem/ -run FuzzStore -fuzz FuzzStore -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/memctrl/ -run FuzzControllerOps -fuzz FuzzControllerOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run FuzzMarkerClassify -fuzz FuzzMarkerClassify $(FUZZ)
+	$(GO) test ./internal/server/ -run FuzzJobSpec -fuzz FuzzJobSpec $(FUZZ)
+	$(GO) test ./internal/server/ -run FuzzWALReplay -fuzz FuzzWALReplay $(FUZZ)
+	$(GO) test ./internal/mem/ -run FuzzStore -fuzz FuzzStore $(FUZZ)
+	$(GO) test ./internal/memctrl/ -run FuzzControllerOps -fuzz FuzzControllerOps $(FUZZ)
 
 trace-smoke:
 	out=$$(mktemp -d) && \

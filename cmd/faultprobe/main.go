@@ -13,7 +13,7 @@
 //	faultprobe -nohurt             # adversarial no-hurt experiment instead
 //	faultprobe -metrics m.json -trace t.trace -pprof localhost:6060
 //
-// The campaign is deterministic in (-seed, -trials, -ops, -lines): a
+// The campaign is deterministic in (-seed, -trials, -kinds, -dynamic): a
 // failing seed is a reproducer. -metrics writes the per-trial
 // detection-counter windows.
 package main
@@ -35,9 +35,6 @@ func main() {
 	var (
 		trials  = flag.Int("trials", 1000, "fault injections to run")
 		seed    = flag.Int64("seed", 1, "campaign seed (replays exactly)")
-		ops     = flag.Int("ops", 256, "traffic operations around each injection")
-		lines   = flag.Int("lines", 2048, "footprint in 64-byte lines")
-		llcKB   = flag.Int("llckb", 64, "campaign LLC size in KB")
 		kinds   = flag.String("kinds", "", "comma-separated fault kinds (default: all)")
 		dynamic = flag.Bool("dynamic", false, "attack Dynamic-PTMC instead of static PTMC")
 		nohurt  = flag.Bool("nohurt", false, "run the adversarial no-hurt experiment instead of injection")
@@ -73,14 +70,11 @@ func main() {
 	}
 
 	cfg := ptmc.FaultConfig{
-		Trials:      *trials,
-		OpsPerTrial: *ops,
-		Lines:       *lines,
-		LLCBytes:    *llcKB << 10,
-		Seed:        *seed,
-		Dynamic:     *dynamic,
-		Trace:       out.Trace != "",
-		Metrics:     out.Metrics != "",
+		Trials:  *trials,
+		Seed:    *seed,
+		Dynamic: *dynamic,
+		Trace:   out.Trace != "",
+		Metrics: out.Metrics != "",
 	}
 	for _, name := range strings.Split(*kinds, ",") {
 		if name = strings.TrimSpace(name); name == "" {

@@ -4,8 +4,8 @@
 // environment would — bit flips in markers and payloads, forged compressed
 // units, Marker-IL tombstones planted over live data, bogus inversion-table
 // entries, poisoned location predictions, and adversarial marker-colliding
-// write data — while the campaign driver (internal/sim) checks that every
-// injected fault is either detected by the controller's typed-error /
+// write data — while the campaign driver (internal/memctrl) checks that
+// every injected fault is either detected by the controller's typed-error /
 // degradation machinery or proven harmless by VerifyImage.
 //
 // Every choice the injector makes is drawn from one seeded RNG, so a
@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"ptmc/internal/cache"
+	"ptmc/internal/core"
 	"ptmc/internal/mem"
 )
 
@@ -86,35 +87,15 @@ func ParseKind(name string) (Kind, error) {
 	return 0, fmt.Errorf("fault: unknown kind %q", name)
 }
 
-// MarkerOracle exposes the per-line marker values the image-level faults
-// need to forge classifiable state. *core.MarkerGen satisfies it — the
-// injector plays an adversary with full knowledge of the current keys.
-type MarkerOracle interface {
-	Marker2(a mem.LineAddr) uint32
-	Marker4(a mem.LineAddr) uint32
-	MarkerIL(a mem.LineAddr) [mem.LineSize]byte
-}
-
-// LITSink is the injector's hook into the Line Inversion Table.
-// *core.LIT satisfies it.
-type LITSink interface {
-	Insert(a mem.LineAddr) bool
-}
-
-// LLPSink is the injector's hook into the Line Location Predictor.
-// *core.LLP satisfies it.
-type LLPSink interface {
-	Record(a mem.LineAddr, actual cache.Level, counted, correct bool)
-}
-
-// Target is everything an Injector may attack. Img and Markers are
-// required; LIT and LLP may be nil, which disables the corresponding
-// kinds.
+// Target is everything an Injector may attack: the DRAM image and the
+// controller's markers, Line Inversion Table and Line Location Predictor.
+// The injector plays an adversary with full knowledge of the current keys.
+// Every field is required.
 type Target struct {
 	Img     *mem.Store
-	Markers MarkerOracle
-	LIT     LITSink
-	LLP     LLPSink
+	Markers *core.MarkerGen
+	LIT     *core.LIT
+	LLP     *core.LLP
 }
 
 // Injection records one applied fault — enough to label a campaign trial
@@ -146,9 +127,6 @@ type Injector struct {
 
 // NewInjector builds an injector over t driven by a deterministic RNG.
 func NewInjector(seed int64, t Target) *Injector {
-	if t.Img == nil || t.Markers == nil {
-		panic("fault: Target needs Img and Markers")
-	}
 	return &Injector{rng: rand.New(rand.NewSource(seed)), t: t}
 }
 
@@ -163,8 +141,7 @@ func (in *Injector) pick(candidates []mem.LineAddr) mem.LineAddr {
 
 // Inject applies one fault of the given kind to a location drawn from
 // candidates (typically the image's touched lines). It reports false when
-// the kind cannot be applied (no candidates, or the target lacks the
-// required hook).
+// the kind cannot be applied (no candidates, or an unknown kind).
 func (in *Injector) Inject(kind Kind, candidates []mem.LineAddr) (Injection, bool) {
 	if len(candidates) == 0 {
 		return Injection{}, false
@@ -173,11 +150,11 @@ func (in *Injector) Inject(kind Kind, candidates []mem.LineAddr) (Injection, boo
 	switch kind {
 	case KindMarkerFlip:
 		inj.Addr = in.pick(candidates)
-		inj.Bit = (mem.LineSize-MarkerTailBytes)*8 + in.rng.Intn(MarkerTailBytes*8)
+		inj.Bit = (mem.LineSize-core.MarkerBytes)*8 + in.rng.Intn(core.MarkerBytes*8)
 		in.flipBit(inj.Addr, inj.Bit)
 	case KindPayloadFlip:
 		inj.Addr = in.pick(candidates)
-		inj.Bit = in.rng.Intn((mem.LineSize - MarkerTailBytes) * 8)
+		inj.Bit = in.rng.Intn((mem.LineSize - core.MarkerBytes) * 8)
 		in.flipBit(inj.Addr, inj.Bit)
 	case KindUndecodable:
 		inj.Addr = in.pick(candidates) &^ 3 // group base: unit at its home
@@ -192,15 +169,9 @@ func (in *Injector) Inject(kind Kind, candidates []mem.LineAddr) (Injection, boo
 		il := in.t.Markers.MarkerIL(inj.Addr)
 		in.t.Img.Write(inj.Addr, il[:])
 	case KindBogusLIT:
-		if in.t.LIT == nil {
-			return Injection{}, false
-		}
 		inj.Addr = in.pick(candidates)
 		in.t.LIT.Insert(inj.Addr)
 	case KindLLPPoison:
-		if in.t.LLP == nil {
-			return Injection{}, false
-		}
 		inj.Addr = in.pick(candidates)
 		// Train the predictor with a level chosen to mismatch the line's
 		// current location as often as possible.
@@ -211,10 +182,6 @@ func (in *Injector) Inject(kind Kind, candidates []mem.LineAddr) (Injection, boo
 	in.Applied = append(in.Applied, inj)
 	return inj, true
 }
-
-// MarkerTailBytes mirrors core.MarkerBytes without importing core (the
-// fault package sits below the controller layer).
-const MarkerTailBytes = 4
 
 // flipBit flips one bit of the image at line a.
 func (in *Injector) flipBit(a mem.LineAddr, bit int) {
@@ -245,7 +212,7 @@ func (in *Injector) forgeUnit(loc, markerAddr mem.LineAddr) {
 // controller must invert it and consume a LIT entry. Hammering distinct
 // lines with colliding data is the paper's engineered-collision
 // denial-of-service attack; the defense under test is re-keying.
-func CollidingLine(m MarkerOracle, a mem.LineAddr, rng *rand.Rand) []byte {
+func CollidingLine(m *core.MarkerGen, a mem.LineAddr, rng *rand.Rand) []byte {
 	line := make([]byte, mem.LineSize)
 	rng.Read(line)
 	marker := m.Marker2(a)

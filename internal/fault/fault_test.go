@@ -51,7 +51,6 @@ func TestEveryKindMutatesState(t *testing.T) {
 	for _, k := range Kinds() {
 		t.Run(k.String(), func(t *testing.T) {
 			tg, img, g := testTarget(3)
-			lit := tg.LIT.(*core.LIT)
 			in := NewInjector(5, tg)
 			before := map[mem.LineAddr][]byte{}
 			for _, a := range img.TouchedLines() {
@@ -63,7 +62,7 @@ func TestEveryKindMutatesState(t *testing.T) {
 			}
 			switch k {
 			case KindBogusLIT:
-				if inverted, _ := lit.Contains(inj.Addr); !inverted {
+				if inverted, _ := tg.LIT.Contains(inj.Addr); !inverted {
 					t.Error("LIT entry not planted")
 				}
 			case KindLLPPoison:

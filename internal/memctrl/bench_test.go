@@ -3,21 +3,10 @@ package memctrl
 import (
 	"testing"
 
-	"ptmc/internal/cache"
 	"ptmc/internal/dram"
 	"ptmc/internal/mem"
 	"ptmc/internal/obs"
 )
-
-// benchRig builds a controller with a small LLC, primed so that
-// steady-state read misses of the benchmark footprint exercise the full
-// decode path (for PTMC: markers, LLP, decompression) without first-touch
-// setup.
-type benchRig struct {
-	llc  *testLLC
-	ctrl tracedController
-	now  int64
-}
 
 // tracedController is a scheme with base's SetTracer (every scheme).
 type tracedController interface {
@@ -25,65 +14,17 @@ type tracedController interface {
 	SetTracer(*obs.Tracer)
 }
 
-func newBenchRig(b testing.TB, lines int, build func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller) *benchRig {
-	b.Helper()
-	d, err := dram.New(dram.DDR4())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := cache.New(cache.Config{SizeBytes: 64 * 64, Assoc: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	llc := &testLLC{c: c}
-	img, arch := mem.NewStore(), mem.NewStore()
-	p := build(d, img, arch, llc).(tracedController)
-	llc.ctrl = p
-	r := &benchRig{llc: llc, ctrl: p}
-
-	// Prime: initialize and write back every line compressed, then empty
-	// the LLC so each benchmark read is a miss against compressed memory.
-	done := func(int64) {}
+// primedRig builds a rig with a 64-line LLC, writes lines 0..lines-1
+// compressible and flushes them, so steady-state read misses of that
+// footprint exercise the full decode path (for PTMC: markers, LLP,
+// decompression) without first-touch setup.
+func primedRig(t testing.TB, lines int, build buildFunc) *testRig {
+	r := newRig(t, 64*64, build)
 	for i := 0; i < lines; i++ {
-		a := mem.LineAddr(i)
-		arch.Write(a, compressibleLine(byte(i)))
-		p.InitLine(a)
-		p.Read(0, a, r.now, done)
-		r.drain(b)
-		if e, ok := llc.Probe(a); ok {
-			e.Dirty = true
-		}
+		r.write(0, mem.LineAddr(i), compressibleLine(byte(i)))
 	}
-	r.flush(b)
+	r.flushAll()
 	return r
-}
-
-func (r *benchRig) drain(b testing.TB) {
-	for i := 0; r.ctrl.Pending() > 0; i++ {
-		r.now += 4
-		r.ctrl.Tick(r.now)
-		if i > 1_000_000 {
-			b.Fatal("controller did not drain")
-		}
-	}
-}
-
-func (r *benchRig) flush(b testing.TB) {
-	for {
-		var victim cache.Entry
-		found := false
-		r.llc.c.ForEachValid(func(e *cache.Entry) {
-			if !found {
-				victim, found = *e, true
-			}
-		})
-		if !found {
-			return
-		}
-		r.llc.Drop(victim.Tag)
-		r.ctrl.Evict(int(victim.Core), victim, r.now)
-		r.drain(b)
-	}
 }
 
 // BenchmarkPTMCReadMiss measures the controller's steady-state read-miss
@@ -101,17 +42,17 @@ func BenchmarkPTMCReadMiss(b *testing.B) {
 		{"tracer=on", obs.NewTracer(1 << 10)},
 	} {
 		b.Run(traced.name, func(b *testing.B) {
-			r := newBenchRig(b, lines, func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
+			r := primedRig(b, lines, func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
 				return NewPTMC(d, img, arch, llc, 1)
 			})
-			r.ctrl.SetTracer(traced.tr)
+			r.ctrl.(tracedController).SetTracer(traced.tr)
 			done := func(int64) {}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a := mem.LineAddr(i % lines)
 				r.ctrl.Read(0, a, r.now, done)
-				r.drain(b)
+				r.drain()
 				r.llc.Drop(a) // clean drop: next iteration misses again
 				traced.tr.Reset()
 			}
@@ -133,16 +74,16 @@ const readMissAllocBudget = 0
 // into a pre-sized buffer.
 func TestDisabledTracerReadPathAllocs(t *testing.T) {
 	const lines = 64
-	measure := func(build func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller, tr *obs.Tracer) float64 {
-		r := newBenchRig(t, lines, build)
-		r.ctrl.SetTracer(tr)
+	measure := func(build buildFunc, tr *obs.Tracer) float64 {
+		r := primedRig(t, lines, build)
+		r.ctrl.(tracedController).SetTracer(tr)
 		done := func(int64) {}
 		i := 0
 		// Warm the steady state (fill buffers recycle, maps settle).
 		for ; i < 4*lines; i++ {
 			a := mem.LineAddr(i % lines)
 			r.ctrl.Read(0, a, r.now, done)
-			r.drain(t)
+			r.drain()
 			r.llc.Drop(a)
 			tr.Reset()
 		}
@@ -150,7 +91,7 @@ func TestDisabledTracerReadPathAllocs(t *testing.T) {
 			a := mem.LineAddr(i % lines)
 			i++
 			r.ctrl.Read(0, a, r.now, done)
-			r.drain(t)
+			r.drain()
 			r.llc.Drop(a)
 			tr.Reset()
 		})
@@ -180,7 +121,7 @@ func TestCoalescedReadMissAllocs(t *testing.T) {
 	const lines = 64
 	for _, sc := range fuzzSchemes {
 		t.Run(sc.name, func(t *testing.T) {
-			r := newBenchRig(t, lines, sc.build)
+			r := primedRig(t, lines, sc.build)
 			done := func(int64) {}
 			g := 0
 			step := func() {
@@ -189,7 +130,7 @@ func TestCoalescedReadMissAllocs(t *testing.T) {
 				for i := mem.LineAddr(0); i < 4; i++ {
 					r.ctrl.Read(0, base+i, r.now, done)
 				}
-				r.drain(t)
+				r.drain()
 				for i := mem.LineAddr(0); i < 4; i++ {
 					r.llc.Drop(base + i)
 				}

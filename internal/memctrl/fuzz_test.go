@@ -8,6 +8,7 @@ import (
 
 	"ptmc/internal/core"
 	"ptmc/internal/dram"
+	"ptmc/internal/fault"
 	"ptmc/internal/mem"
 )
 
@@ -23,7 +24,7 @@ const (
 // small enough that fills evict dirty lines through the controller.
 var fuzzSchemes = []struct {
 	name  string
-	build func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller
+	build buildFunc
 }{
 	{"uncompressed", func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
 		return NewUncompressed(d, img, arch, llc)
@@ -90,11 +91,14 @@ func fuzzValue(m *core.MarkerGen, a mem.LineAddr, sel byte) []byte {
 type controllerRun struct {
 	t       *testing.T
 	scheme  string
-	r       *rig
+	r       *testRig
 	gen     *core.MarkerGen // value markers for schemes without their own
 	init    map[mem.LineAddr][]byte
 	want    map[mem.LineAddr][]byte
 	pending map[mem.LineAddr]bool // reads in flight (the simulator's MSHR)
+
+	inj         *fault.Injector // ptmc and dynamic-ptmc only
+	errs0, deg0 uint64          // IntegrityErrs and Degradations() after the last scrub
 }
 
 // markers returns the generation colliding values are built against: the
@@ -140,8 +144,9 @@ func (c *controllerRun) settle(a mem.LineAddr) {
 }
 
 // check holds after every op: the architectural store equals the flat
-// oracle, no fill decoded a wrong value, nothing degraded, and a PTMC-family
-// image is sound with the LLC's lines authoritative.
+// oracle, no fill decoded a wrong value and nothing degraded since the last
+// injected fault was scrubbed, and a PTMC-family image is sound with the
+// LLC's lines authoritative.
 func (c *controllerRun) check(step int) {
 	var buf [mem.LineSize]byte
 	for a, v := range c.want {
@@ -149,19 +154,37 @@ func (c *controllerRun) check(step int) {
 			c.t.Fatalf("%s op %d: architectural line %d diverges from the last written value", c.scheme, step, a)
 		}
 	}
-	if st := c.r.ctrl.Stats(); st.IntegrityErrs != 0 || st.Degradations() != 0 {
-		c.t.Fatalf("%s op %d: %d integrity errors, %d degradations", c.scheme, step, st.IntegrityErrs, st.Degradations())
+	if st := c.r.ctrl.Stats(); st.IntegrityErrs != c.errs0 || st.Degradations() != c.deg0 {
+		c.t.Fatalf("%s op %d: %d integrity errors, %d degradations", c.scheme, step,
+			st.IntegrityErrs-c.errs0, st.Degradations()-c.deg0)
 	}
 	if p, ok := c.r.ctrl.(*PTMC); ok {
-		if _, err := p.VerifyImage(c.r.llcResident); err != nil {
+		if _, err := p.VerifyImage(c.r.resident); err != nil {
 			c.t.Fatalf("%s op %d: %v", c.scheme, step, err)
 		}
 	}
 }
 
+// inject runs one fault trial on line a's group with the fault kind sel
+// selects: the trial must detect the fault or prove it harmless, never
+// pass it silently, and leaves the image scrubbed.
+func (c *controllerRun) inject(step int, a mem.LineAddr, sel byte) {
+	c.r.drain()
+	kind := fault.Kind(int(sel) % len(fault.Kinds()))
+	tr, _, err := c.r.faultTrial(c.inj, kind, []mem.LineAddr{a}, nil)
+	if err != nil {
+		c.t.Fatalf("%s op %d: %v", c.scheme, step, err)
+	}
+	if tr.Outcome == FaultSilent {
+		c.t.Fatalf("%s op %d: %v passed silently: %s", c.scheme, step, tr.Injection, tr.Detector)
+	}
+	st := c.r.ctrl.Stats()
+	c.errs0, c.deg0 = st.IntegrityErrs, st.Degradations()
+}
+
 // runControllerOps drives one scheme through ops (three bytes each: op,
 // line, value selector) and returns its final accounting.
-func runControllerOps(t *testing.T, scheme string, build func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller, ops []byte) (Stats, dram.Stats) {
+func runControllerOps(t *testing.T, scheme string, build buildFunc, ops []byte) (Stats, dram.Stats) {
 	c := &controllerRun{
 		t: t, scheme: scheme, r: newRig(t, 64*64, build), gen: core.NewMarkerGen(fuzzSeed),
 		init: map[mem.LineAddr][]byte{}, want: map[mem.LineAddr][]byte{}, pending: map[mem.LineAddr]bool{},
@@ -169,8 +192,11 @@ func runControllerOps(t *testing.T, scheme string, build func(d *dram.DRAM, img,
 	fill := func(a mem.LineAddr, buf []byte) { copy(buf, c.init[a]) }
 	c.r.img.SetLazyFill(fill)
 	c.r.arch.SetLazyFill(fill)
+	if p, ok := c.r.ctrl.(*PTMC); ok && !p.oracle {
+		c.inj = c.r.injector(fuzzSeed)
+	}
 	for step := 0; len(ops) >= 3; step++ {
-		op, a, sel := ops[0]%5, mem.LineAddr(ops[1])%(fuzzPages*mem.PageLines), ops[2]
+		op, a, sel := ops[0]%6, mem.LineAddr(ops[1])%(fuzzPages*mem.PageLines), ops[2]
 		ops = ops[3:]
 		c.touch(a, sel)
 		coreID := int(sel & 1)
@@ -197,6 +223,10 @@ func runControllerOps(t *testing.T, scheme string, build func(d *dram.DRAM, img,
 				c.r.now += 4
 				c.r.ctrl.Tick(c.r.now)
 			}
+		case 5: // fault injection (ptmc and dynamic-ptmc)
+			if c.inj != nil {
+				c.inject(step, a, sel)
+			}
 		}
 		c.check(step)
 	}
@@ -215,17 +245,30 @@ func runControllerOps(t *testing.T, scheme string, build func(d *dram.DRAM, img,
 }
 
 // FuzzControllerOps runs random first-touch, read, store, eviction, in-
-// flight read and tick sequences on a four-page memory under all seven
-// schemes. After each op the architectural store must match a flat
-// last-written-value map, no fill may decode a wrong value
-// (IntegrityErrs), and a PTMC-family image must pass VerifyImage; at the
-// end every line is written back and read again. Each input runs twice and
-// must produce identical accounting.
+// flight read, tick and (ptmc, dynamic-ptmc) fault-injection sequences on a
+// four-page memory under all seven schemes. After each op the
+// architectural store must match a flat last-written-value map, no fill
+// may decode a wrong value (IntegrityErrs), and a PTMC-family image must
+// pass VerifyImage; an injected fault must be detected or harmless, never
+// silent (the fault campaign's trial and oracle). At the end every line is
+// written back and read again. Each input runs twice and must produce
+// identical accounting.
 func FuzzControllerOps(f *testing.F) {
 	f.Add([]byte{1, 5, 1, 1, 6, 2, 2, 5, 0, 0, 5, 0})
 	f.Add([]byte{1, 0, 5, 1, 1, 6, 1, 2, 12, 1, 3, 13, 2, 0, 0, 0, 0, 0, 0, 1, 0})
 	f.Add([]byte{3, 8, 1, 3, 9, 1, 1, 9, 3, 4, 0, 7, 0, 10, 1, 2, 9, 0, 0, 9, 0})
 	f.Add(bytes.Repeat([]byte{1, 0x41, 5, 1, 0x42, 13, 3, 0x80, 1, 2, 0x41, 0, 4, 0, 3}, 24))
+	// Fault injection: every kind against a 4:1 unit, then against pairs,
+	// singles and marker-colliding lines, with reads in flight.
+	f.Add([]byte{1, 0, 1, 1, 1, 8, 1, 2, 15, 1, 3, 22, 2, 0, 0,
+		5, 0, 0, 5, 1, 1, 5, 2, 2, 5, 3, 3, 5, 0, 4, 5, 1, 5, 5, 2, 6, 0, 1, 0})
+	f.Add([]byte{1, 4, 2, 1, 5, 9, 1, 6, 3, 1, 7, 5, 2, 6, 0, 2, 4, 0, 3, 0x48, 1,
+		5, 4, 0, 5, 5, 1, 5, 6, 2, 5, 7, 3, 3, 0x49, 0, 5, 6, 4, 5, 7, 5, 5, 4, 6, 0, 5, 0})
+	// A bit flip under a clean resident line stays latent until the
+	// trial's flush puts the image back in charge; a second touched page
+	// overflows line 0's LLC set, so the read-back sweep leaves it
+	// non-resident for the final verification.
+	f.Add([]byte{4, 64, 0, 1, 0, 3, 2, 0, 0, 0, 0, 0, 5, 0, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*256 {
 			ops = ops[:3*256]

@@ -10,19 +10,13 @@ import (
 
 // planRig builds a bare base (no controller) around a small LLC for direct
 // planner tests.
-func planRig(t *testing.T) (*base, *testLLC) {
-	t.Helper()
-	d, err := dram.New(dram.DDR4())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cache.New(cache.Config{SizeBytes: 64 * 64, Assoc: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	llc := &testLLC{c: c}
-	b := newBase("test", d, mem.NewStore(), mem.NewStore(), llc)
-	return &b, llc
+func planRig(t *testing.T) (*base, *rigLLC) {
+	var b base
+	r := newRig(t, 64*64, func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
+		b = newBase("test", d, img, arch, llc)
+		return nil
+	})
+	return &b, r.llc
 }
 
 // setArch stores a value in the architectural store.

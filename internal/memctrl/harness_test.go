@@ -5,132 +5,42 @@ import (
 	"testing"
 
 	"ptmc/internal/cache"
-	"ptmc/internal/dram"
 	"ptmc/internal/mem"
 )
 
-// testLLC adapts a real cache.Cache to the LLC interface and routes victims
-// back into the controller, exactly as the simulator does.
-type testLLC struct {
-	c    *cache.Cache
-	ctrl Controller
-	now  int64
+// testRig is the rig for tests: each step fails the test instead of
+// returning an error, and read returns the value the CPU observes.
+type testRig struct {
+	*rig
+	t testing.TB
 }
 
-func (l *testLLC) Probe(a mem.LineAddr) (*cache.Entry, bool) { return l.c.Probe(a) }
-func (l *testLLC) SetIndex(a mem.LineAddr) int               { return l.c.SetIndex(a) }
-func (l *testLLC) NumSets() int                              { return l.c.NumSets() }
-func (l *testLLC) Drop(a mem.LineAddr) (cache.Entry, bool)   { return l.c.Invalidate(a) }
-
-func (l *testLLC) InstallFill(core int, a mem.LineAddr, e cache.Entry, now int64) {
-	victim, _ := l.c.Install(a, e)
-	if victim.Valid {
-		l.ctrl.Evict(int(victim.Core), victim, now)
-	}
-}
-
-// rig bundles a controller with its environment.
-type rig struct {
-	t    *testing.T
-	d    *dram.DRAM
-	img  *mem.Store
-	arch *mem.Store
-	llc  *testLLC
-	ctrl Controller
-	now  int64
-}
-
-// newRig builds a rig. build receives (dram, img, arch, llc) and returns
-// the controller under test. llcBytes sizes the testing LLC.
-func newRig(t *testing.T, llcBytes int,
-	build func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller) *rig {
+// newRig builds a rig around the controller build returns, with a 4-way
+// testing LLC of llcBytes.
+func newRig(t testing.TB, llcBytes int, build buildFunc) *testRig {
 	t.Helper()
-	d, err := dram.New(dram.DDR4())
+	r, err := buildRig(cache.Config{SizeBytes: llcBytes, Assoc: 4}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cache.New(cache.Config{SizeBytes: llcBytes, Assoc: 4})
+	return &testRig{rig: r, t: t}
+}
+
+func (r *testRig) must(err error) {
 	if err != nil {
-		t.Fatal(err)
-	}
-	llc := &testLLC{c: c}
-	r := &rig{t: t, d: d, img: mem.NewStore(), arch: mem.NewStore(), llc: llc}
-	r.ctrl = build(d, r.img, r.arch, llc)
-	llc.ctrl = r.ctrl
-	return r
-}
-
-// drain ticks until the controller has no outstanding work.
-func (r *rig) drain() {
-	for i := 0; r.ctrl.Pending() > 0; i++ {
-		r.now += 4
-		r.ctrl.Tick(r.now)
-		if i > 1_000_000 {
-			r.t.Fatal("controller did not drain")
-		}
+		r.t.Helper()
+		r.t.Fatal(err)
 	}
 }
 
-// write models a CPU store: sets the architectural value, ensures the line
-// is resident (reading it if needed), and marks it dirty.
-func (r *rig) write(core int, a mem.LineAddr, val []byte) {
-	// Write-allocate: fetch the old value first, then store over it.
-	if _, ok := r.llc.Probe(a); !ok {
-		r.read(core, a)
-	}
-	r.arch.Write(a, val)
-	e, ok := r.llc.Probe(a)
-	if !ok {
-		r.t.Fatal("line absent after fill")
-	}
-	e.Dirty = true
-}
+func (r *testRig) drain()                                     { r.must(r.rig.drain()) }
+func (r *testRig) write(core int, a mem.LineAddr, val []byte) { r.must(r.rig.write(core, a, val)) }
+func (r *testRig) evict(a mem.LineAddr)                       { r.must(r.rig.evict(a)) }
+func (r *testRig) flushAll()                                  { r.must(r.rig.flushAll()) }
 
-// read models a demand load through the LLC, returning the value the CPU
-// observes.
-func (r *rig) read(core int, a mem.LineAddr) []byte {
-	if !r.arch.Touched(a) {
-		// First touch: architectural zeros, image initialized.
-		r.arch.Write(a, make([]byte, mem.LineSize))
-		r.ctrl.InitLine(a)
-	}
-	if _, ok := r.llc.Probe(a); ok {
-		return r.arch.Read(a)
-	}
-	doneAt := int64(-1)
-	r.ctrl.Read(core, a, r.now, func(c int64) { doneAt = c })
-	r.drain()
-	if doneAt < 0 {
-		r.t.Fatal("read never completed")
-	}
+func (r *testRig) read(core int, a mem.LineAddr) []byte {
+	r.must(r.rig.read(core, a))
 	return r.arch.Read(a)
-}
-
-// evict forces a specific line out of the LLC through the controller.
-func (r *rig) evict(a mem.LineAddr) {
-	if e, ok := r.llc.Drop(a); ok {
-		r.ctrl.Evict(int(e.Core), e, r.now)
-		r.drain()
-	}
-}
-
-// flushAll evicts every resident line.
-func (r *rig) flushAll() {
-	for {
-		var victim cache.Entry
-		found := false
-		r.llc.c.ForEachValid(func(e *cache.Entry) {
-			if !found {
-				victim, found = *e, true
-			}
-		})
-		if !found {
-			return
-		}
-		r.llc.Drop(victim.Tag)
-		r.ctrl.Evict(int(victim.Core), victim, r.now)
-		r.drain()
-	}
 }
 
 // compressibleLine returns a 64-byte line that compresses very well.

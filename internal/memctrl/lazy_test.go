@@ -12,7 +12,7 @@ import (
 // initLazyPage registers the page at base lazily in both stores and runs
 // the simulator's first-touch protocol over it: screen every line from its
 // two words, then run InitLine on the screened-in lines in order.
-func initLazyPage(r *rig, base mem.LineAddr, fill func(mem.LineAddr, []byte)) {
+func initLazyPage(r *testRig, base mem.LineAddr, fill func(mem.LineAddr, []byte)) {
 	r.img.MarkLazy(base)
 	r.arch.MarkLazy(base)
 	var line [mem.LineSize]byte
@@ -82,7 +82,7 @@ func TestReKeyScreensLazyLines(t *testing.T) {
 	if !bytes.Equal(r.img.Read(victim), core.Invert(engineered)) {
 		t.Error("colliding lazy line must be stored inverted")
 	}
-	if _, err := p.VerifyImage(r.llcResident); err != nil {
+	if _, err := p.VerifyImage(r.resident); err != nil {
 		t.Fatalf("image after re-key: %v", err)
 	}
 	wantLine(t, r.read(0, victim), engineered, "read of the re-keyed line")
@@ -239,7 +239,7 @@ func TestReadsStoreNothing(t *testing.T) {
 				t.Errorf("%d integrity errors, %d degradations", st.IntegrityErrs, st.Degradations())
 			}
 			if p, ok := r.ctrl.(*PTMC); ok {
-				if _, err := p.VerifyImage(r.llcResident); err != nil {
+				if _, err := p.VerifyImage(r.resident); err != nil {
 					t.Fatal(err)
 				}
 			}

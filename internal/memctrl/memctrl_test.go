@@ -10,13 +10,13 @@ import (
 	"ptmc/internal/mem"
 )
 
-func newUncompressedRig(t *testing.T) *rig {
+func newUncompressedRig(t *testing.T) *testRig {
 	return newRig(t, 64*64, func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
 		return NewUncompressed(d, img, arch, llc)
 	})
 }
 
-func newPTMCRig(t *testing.T, opts ...PTMCOption) *rig {
+func newPTMCRig(t *testing.T, opts ...PTMCOption) *testRig {
 	return newRig(t, 64*64, func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
 		return NewPTMC(d, img, arch, llc, 42, opts...)
 	})
@@ -447,13 +447,13 @@ func TestTableTMCMetadataTraffic(t *testing.T) {
 // cold read of every touched line returns the architectural value, for
 // every scheme.
 func TestImageSoundnessProperty(t *testing.T) {
-	schemes := map[string]func(t *testing.T) *rig{
-		"uncompressed": func(t *testing.T) *rig { return newUncompressedRig(t) },
-		"ptmc":         func(t *testing.T) *rig { return newPTMCRig(t) },
-		"dynamic-ptmc": func(t *testing.T) *rig {
+	schemes := map[string]func(t *testing.T) *testRig{
+		"uncompressed": func(t *testing.T) *testRig { return newUncompressedRig(t) },
+		"ptmc":         func(t *testing.T) *testRig { return newPTMCRig(t) },
+		"dynamic-ptmc": func(t *testing.T) *testRig {
 			return newPTMCRig(t, WithDynamic(2, 0.05, true))
 		},
-		"table-tmc": func(t *testing.T) *rig {
+		"table-tmc": func(t *testing.T) *testRig {
 			return newRig(t, 64*64, func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
 				c, err := NewTableTMC(d, img, arch, llc, 1<<30, 32<<10)
 				if err != nil {
@@ -462,7 +462,7 @@ func TestImageSoundnessProperty(t *testing.T) {
 				return c
 			})
 		},
-		"ideal": func(t *testing.T) *rig {
+		"ideal": func(t *testing.T) *testRig {
 			return newRig(t, 64*64, func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
 				return NewIdealTMC(d, img, arch, llc)
 			})

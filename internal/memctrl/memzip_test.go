@@ -8,7 +8,7 @@ import (
 	"ptmc/internal/mem"
 )
 
-func newMemZipRig(t *testing.T) *rig {
+func newMemZipRig(t *testing.T) *testRig {
 	return newRig(t, 64*64, func(d *dram.DRAM, img, arch *mem.Store, llc LLC) Controller {
 		z, err := NewMemZip(d, img, arch, llc, 1<<30, 32<<10)
 		if err != nil {

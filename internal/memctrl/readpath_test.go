@@ -26,7 +26,7 @@ func (k layoutKind) String() string {
 
 // buildLayout establishes the given memory layout for the group at base by
 // driving real writes and evictions.
-func buildLayout(t *testing.T, r *rig, base mem.LineAddr, k layoutKind) {
+func buildLayout(t *testing.T, r *testRig, base mem.LineAddr, k layoutKind) {
 	t.Helper()
 	comp := func(i int) []byte { return compressibleLine(byte(16 + i)) }
 	inc := func(i int) []byte { return incompressibleLine(uint64(base) + uint64(i)) }
@@ -114,7 +114,7 @@ func TestReadPathMatrix(t *testing.T) {
 				if p.Stats().IntegrityErrs != 0 {
 					t.Fatalf("integrity errors in %s", name)
 				}
-				if _, err := p.VerifyImage(r.llcResident); err != nil {
+				if _, err := p.VerifyImage(r.resident); err != nil {
 					t.Fatalf("image unsound after %s: %v", name, err)
 				}
 			})

@@ -7,12 +7,6 @@ import (
 	"ptmc/internal/mem"
 )
 
-// llcResident reports residency in the testing LLC.
-func (r *rig) llcResident(a mem.LineAddr) bool {
-	_, in := r.llc.Probe(a)
-	return in
-}
-
 func TestVerifyImageCleanSystem(t *testing.T) {
 	r := newPTMCRig(t)
 	p := r.ctrl.(*PTMC)
@@ -21,7 +15,7 @@ func TestVerifyImageCleanSystem(t *testing.T) {
 	r.evict(100)
 	r.write(0, 104, incompressibleLine(1))
 	r.evict(104)
-	n, err := p.VerifyImage(r.llcResident)
+	n, err := p.VerifyImage(r.resident)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +32,7 @@ func TestVerifyImageDetectsCorruption(t *testing.T) {
 	r.evict(200)
 	// Corrupt the architectural store so decode mismatches.
 	r.arch.Write(201, incompressibleLine(9))
-	if _, err := p.VerifyImage(r.llcResident); err == nil {
+	if _, err := p.VerifyImage(r.resident); err == nil {
 		t.Error("verifier should detect the value mismatch")
 	}
 }
@@ -52,7 +46,7 @@ func TestVerifyImageDetectsAmbiguity(t *testing.T) {
 	// Plant stale-looking uncompressed data at 301 (no tombstone): 301 is
 	// now served both by the pair at 300 and by itself.
 	r.img.Write(301, r.arch.Read(301))
-	if _, err := p.VerifyImage(r.llcResident); err == nil {
+	if _, err := p.VerifyImage(r.resident); err == nil {
 		t.Error("verifier should detect double-served line")
 	}
 }
@@ -63,7 +57,7 @@ func TestVerifyImageDetectsBogusLITEntry(t *testing.T) {
 	r.write(0, 400, compressibleLine(3))
 	r.evict(400)
 	p.LIT().Insert(400) // 400's image is not inverted
-	if _, err := p.VerifyImage(r.llcResident); err == nil {
+	if _, err := p.VerifyImage(r.resident); err == nil {
 		t.Error("verifier should reject a LIT entry for a non-inverted line")
 	}
 }
@@ -98,7 +92,7 @@ func TestVerifyImageUnderRandomTraffic(t *testing.T) {
 					r.evict(a)
 				}
 				if op%500 == 499 {
-					if _, err := p.VerifyImage(r.llcResident); err != nil {
+					if _, err := p.VerifyImage(r.resident); err != nil {
 						t.Fatalf("op %d: %v", op, err)
 					}
 				}

@@ -17,13 +17,13 @@ import (
 func TestVerifyImageViolationTaxonomy(t *testing.T) {
 	cases := []struct {
 		name    string
-		corrupt func(t *testing.T, r *rig, p *PTMC)
+		corrupt func(t *testing.T, r *testRig, p *PTMC)
 		want    error
 	}{
 		{
 			name: "unit-not-at-home",
 			want: ErrUnitMisplaced,
-			corrupt: func(t *testing.T, r *rig, p *PTMC) {
+			corrupt: func(t *testing.T, r *testRig, p *PTMC) {
 				// A 4:1 marker sealed at a location whose group base it is not.
 				sealed := p.Markers().SealCompressed(101, make([]byte, 8), true)
 				r.img.Write(101, sealed[:])
@@ -32,7 +32,7 @@ func TestVerifyImageViolationTaxonomy(t *testing.T) {
 		{
 			name: "undecodable-unit",
 			want: ErrUndecodable,
-			corrupt: func(t *testing.T, r *rig, p *PTMC) {
+			corrupt: func(t *testing.T, r *testRig, p *PTMC) {
 				// A valid 4:1 marker over garbage that cannot decode.
 				blob := make([]byte, core.CompressedBudget)
 				for i := range blob {
@@ -45,7 +45,7 @@ func TestVerifyImageViolationTaxonomy(t *testing.T) {
 		{
 			name: "double-covered-line",
 			want: ErrDoubleCovered,
-			corrupt: func(t *testing.T, r *rig, p *PTMC) {
+			corrupt: func(t *testing.T, r *testRig, p *PTMC) {
 				// 301 is covered by the pair at 300; planting plain data at
 				// 301 makes two locations serve it.
 				r.write(0, 300, compressibleLine(1))
@@ -60,7 +60,7 @@ func TestVerifyImageViolationTaxonomy(t *testing.T) {
 		{
 			name: "stale-lit-entry",
 			want: ErrStaleLIT,
-			corrupt: func(t *testing.T, r *rig, p *PTMC) {
+			corrupt: func(t *testing.T, r *testRig, p *PTMC) {
 				// LIT claims 400 is inverted; its image is plain data.
 				r.write(0, 400, incompressibleLine(4))
 				r.evict(400)
@@ -70,7 +70,7 @@ func TestVerifyImageViolationTaxonomy(t *testing.T) {
 		{
 			name: "tombstone-over-live-data",
 			want: ErrUncovered,
-			corrupt: func(t *testing.T, r *rig, p *PTMC) {
+			corrupt: func(t *testing.T, r *testRig, p *PTMC) {
 				// 500 is live (non-zero architectural value, not resident)
 				// but its only image location becomes a tombstone: the value
 				// is unreachable.
@@ -83,7 +83,7 @@ func TestVerifyImageViolationTaxonomy(t *testing.T) {
 		{
 			name: "value-mismatch",
 			want: ErrValueMismatch,
-			corrupt: func(t *testing.T, r *rig, p *PTMC) {
+			corrupt: func(t *testing.T, r *testRig, p *PTMC) {
 				// Flip a payload byte of an uncompressed single: the class
 				// is unchanged but the decoded value is wrong.
 				r.write(0, 600, incompressibleLine(6))
@@ -105,13 +105,13 @@ func TestVerifyImageViolationTaxonomy(t *testing.T) {
 			r.write(0, 102, incompressibleLine(11))
 			r.evict(100)
 			r.evict(102)
-			if _, err := p.VerifyImage(r.llcResident); err != nil {
+			if _, err := p.VerifyImage(r.resident); err != nil {
 				t.Fatalf("rig unhealthy before corruption: %v", err)
 			}
 
 			tc.corrupt(t, r, p)
 
-			_, err := p.VerifyImage(r.llcResident)
+			_, err := p.VerifyImage(r.resident)
 			if err == nil {
 				t.Fatalf("verifier missed the %s corruption", tc.name)
 			}
@@ -134,7 +134,7 @@ func TestVerifyImageViolationTaxonomy(t *testing.T) {
 				p.Scrub(300)
 				p.Scrub(100)
 			}
-			if _, err := p.VerifyImage(r.llcResident); err != nil {
+			if _, err := p.VerifyImage(r.resident); err != nil {
 				t.Errorf("Scrub did not repair %s: %v", tc.name, err)
 			}
 		})

@@ -3,537 +3,10 @@ package sim
 import (
 	"context"
 	"fmt"
-	"strings"
 
-	"ptmc/internal/cache"
-	"ptmc/internal/dram"
-	"ptmc/internal/fault"
-	"ptmc/internal/mem"
 	"ptmc/internal/memctrl"
-	"ptmc/internal/obs"
 	"ptmc/internal/workload"
 )
-
-// This file is the fault-campaign driver: it attacks a live PTMC controller
-// with the injectors from internal/fault and checks the robustness claim the
-// rest of the repo assumes — every injected fault is either *detected* (a
-// degradation counter moves, or VerifyImage names the corruption with a
-// typed error) or *harmless* (the image still verifies end to end). A trial
-// that is neither is a silent corruption, the one outcome that must never
-// occur.
-
-// FaultOutcome classifies one campaign trial.
-type FaultOutcome int
-
-const (
-	// FaultDetectedCounter: a degradation/integrity counter moved after the
-	// injection — the controller noticed at access time.
-	FaultDetectedCounter FaultOutcome = iota
-	// FaultDetectedVerify: counters stayed quiet but VerifyImage returned a
-	// typed error naming the corruption — the scrub-time detector caught it.
-	FaultDetectedVerify
-	// FaultHarmless: counters quiet and the image verifies; the fault was
-	// overwritten, landed on dead state, or is benign by design (LLP
-	// poisoning costs bandwidth, never correctness).
-	FaultHarmless
-	// FaultSilent: the counters stayed quiet, VerifyImage passed, and after
-	// flushing the LLC and re-reading every live line the image *still*
-	// fails verification — the verifier and the read path disagree about
-	// what memory holds. Zero by design; any occurrence is a soundness bug.
-	FaultSilent
-)
-
-var faultOutcomeNames = [...]string{
-	FaultDetectedCounter: "detected-counter",
-	FaultDetectedVerify:  "detected-verify",
-	FaultHarmless:        "harmless",
-	FaultSilent:          "SILENT",
-}
-
-func (o FaultOutcome) String() string {
-	if o < 0 || int(o) >= len(faultOutcomeNames) {
-		return fmt.Sprintf("outcome(%d)", int(o))
-	}
-	return faultOutcomeNames[o]
-}
-
-// Detected reports whether the trial outcome counts as a detection.
-func (o FaultOutcome) Detected() bool {
-	return o == FaultDetectedCounter || o == FaultDetectedVerify
-}
-
-// FaultTrial records one injection and its adjudication.
-type FaultTrial struct {
-	Trial     int
-	Injection fault.Injection
-	Outcome   FaultOutcome
-	Detector  string // which counter or typed error detected it ("" if harmless)
-}
-
-// FaultConfig parameterizes a campaign. The zero value selects usable
-// defaults (see setDefaults).
-type FaultConfig struct {
-	Trials      int          // injections to run (default 100)
-	OpsPerTrial int          // traffic operations around each injection (default 256)
-	Lines       int          // footprint in lines (default 2048 = 128 KB)
-	LLCBytes    int          // campaign LLC size (default 64 KB — smaller than the footprint so evictions happen)
-	Seed        int64        // RNG seed; (Seed, Trials) replays exactly (default 1)
-	Kinds       []fault.Kind // fault kinds to draw from (default: all)
-	Dynamic     bool         // attack Dynamic-PTMC instead of static PTMC
-
-	// Observability (internal/obs). Trace attaches an event tracer to the
-	// controller under attack — scrubs, re-keys, evictions, and DRAM traffic
-	// land in FaultReport.TraceEvents (TraceCapacity bounds the buffer; 0 =
-	// obs.DefaultTraceCapacity). Metrics snapshots the campaign's detection
-	// counters after every adjudicated trial, one window per trial, into
-	// FaultReport.Metrics. Both default off and cost nothing when off.
-	Trace         bool
-	TraceCapacity int
-	Metrics       bool
-}
-
-func (c *FaultConfig) setDefaults() {
-	if c.Trials == 0 {
-		c.Trials = 100
-	}
-	if c.OpsPerTrial == 0 {
-		c.OpsPerTrial = 256
-	}
-	if c.Lines == 0 {
-		c.Lines = 2048
-	}
-	if c.LLCBytes == 0 {
-		c.LLCBytes = 64 << 10
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Kinds) == 0 {
-		c.Kinds = fault.Kinds()
-	}
-}
-
-// FaultReport is the campaign result.
-type FaultReport struct {
-	Config FaultConfig
-	Trials []FaultTrial
-
-	DetectedCounter int
-	DetectedVerify  int
-	Harmless        int
-	Silent          int
-
-	Stats    memctrl.Stats // controller counters at campaign end
-	Verified int           // lines verified by the final VerifyImage pass
-
-	// Observability output (nil/empty unless enabled in FaultConfig): one
-	// metrics window per adjudicated trial, plus the controller event
-	// stream recorded during the campaign.
-	Metrics      *obs.MetricsDump
-	TraceEvents  []obs.Event
-	TraceDropped uint64
-}
-
-// Summary renders the per-kind outcome table.
-func (r *FaultReport) Summary() string {
-	type tally struct{ counter, verify, harmless, silent int }
-	byKind := map[fault.Kind]*tally{}
-	for _, t := range r.Trials {
-		k := byKind[t.Injection.Kind]
-		if k == nil {
-			k = &tally{}
-			byKind[t.Injection.Kind] = k
-		}
-		switch t.Outcome {
-		case FaultDetectedCounter:
-			k.counter++
-		case FaultDetectedVerify:
-			k.verify++
-		case FaultHarmless:
-			k.harmless++
-		case FaultSilent:
-			k.silent++
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %9s %9s %9s %7s\n", "kind", "counter", "verify", "harmless", "SILENT")
-	for _, kind := range fault.Kinds() {
-		k := byKind[kind]
-		if k == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "%-16s %9d %9d %9d %7d\n",
-			kind, k.counter, k.verify, k.harmless, k.silent)
-	}
-	fmt.Fprintf(&b, "%-16s %9d %9d %9d %7d\n", "total",
-		r.DetectedCounter, r.DetectedVerify, r.Harmless, r.Silent)
-	return b.String()
-}
-
-// campaignLLC adapts a real cache.Cache to the controller's LLC interface
-// and routes victims back into the controller — the same wiring the full
-// simulator uses, minus the private levels.
-type campaignLLC struct {
-	c    *cache.Cache
-	ctrl memctrl.Controller
-	now  *int64
-}
-
-func (l *campaignLLC) Probe(a mem.LineAddr) (*cache.Entry, bool) { return l.c.Probe(a) }
-func (l *campaignLLC) SetIndex(a mem.LineAddr) int               { return l.c.SetIndex(a) }
-func (l *campaignLLC) NumSets() int                              { return l.c.NumSets() }
-func (l *campaignLLC) Drop(a mem.LineAddr) (cache.Entry, bool)   { return l.c.Invalidate(a) }
-
-func (l *campaignLLC) InstallFill(core int, a mem.LineAddr, e cache.Entry, now int64) {
-	victim, _ := l.c.Install(a, e)
-	if victim.Valid {
-		l.ctrl.Evict(int(victim.Core), victim, now)
-	}
-}
-
-// campaignRig drives one controller directly (no cores, no cycle loop):
-// reads and write-allocates through the LLC, with bounded drains so a
-// wedged controller surfaces as an error instead of a hang.
-type campaignRig struct {
-	img, arch *mem.Store
-	llc       *campaignLLC
-	ctrl      *memctrl.PTMC
-	now       int64
-}
-
-func (r *campaignRig) drain() error {
-	for i := 0; r.ctrl.Pending() > 0; i++ {
-		r.now += 4
-		r.ctrl.Tick(r.now)
-		if i > 1_000_000 {
-			return fmt.Errorf("fault campaign: controller did not drain (%d pending)", r.ctrl.Pending())
-		}
-	}
-	return nil
-}
-
-func (r *campaignRig) inLLC(a mem.LineAddr) bool {
-	_, ok := r.llc.c.Probe(a)
-	return ok
-}
-
-// read models a demand load: first touch initializes the line, misses go
-// through the controller (which detects faults via its integrity check).
-func (r *campaignRig) read(a mem.LineAddr) error {
-	if !r.arch.Touched(a) {
-		r.arch.Write(a, make([]byte, mem.LineSize))
-		r.ctrl.InitLine(a)
-	}
-	if r.inLLC(a) {
-		return nil
-	}
-	done := false
-	r.ctrl.Read(0, a, r.now, func(int64) { done = true })
-	if err := r.drain(); err != nil {
-		return err
-	}
-	if !done {
-		return fmt.Errorf("fault campaign: read of line %d never completed", a)
-	}
-	return nil
-}
-
-// write models a CPU store: write-allocate, then dirty the resident line.
-func (r *campaignRig) write(a mem.LineAddr, val []byte) error {
-	if !r.inLLC(a) {
-		if err := r.read(a); err != nil {
-			return err
-		}
-	}
-	r.arch.Write(a, val)
-	e, ok := r.llc.Probe(a)
-	if !ok {
-		return fmt.Errorf("fault campaign: line %d absent after write-allocate fill", a)
-	}
-	e.Dirty = true
-	return nil
-}
-
-// traffic runs ops random operations: writes of compressible,
-// incompressible, and marker-colliding data, reads, and forced evictions.
-// All randomness comes from the injector's stream, so a campaign replays
-// from its seed.
-func (r *campaignRig) traffic(in *fault.Injector, lines, ops int) error {
-	rng := in.Rand()
-	for i := 0; i < ops; i++ {
-		a := mem.LineAddr(rng.Intn(lines))
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4: // store
-			var val []byte
-			switch v := rng.Intn(100); {
-			case v < 55: // compressible: repeating word pattern
-				val = make([]byte, mem.LineSize)
-				tag := byte(rng.Intn(256))
-				for j := 0; j < mem.LineSize; j += 4 {
-					val[j] = tag
-				}
-			case v < 85: // incompressible
-				val = make([]byte, mem.LineSize)
-				rng.Read(val)
-			default: // adversarial: data whose tail collides with a marker
-				val = fault.CollidingLine(r.ctrl.Markers(), a, rng)
-			}
-			if err := r.write(a, val); err != nil {
-				return err
-			}
-		case 5, 6, 7, 8: // load
-			if err := r.read(a); err != nil {
-				return err
-			}
-		default: // force an eviction through the controller
-			if e, ok := r.llc.Drop(a); ok {
-				r.ctrl.Evict(int(e.Core), e, r.now)
-				if err := r.drain(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return r.drain()
-}
-
-// flushAll evicts every resident line through the controller, making
-// memory authoritative for the whole footprint. A fault that landed on the
-// image under a clean resident line is latent — VerifyImage rightly treats
-// memory as allowed-stale there — until the clean drop puts the corrupt
-// image back in charge; flushing forces that moment inside the trial.
-func (r *campaignRig) flushAll() error {
-	for {
-		var victim cache.Entry
-		found := false
-		r.llc.c.ForEachValid(func(e *cache.Entry) {
-			if !found {
-				victim, found = *e, true
-			}
-		})
-		if !found {
-			return nil
-		}
-		r.llc.Drop(victim.Tag)
-		r.ctrl.Evict(int(victim.Core), victim, r.now)
-		if err := r.drain(); err != nil {
-			return err
-		}
-	}
-}
-
-// sweep reads every architecturally live line through the controller — an
-// oracle independent of VerifyImage: any line the read path cannot serve
-// correctly trips IntegrityErrs or a degradation counter.
-func (r *campaignRig) sweep() error {
-	batched := 0
-	for _, a := range r.arch.TouchedLines() {
-		if r.inLLC(a) {
-			continue
-		}
-		r.ctrl.Read(0, a, r.now, func(int64) {})
-		if batched++; batched >= 64 {
-			if err := r.drain(); err != nil {
-				return err
-			}
-			batched = 0
-		}
-	}
-	return r.drain()
-}
-
-// detectionDelta names the first fault-only counter that moved between two
-// stat snapshots. Traffic-driven counters (Inversions, ReKeys, mispredicts)
-// are deliberately excluded: they move in healthy runs too, so they cannot
-// adjudicate a trial.
-func detectionDelta(before, after *memctrl.Stats) string {
-	switch {
-	case after.IntegrityErrs > before.IntegrityErrs:
-		return "counter:integrity-errs"
-	case after.UndecodableUnits > before.UndecodableUnits:
-		return "counter:undecodable-units"
-	case after.FallbackReads > before.FallbackReads:
-		return "counter:fallback-reads"
-	case after.LITSpills > before.LITSpills:
-		return "counter:lit-spills"
-	}
-	return ""
-}
-
-// RunFaultCampaign interleaves random traffic with injected faults against
-// a live PTMC controller and adjudicates every trial as detected, harmless,
-// or silent. It returns an error only for infrastructure failures (a wedged
-// controller, a repair that did not restore the invariant); silent
-// corruptions are reported in the FaultReport for the caller to assert on.
-func RunFaultCampaign(ctx context.Context, cfg FaultConfig) (*FaultReport, error) {
-	cfg.setDefaults()
-
-	d, err := dram.New(dram.DDR4())
-	if err != nil {
-		return nil, err
-	}
-	c, err := cache.New(cache.Config{SizeBytes: cfg.LLCBytes, Assoc: 8})
-	if err != nil {
-		return nil, err
-	}
-	llc := &campaignLLC{c: c}
-	img, arch := mem.NewStore(), mem.NewStore()
-	var opts []memctrl.PTMCOption
-	if cfg.Dynamic {
-		opts = append(opts, memctrl.WithDynamic(1, 0.05, false))
-	}
-	p := memctrl.NewPTMC(d, img, arch, llc, cfg.Seed, opts...)
-	llc.ctrl = p
-
-	r := &campaignRig{img: img, arch: arch, llc: llc, ctrl: p}
-	llc.now = &r.now
-	in := fault.NewInjector(cfg.Seed, fault.Target{
-		Img: img, Markers: p.Markers(), LIT: p.LIT(), LLP: p.LLP(),
-	})
-
-	rep := &FaultReport{Config: cfg}
-
-	var tr *obs.Tracer
-	if cfg.Trace {
-		tr = obs.NewTracer(cfg.TraceCapacity)
-		p.SetTracer(tr)
-	}
-	var reg *obs.Registry
-	if cfg.Metrics {
-		reg = obs.NewRegistry()
-		lbl := map[string]string{"campaign": "static"}
-		if cfg.Dynamic {
-			lbl["campaign"] = "dynamic"
-		}
-		st := p.Stats()
-		reg.Counter("fault.trials", lbl, func() uint64 { return uint64(len(rep.Trials)) })
-		reg.Counter("fault.detected_counter", lbl, func() uint64 { return uint64(rep.DetectedCounter) })
-		reg.Counter("fault.detected_verify", lbl, func() uint64 { return uint64(rep.DetectedVerify) })
-		reg.Counter("fault.harmless", lbl, func() uint64 { return uint64(rep.Harmless) })
-		reg.Counter("fault.silent", lbl, func() uint64 { return uint64(rep.Silent) })
-		reg.Counter("fault.integrity_errs", lbl, func() uint64 { return st.IntegrityErrs })
-		reg.Counter("fault.undecodable_units", lbl, func() uint64 { return st.UndecodableUnits })
-		reg.Counter("fault.fallback_reads", lbl, func() uint64 { return st.FallbackReads })
-		reg.Counter("fault.lit_spills", lbl, func() uint64 { return st.LITSpills })
-		reg.Counter("fault.rekeys", lbl, func() uint64 { return st.ReKeys })
-		reg.Counter("fault.inversions", lbl, func() uint64 { return st.Inversions })
-	}
-
-	record := func(t FaultTrial) {
-		rep.Trials = append(rep.Trials, t)
-		switch t.Outcome {
-		case FaultDetectedCounter:
-			rep.DetectedCounter++
-		case FaultDetectedVerify:
-			rep.DetectedVerify++
-		case FaultHarmless:
-			rep.Harmless++
-		case FaultSilent:
-			rep.Silent++
-		}
-	}
-
-	for trial := 0; trial < cfg.Trials; trial++ {
-		if err := ctx.Err(); err != nil {
-			return rep, fmt.Errorf("fault campaign: stopped after %d trials: %w", trial, err)
-		}
-
-		// Phase 1: healthy traffic builds up compressed state to attack.
-		if err := r.traffic(in, cfg.Lines, cfg.OpsPerTrial); err != nil {
-			return rep, err
-		}
-		before := *p.Stats()
-
-		// Phase 2: inject one fault.
-		kind := cfg.Kinds[in.Rand().Intn(len(cfg.Kinds))]
-		inj, ok := in.Inject(kind, img.TouchedLines())
-		if !ok {
-			continue // nothing to attack yet (first trials of a tiny config)
-		}
-
-		// Phase 3: give the access-time detectors a chance — probe the
-		// attacked group, then run more traffic and drain.
-		for _, m := range faultGroup(inj.Addr) {
-			if err := r.read(m); err != nil {
-				return rep, err
-			}
-		}
-		if err := r.traffic(in, cfg.Lines, cfg.OpsPerTrial/2); err != nil {
-			return rep, err
-		}
-
-		// Phase 4: adjudicate.
-		t := FaultTrial{Trial: trial, Injection: inj}
-		if det := detectionDelta(&before, p.Stats()); det != "" {
-			t.Outcome, t.Detector = FaultDetectedCounter, det
-		} else if _, verr := p.VerifyImage(r.inLLC); verr != nil {
-			t.Outcome, t.Detector = FaultDetectedVerify, fmt.Sprintf("verify:%v", verr)
-		} else {
-			// Counters quiet and the image verifies — but a fault under a
-			// clean resident line is merely latent (memory is allowed to be
-			// stale there). Flush the LLC so memory is authoritative again,
-			// then read everything back: a late counter trip is still a
-			// detection; a verification failure *now*, with nothing resident
-			// to excuse, is a silent-corruption bug.
-			quiet := *p.Stats()
-			if err := r.flushAll(); err != nil {
-				return rep, err
-			}
-			if err := r.sweep(); err != nil {
-				return rep, err
-			}
-			if det := detectionDelta(&quiet, p.Stats()); det != "" {
-				t.Outcome, t.Detector = FaultDetectedCounter, det+" (latent)"
-			} else if _, verr := p.VerifyImage(r.inLLC); verr != nil {
-				t.Outcome, t.Detector = FaultSilent, fmt.Sprintf("verify-after-flush:%v", verr)
-			} else {
-				t.Outcome = FaultHarmless
-			}
-		}
-		record(t)
-
-		// Phase 5: repair, so trials stay independent. Scrub rewrites the
-		// attacked group from the architectural store (and writeRaw's LIT
-		// maintenance clears any bogus entry planted there).
-		p.Scrub(inj.Addr)
-		if err := r.drain(); err != nil {
-			return rep, err
-		}
-		if _, verr := p.VerifyImage(r.inLLC); verr != nil {
-			return rep, fmt.Errorf("fault campaign: scrub after trial %d (%v) did not restore the image: %w",
-				trial, inj, verr)
-		}
-		// One metrics window per adjudicated trial, stamped with the rig's
-		// drain clock (monotone across trials).
-		reg.Snapshot(r.now)
-	}
-
-	// Final health check: drain, verify, and record the controller state.
-	if err := r.sweep(); err != nil {
-		return rep, err
-	}
-	n, verr := p.VerifyImage(r.inLLC)
-	if verr != nil {
-		return rep, fmt.Errorf("fault campaign: final image verification failed: %w", verr)
-	}
-	rep.Verified = n
-	rep.Stats = *p.Stats()
-	if reg != nil {
-		rep.Metrics = reg.Export()
-	}
-	if tr != nil {
-		rep.TraceEvents = tr.Events()
-		rep.TraceDropped = tr.Dropped()
-	}
-	return rep, nil
-}
-
-// faultGroup lists the 4-line compression group containing a — the lines
-// whose reads exercise every candidate home the injected fault can corrupt.
-func faultGroup(a mem.LineAddr) []mem.LineAddr {
-	base := a &^ 3
-	return []mem.LineAddr{base, base + 1, base + 2, base + 3}
-}
 
 // AdversarialWorkload returns the no-hurt attack workload. The recipe for
 // hurting static PTMC is compressible values plus a specific access shape:

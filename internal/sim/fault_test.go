@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"ptmc/internal/fault"
+	"ptmc/internal/memctrl"
 )
 
 // TestFaultCampaignNoSilent is the tentpole property: across a mixed
 // campaign every injected fault is detected or harmless — never silent.
 func TestFaultCampaignNoSilent(t *testing.T) {
-	rep, err := RunFaultCampaign(context.Background(), FaultConfig{
+	rep, err := memctrl.RunFaultCampaign(context.Background(), memctrl.FaultConfig{
 		Trials: 60, OpsPerTrial: 128, Lines: 1024, LLCBytes: 32 << 10, Seed: 7,
 	})
 	if err != nil {
@@ -37,7 +38,7 @@ func TestFaultCampaignEveryKind(t *testing.T) {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
-			rep, err := RunFaultCampaign(context.Background(), FaultConfig{
+			rep, err := memctrl.RunFaultCampaign(context.Background(), memctrl.FaultConfig{
 				Trials: 12, OpsPerTrial: 96, Lines: 512, LLCBytes: 16 << 10,
 				Seed: 3, Kinds: []fault.Kind{k},
 			})
@@ -53,8 +54,8 @@ func TestFaultCampaignEveryKind(t *testing.T) {
 
 // TestFaultCampaignDeterminism: same seed, same campaign — trial for trial.
 func TestFaultCampaignDeterminism(t *testing.T) {
-	run := func() *FaultReport {
-		rep, err := RunFaultCampaign(context.Background(), FaultConfig{
+	run := func() *memctrl.FaultReport {
+		rep, err := memctrl.RunFaultCampaign(context.Background(), memctrl.FaultConfig{
 			Trials: 20, OpsPerTrial: 96, Lines: 512, LLCBytes: 16 << 10, Seed: 11,
 		})
 		if err != nil {
@@ -76,7 +77,7 @@ func TestFaultCampaignDeterminism(t *testing.T) {
 // TestFaultCampaignDynamic: the campaign holds against Dynamic-PTMC too
 // (gating must not open a detection hole).
 func TestFaultCampaignDynamic(t *testing.T) {
-	rep, err := RunFaultCampaign(context.Background(), FaultConfig{
+	rep, err := memctrl.RunFaultCampaign(context.Background(), memctrl.FaultConfig{
 		Trials: 30, OpsPerTrial: 128, Lines: 1024, LLCBytes: 32 << 10,
 		Seed: 5, Dynamic: true,
 	})
@@ -93,7 +94,7 @@ func TestFaultCampaignDynamic(t *testing.T) {
 func TestFaultCampaignCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := RunFaultCampaign(ctx, FaultConfig{Trials: 50})
+	rep, err := memctrl.RunFaultCampaign(ctx, memctrl.FaultConfig{Trials: 50})
 	if err == nil {
 		t.Fatal("cancelled campaign returned no error")
 	}

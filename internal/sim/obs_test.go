@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"ptmc/internal/memctrl"
 	"ptmc/internal/obs"
 )
 
@@ -104,7 +105,7 @@ func TestObservabilityDeterministicUnderParallel(t *testing.T) {
 // per-trial metrics windows and a trace that includes the campaign-only
 // event kinds (scrubs fire every trial; evictions are constant).
 func TestFaultCampaignObservability(t *testing.T) {
-	rep, err := RunFaultCampaign(context.Background(), FaultConfig{
+	rep, err := memctrl.RunFaultCampaign(context.Background(), memctrl.FaultConfig{
 		Trials: 8, Trace: true, Metrics: true,
 	})
 	if err != nil {

@@ -35,6 +35,7 @@ import (
 
 	"ptmc/internal/compress"
 	"ptmc/internal/fault"
+	"ptmc/internal/memctrl"
 	"ptmc/internal/obs"
 	"ptmc/internal/sim"
 	"ptmc/internal/workload"
@@ -119,13 +120,13 @@ func LookupWorkload(name string) (*Workload, error) { return workload.Lookup(nam
 // Fault-injection campaign API (robustness validation; see cmd/faultprobe).
 type (
 	// FaultConfig parameterizes a fault-injection campaign.
-	FaultConfig = sim.FaultConfig
+	FaultConfig = memctrl.FaultConfig
 	// FaultReport is a campaign's adjudicated outcome.
-	FaultReport = sim.FaultReport
+	FaultReport = memctrl.FaultReport
 	// FaultTrial records one injection and its outcome.
-	FaultTrial = sim.FaultTrial
+	FaultTrial = memctrl.FaultTrial
 	// FaultOutcome classifies a trial (detected / harmless / silent).
-	FaultOutcome = sim.FaultOutcome
+	FaultOutcome = memctrl.FaultOutcome
 	// FaultKind selects an injectable fault ("marker-flip", ...).
 	FaultKind = fault.Kind
 	// NoHurtReport is the adversarial no-hurt experiment's outcome.
@@ -142,7 +143,7 @@ func ParseFaultKind(name string) (FaultKind, error) { return fault.ParseKind(nam
 // a live PTMC controller and adjudicates every trial as detected, harmless,
 // or silent (the outcome that must never occur).
 func RunFaultCampaign(ctx context.Context, cfg FaultConfig) (*FaultReport, error) {
-	return sim.RunFaultCampaign(ctx, cfg)
+	return memctrl.RunFaultCampaign(ctx, cfg)
 }
 
 // RunNoHurt runs the adversarial workload under the uncompressed baseline,

@@ -29,10 +29,12 @@ fi
 rm -f "$out.trim" "$out.ref"
 echo "smoke: report matches paperbench_quick.txt"
 
-# Short fault-injection campaign: every injected fault must be detected
-# or harmless — faultprobe exits non-zero on any silent corruption.
+# Short fault-injection campaigns against static and Dynamic-PTMC: every
+# injected fault must be detected or harmless — faultprobe exits non-zero
+# on any silent corruption.
 go run ./cmd/faultprobe -trials 100 -seed 1
-echo "smoke: fault campaign clean"
+go run ./cmd/faultprobe -dynamic -trials 100 -seed 1
+echo "smoke: fault campaigns clean (static and dynamic)"
 
 # Observability smoke: an instrumented quickstart run must produce a
 # parseable Chrome trace with every always-present event kind and a
