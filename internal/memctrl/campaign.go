@@ -258,8 +258,9 @@ func (r *rig) faultTrial(in *fault.Injector, kind fault.Kind, candidates []mem.L
 		// clean resident line is merely latent (memory is allowed to be
 		// stale there). Flush the LLC so memory is authoritative again,
 		// then read everything back: a late counter trip is still a
-		// detection; a verification failure *now*, with nothing resident
-		// to excuse, is a silent-corruption bug.
+		// detection. Every line now resident is a clean copy memory has
+		// just served, so the final verification excuses none of them; a
+		// failure *now* is a silent-corruption bug.
 		quiet := *p.Stats()
 		if err := r.flushAll(); err != nil {
 			return t, true, err
@@ -269,7 +270,7 @@ func (r *rig) faultTrial(in *fault.Injector, kind fault.Kind, candidates []mem.L
 		}
 		if det := detectionDelta(&quiet, p.Stats()); det != "" {
 			t.Outcome, t.Detector = FaultDetectedCounter, det+" (latent)"
-		} else if _, verr := p.VerifyImage(r.resident); verr != nil {
+		} else if _, verr := p.VerifyImage(nil); verr != nil {
 			t.Outcome, t.Detector = FaultSilent, fmt.Sprintf("verify-after-flush:%v", verr)
 		} else {
 			t.Outcome = FaultHarmless

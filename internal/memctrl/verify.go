@@ -24,8 +24,7 @@ import (
 // (ErrUnitMisplaced, ErrUndecodable, ErrDoubleCovered, ErrValueMismatch,
 // ErrStaleLIT, ErrUncovered) for errors.Is classification.
 func (p *PTMC) VerifyImage(inLLC func(a mem.LineAddr) bool) (int, error) {
-	locs := p.img.TouchedLines()
-	covered := make(map[mem.LineAddr]mem.LineAddr, len(locs)) // line -> home that serves it
+	covered := map[mem.LineAddr]mem.LineAddr{} // line -> home that serves it
 	verified := 0
 	// Both stores are read through ReadNoAlloc, so the sweep synthesizes
 	// the lines the image or the architectural store has never stored
@@ -33,7 +32,7 @@ func (p *PTMC) VerifyImage(inLLC func(a mem.LineAddr) bool) (int, error) {
 	var imgBuf, archBuf [mem.LineSize]byte
 	archVal := func(a mem.LineAddr) []byte { return p.arch.ReadNoAlloc(a, archBuf[:]) }
 
-	for _, loc := range locs {
+	for _, loc := range p.img.TouchedLines() {
 		data := p.img.ReadNoAlloc(loc, imgBuf[:])
 		class := p.markers.Classify(loc, data)
 		switch class {
