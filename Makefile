@@ -8,7 +8,8 @@
 #                    set), then run short static and dynamic fault campaigns, the
 #                    crash-safe daemon recovery stage, and the chaos campaign
 #   make fuzz-smoke  ~10s of native fuzzing per fuzz target, minimization
-#                    bounded to 100 execs per new input
+#                    bounded to 100 execs per new input; fails a target
+#                    that runs fewer execs than the floor its line states
 #   make trace-smoke instrumented quickstart run; obscheck validates the
 #                    -metrics and -trace artifacts it produces
 #   make bench       compression + artifact micro-benchmarks with allocation
@@ -57,12 +58,27 @@ test:
 smoke:
 	./scripts/smoke.sh
 
+# Each line names a package, a target and its exec floor: the recipe
+# fails when the target's last "fuzz: elapsed: ..., execs: N" line
+# reports fewer than the floor, since a target that does almost no work
+# in its window fuzzes nothing.
 fuzz-smoke:
-	$(GO) test ./internal/core/ -run FuzzMarkerClassify -fuzz FuzzMarkerClassify $(FUZZ)
-	$(GO) test ./internal/server/ -run FuzzJobSpec -fuzz FuzzJobSpec $(FUZZ)
-	$(GO) test ./internal/server/ -run FuzzWALReplay -fuzz FuzzWALReplay $(FUZZ)
-	$(GO) test ./internal/mem/ -run FuzzStore -fuzz FuzzStore $(FUZZ)
-	$(GO) test ./internal/memctrl/ -run FuzzControllerOps -fuzz FuzzControllerOps $(FUZZ)
+	@for t in \
+		"./internal/core/ FuzzMarkerClassify 260000" \
+		"./internal/server/ FuzzJobSpec 32000" \
+		"./internal/server/ FuzzWALReplay 10000" \
+		"./internal/mem/ FuzzStore 29000" \
+		"./internal/memctrl/ FuzzControllerOps 550"; do \
+		set -- $$t; \
+		echo "$(GO) test $$1 -run $$2 -fuzz $$2 $(FUZZ)"; \
+		out=$$($(GO) test $$1 -run $$2 -fuzz $$2 $(FUZZ) 2>&1); st=$$?; \
+		printf "%s\n" "$$out"; \
+		[ $$st -eq 0 ] || exit $$st; \
+		n=$$(printf "%s\n" "$$out" | sed -n 's/^fuzz: elapsed: .*, execs: \([0-9]*\) .*/\1/p' | tail -n 1); \
+		if [ "$${n:-0}" -lt $$3 ]; then \
+			echo "fuzz-smoke: $$2 ran $${n:-0} execs, below its floor of $$3" >&2; exit 1; \
+		fi; \
+	done
 
 trace-smoke:
 	out=$$(mktemp -d) && \

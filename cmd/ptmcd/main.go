@@ -72,7 +72,6 @@ func serve(args []string) error {
 		queue    = fs.Int("queue", 64, "max queued jobs before 503")
 		quota    = fs.Int("tenant-quota", 0, "max queued+running jobs per tenant (0 = unlimited)")
 		timeout  = fs.Duration("job-timeout", 0, "default per-scheme deadline (0 = none)")
-		segBytes = fs.Int64("wal-segment", 0, "never rewrite a WAL smaller than this many bytes (0 = default 4MiB)")
 		drainT   = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	)
 	var out obs.Flags
@@ -81,12 +80,11 @@ func serve(args []string) error {
 	out.ServePprof()
 
 	srv, err := server.New(server.Config{
-		Dir:          *dir,
-		Parallel:     *parallel,
-		QueueCap:     *queue,
-		TenantQuota:  *quota,
-		JobTimeout:   *timeout,
-		SegmentBytes: *segBytes,
+		Dir:         *dir,
+		Parallel:    *parallel,
+		QueueCap:    *queue,
+		TenantQuota: *quota,
+		JobTimeout:  *timeout,
 	})
 	if err != nil {
 		return err

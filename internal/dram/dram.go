@@ -524,20 +524,11 @@ func (d *DRAM) busTickAtOrAfter(t int64) int64 {
 
 // NextEventCycle returns the earliest CPU cycle at which ticking the model
 // can change any state — the minimum channel wake — or farFuture when every
-// channel is fully idle. Meaningful in engine mode only, where it is the
-// cached aggregate (O(1), recomputed per tick sweep); outside engine mode
-// it scans, since the wake bookkeeping is not maintained there.
+// channel is fully idle. Engine mode only: it is the cached aggregate (O(1),
+// recomputed per tick sweep), and outside engine mode the wake bookkeeping
+// is not maintained.
 func (d *DRAM) NextEventCycle() int64 {
-	if d.engine {
-		return d.nextWake
-	}
-	w := farFuture
-	for _, c := range d.chans {
-		if c.wakeAt < w {
-			w = c.wakeAt
-		}
-	}
-	return w
+	return d.nextWake
 }
 
 // SkippedTicks credits idle-channel accounting for n whole bus cycles the

@@ -1,13 +1,14 @@
 package server
 
 // Chaos campaign for the durable job queue. Each trial boots a daemon over
-// one on-disk store with a tiny WAL rewrite floor (so rewrites run
-// constantly), submits jobs and the occasional sweep, then kills it
-// rudely: an injected store crash at a random WAL point
-// (before-append / after-write / after-sync / after-result / mid-rewrite),
-// a mid-run drain (SIGTERM), or an abrupt stop (kill -9), optionally
-// followed by garbage appended to the newest segment's tail (a torn
-// in-progress record — the only tear a fsync'd append-only log can suffer).
+// one on-disk store (every boot's first append rewrites the log, and the
+// small logs double often, so rewrites run constantly), submits jobs and
+// the occasional sweep, then kills it rudely: an injected store crash at
+// a random WAL point (before-append / after-write / after-sync /
+// after-result / mid-rewrite), a mid-run drain (SIGTERM), or an abrupt
+// stop (kill -9), optionally followed by garbage appended to wal.log's
+// tail (a torn in-progress record — the only tear a fsync'd append-only
+// log can suffer).
 // A final clean boot replays the store and every job AND sweep
 // ACKNOWLEDGED during the trial is adjudicated:
 //
@@ -30,7 +31,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -108,16 +108,12 @@ type chaosTrial struct {
 	fired map[CrashPoint]int
 }
 
-// chaosSegBytes keeps the rewrite floor tiny so every trial exercises
-// rewrites, not just the append path.
-const chaosSegBytes = 512
-
 // chaosCrashPoints are the points an armed crash may be set to fire at.
 var chaosCrashPoints = []CrashPoint{CrashBeforeAppend, CrashAfterWrite,
 	CrashAfterSync, CrashAfterResult, CrashDuringCompact}
 
 func (c *chaosTrial) boot(armCrash bool) (*Server, *httptest.Server) {
-	store, err := OpenStoreSegmented(c.dir, chaosSegBytes)
+	store, err := OpenStore(c.dir)
 	if err != nil {
 		c.t.Fatalf("open store over %s: %v", c.dir, err)
 	}
@@ -255,19 +251,13 @@ func (c *chaosTrial) stop(s *Server, hs *httptest.Server) {
 	}
 }
 
-// tearTail appends garbage to the newest WAL segment — a torn in-progress
-// record. Synced (acked) records all precede it, so this is exactly the
-// tear a real kill -9 can produce. Only the highest-index segment is a
-// legal target: sealed segments are never appended to.
+// tearTail appends garbage to wal.log — a torn in-progress record.
+// Synced (acked) records all precede it, so this is exactly the tear a
+// real kill -9 can produce.
 func (c *chaosTrial) tearTail() {
-	segs, _ := filepath.Glob(filepath.Join(c.dir, "wal-*.log"))
-	if len(segs) == 0 {
-		return // no WAL yet: nothing to tear
-	}
-	sort.Strings(segs) // zero-padded indices: lexicographic == numeric
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(c.dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return
+		return // no WAL yet: nothing to tear
 	}
 	defer f.Close()
 	if c.rng.Intn(2) == 0 {

@@ -2,10 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,15 +77,20 @@ func FuzzJobSpec(f *testing.F) {
 	})
 }
 
-// FuzzWALReplay opens job stores built from untrusted WAL bytes. records
-// is split on newlines; each piece becomes one validly framed record (an
-// empty piece frames a zero length, which replay must treat as torn).
-// layout spreads the records over one to three segments and picks the
-// segment that tail, raw unframed bytes, is appended to. Opening must
-// never panic; the bytes replay kept plus Truncated must equal the input,
-// and what is kept must be a prefix of it (whole segments, then a prefix
-// of one); and reopening the repaired directory must truncate nothing and
-// rebuild the same jobs and sweeps.
+// FuzzWALReplay folds untrusted WAL bytes in memory. records is split on
+// newlines; each piece becomes one framed record (an empty piece frames a
+// zero length, which replay must treat as torn). layout%9 spreads the
+// records over one to three log files (the segments an earlier daemon
+// left, then wal.log) and picks the file that tail, raw unframed bytes,
+// is appended to; a nonzero layout/9 names a record (from 1, modulo the
+// count) whose checksum has one bit flipped, as a corrupt disk would
+// leave it. walPrefix, the test's own frame decoder, says where
+// replay must stop. Folding must never panic; it must keep exactly the
+// bytes before that point and count the rest as Truncated; folding the
+// kept bytes again must truncate nothing and rebuild the same jobs,
+// sweeps and record count; and folding the summary a rewrite would write
+// must rebuild the same jobs and sweeps. OpenStore's file handling is
+// covered by the unit tests in store_test.go and rotation_test.go.
 func FuzzWALReplay(f *testing.F) {
 	legacy := []byte(strings.Join(legacyWALRecords, "\n"))
 	done := []byte(`{"op":"done","id":"j91651d976777dd14","status":"failed","fail_kind":"sim","error":"boom"}`)
@@ -98,63 +102,80 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(append(legacy, "\n\n"...), []byte(nil), uint8(2))
 	f.Add([]byte(`{"op":"accept","id":"x"}`+"\n"+`not json`), []byte{0xff, 0, 0, 0}, uint8(4))
 	f.Add(append(append(legacy, '\n'), legacySweepDone...), []byte(nil), uint8(1))
+	// apply looks for result artifacts here; the directory stays empty.
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, records, tail []byte, layout uint8) {
 		recs := bytes.Split(records, []byte("\n"))
-		nseg := 1 + int(layout)%3
-		segs := make([][]byte, nseg)
+		nfiles := 1 + int(layout)%3
+		files := make([][]byte, nfiles)
+		bad := (int(layout)/9 + len(recs) - 1) % len(recs)
 		for i, r := range recs {
-			k := i * nseg / len(recs)
-			segs[k] = appendFrame(segs[k], r)
+			k := i * nfiles / len(recs)
+			files[k] = appendFrame(files[k], r)
+			if layout >= 9 && i == bad {
+				files[k][len(files[k])-len(r)-4] ^= 1
+			}
 		}
-		k := int(layout) / 3 % nseg
-		segs[k] = append(segs[k], tail...)
+		k := int(layout) / 3 % nfiles
+		files[k] = append(files[k], tail...)
 
-		dir := t.TempDir()
-		total := 0
-		for i, seg := range segs {
-			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%06d.log", i+1)), seg, 0o644); err != nil {
-				t.Fatal(err)
+		var want []byte
+		total, frames, stopped := 0, 0, false
+		for _, file := range files {
+			total += len(file)
+			if !stopped {
+				n, m := walPrefix(file)
+				want = append(want, file[:n]...)
+				frames += m
+				stopped = n < len(file)
 			}
-			total += len(seg)
 		}
-		st, err := OpenStoreSegmented(dir, DefaultSegmentBytes)
-		if err != nil {
-			t.Fatalf("open: %v", err)
+
+		st := newStore(dir)
+		kept := st.fold(files)
+		if kept != int64(len(want)) || st.Replayed != frames {
+			t.Fatalf("fold kept %d bytes in %d records, want %d in %d", kept, st.Replayed, len(want), frames)
 		}
-		jobs, sweeps, replayed := st.Jobs(), st.Sweeps(), st.Replayed
-		kept, cut := 0, false
-		for i, seg := range segs {
-			got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("wal-%06d.log", i+1)))
-			if cut || err != nil {
-				if err == nil {
-					t.Fatalf("segment %d kept after an earlier one was cut", i+1)
-				}
-				cut = true
-				continue
-			}
-			if !bytes.HasPrefix(seg, got) {
-				t.Fatalf("segment %d kept %d bytes that are not a prefix of its %d", i+1, len(got), len(seg))
-			}
-			kept += len(got)
-			cut = len(got) < len(seg)
-		}
-		if kept+int(st.Truncated) != total {
+		if kept+st.Truncated != int64(total) {
 			t.Fatalf("kept %d + truncated %d != input %d bytes", kept, st.Truncated, total)
 		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
+		jobs, sweeps := st.Jobs(), st.Sweeps()
+
+		again := newStore(dir)
+		again.fold([][]byte{want})
+		if again.Truncated != 0 || again.Replayed != st.Replayed {
+			t.Fatalf("refold truncated %d and replayed %d records, want 0 and %d", again.Truncated, again.Replayed, st.Replayed)
+		}
+		if !reflect.DeepEqual(again.Jobs(), jobs) || !reflect.DeepEqual(again.Sweeps(), sweeps) {
+			t.Fatalf("refold state differs:\njobs %v -> %v\nsweeps %v -> %v", jobs, again.Jobs(), sweeps, again.Sweeps())
 		}
 
-		re, err := OpenStoreSegmented(dir, DefaultSegmentBytes)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		defer re.Close()
-		if re.Truncated != 0 || re.Replayed != replayed {
-			t.Fatalf("reopen truncated %d and replayed %d records, want 0 and %d", re.Truncated, re.Replayed, replayed)
-		}
-		if !reflect.DeepEqual(re.Jobs(), jobs) || !reflect.DeepEqual(re.Sweeps(), sweeps) {
-			t.Fatalf("reopen state differs:\njobs %v -> %v\nsweeps %v -> %v", jobs, re.Jobs(), sweeps, re.Sweeps())
+		sum := newStore(dir)
+		sum.fold([][]byte{st.summaryLocked()})
+		if sum.Truncated != 0 || !reflect.DeepEqual(sum.Jobs(), jobs) || !reflect.DeepEqual(sum.Sweeps(), sweeps) {
+			t.Fatalf("summary folds to a different state (truncated %d):\njobs %v -> %v\nsweeps %v -> %v",
+				sum.Truncated, jobs, sum.Jobs(), sweeps, sum.Sweeps())
 		}
 	})
+}
+
+// walPrefix decodes data as WAL frames without the store's code: it
+// returns the length of the longest prefix of whole frames, each with a
+// length in 1..maxRecord, a matching CRC-32 and a payload that decodes as
+// a walRecord, and how many frames that prefix holds.
+func walPrefix(data []byte) (n, frames int) {
+	for len(data)-n >= 8 {
+		size := int(binary.LittleEndian.Uint32(data[n:]))
+		if size == 0 || size > maxRecord || len(data)-n-8 < size {
+			break
+		}
+		payload := data[n+8 : n+8+size]
+		var rec walRecord
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[n+4:]) || json.Unmarshal(payload, &rec) != nil {
+			break
+		}
+		n += 8 + size
+		frames++
+	}
+	return n, frames
 }

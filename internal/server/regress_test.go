@@ -258,3 +258,66 @@ func TestTransientStoreFaultRequeuesInProcess(t *testing.T) {
 	}
 	waitState(t, hs, st2.ID, StateDone)
 }
+
+// TestFailedRewriteFailsNoAppend: a log rewrite that fails after its
+// append is durable must not fail the append. Every rewrite here fails
+// once its rename has landed, yet the submit is acknowledged (202) and the
+// job runs to done without an in-process store retry, and a reopen
+// replays it done.
+func TestFailedRewriteFailsNoAppend(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	failed := 0
+	store.fault = func(op string) error {
+		if op != "rewrite" {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		failed++
+		return errors.New("rewrite hiccup")
+	}
+	s, err := newFromStore(Config{
+		Dir: dir, Parallel: 1, QueueCap: 8, backoff: time.Millisecond,
+		RunSim: func(ctx context.Context, c sim.Config) (*sim.Result, error) {
+			return fakeResult(c), nil
+		},
+	}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	code, st := submit(t, hs, `{"workload":"lbm06","schemes":["ptmc"],"cores":2,"warmup_instr":100,"measure_instr":200}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202 (a failed rewrite failed the durable accept)", code)
+	}
+	waitState(t, hs, st.ID, StateDone)
+	if got := s.m.storeRetries.Load(); got != 0 {
+		t.Errorf("store_retries = %d, want 0 (a failed rewrite failed the durable done record)", got)
+	}
+	mu.Lock()
+	if failed < 2 {
+		t.Errorf("%d rewrites failed, want the accept's and the done's", failed)
+	}
+	mu.Unlock()
+
+	// kill -9: no drain, so no Checkpoint rewrites the log from memory.
+	s.queue.SetDraining(true)
+	s.cancelRuns()
+	s.workers.Wait()
+	s.store.Close()
+	re, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if jobs := re.Jobs(); len(jobs) != 1 || jobs[0].ID != st.ID || jobs[0].State != StateDone {
+		t.Fatalf("reopen replayed %+v, want %s done", jobs, st.ID)
+	}
+}

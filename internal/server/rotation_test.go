@@ -1,36 +1,42 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// A tiny rewrite floor forces rewrites every few records so the tests
-// exercise the machinery that production only reaches after megabytes
-// of churn.
-const tinySeg = 256
-
+// walFiles lists every WAL file in dir: wal.log and any wal-NNNNNN.log
+// segment a daemon that rotated its log left.
 func walFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	paths, err := filepath.Glob(filepath.Join(dir, "wal*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return paths
 }
 
+// onlyWALLog fails unless wal.log is the only WAL file in dir.
+func onlyWALLog(t *testing.T, dir string) {
+	t.Helper()
+	if files := walFiles(t, dir); len(files) != 1 || filepath.Base(files[0]) != "wal.log" {
+		t.Fatalf("WAL files %v, want wal.log alone", files)
+	}
+}
+
 func TestStoreRotationBoundsSegments(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, tinySeg)
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Churn: every job settles immediately, so every sealed segment is
-	// fully settled and live compaction should keep the chain short no
-	// matter how many jobs flow through.
+	// Churn: every job settles immediately; rewrites keep the log one file
+	// no matter how many jobs flow through.
 	const jobs = 40
 	for i := 0; i < jobs; i++ {
 		id := fmt.Sprintf("j%03d", i)
@@ -45,16 +51,15 @@ func TestStoreRotationBoundsSegments(t *testing.T) {
 		}
 	}
 	if n := st.CompactedSegments(); n == 0 {
-		t.Fatal("no sealed segment was ever compacted under settle-everything churn")
+		t.Fatal("the log was never rewritten under settle-everything churn")
 	}
-	// The summary records themselves are subject to rotation, so the chain
-	// stays bounded rather than merely "smaller than one file per job".
-	if n := st.Segments(); n > 4 {
-		t.Fatalf("segment chain grew to %d, want <= 4 (compaction not keeping up)", n)
+	if n := st.Segments(); n != 1 {
+		t.Fatalf("Segments() = %d, want 1", n)
 	}
+	onlyWALLog(t, dir)
 	st.Close()
 
-	re, err := OpenStoreSegmented(dir, tinySeg)
+	re, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func TestStoreRotationBoundsSegments(t *testing.T) {
 
 func TestStoreUnsettledSegmentSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, tinySeg)
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +100,10 @@ func TestStoreUnsettledSegmentSurvivesCompaction(t *testing.T) {
 		}
 	}
 	if st.CompactedSegments() == 0 {
-		t.Fatal("settled churn segments were never compacted")
+		t.Fatal("settled churn was never rewritten")
 	}
 	st.Close()
-	re, err := OpenStoreSegmented(dir, tinySeg)
+	re, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,21 +121,24 @@ func TestStoreUnsettledSegmentSurvivesCompaction(t *testing.T) {
 
 func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, tinySeg)
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("crash")
+	rewrites := 0
 	st.crash = func(p CrashPoint) error {
 		if p == CrashDuringCompact {
-			return boom
+			if rewrites++; rewrites == 4 {
+				return boom
+			}
 		}
 		return nil
 	}
-	// Drive until a rewrite actually fires; any append can trigger one,
-	// Accept included. The crash lands in the worst window: the rewritten
-	// segment is durable but the segments it duplicates were NOT deleted.
-	// The record whose append triggered the rewrite was synced before the
+	// Drive until the fourth rewrite fires; any append can trigger one,
+	// Accept included. The crash lands after the rename: the new wal.log
+	// is durable, and the store still holds the file it replaced. The
+	// record whose append triggered the rewrite was synced before the
 	// rewrite began, so it must replay too.
 	var crashed bool
 	want := map[string]string{}
@@ -157,7 +165,7 @@ func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 		}
 	}
 	if !crashed {
-		t.Fatal("rewrite never triggered with a tiny floor")
+		t.Fatal("the fourth rewrite never triggered")
 	}
 	// Dead store, like the process it models.
 	if err := st.Accept("late", testSpec("mcf06")); !errors.Is(err, ErrStoreDead) {
@@ -165,9 +173,8 @@ func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 	}
 	st.Close()
 
-	// Replay sees the old segments AND their summary duplicates; idempotent
-	// apply collapses them to exactly the pre-crash state.
-	re, err := OpenStoreSegmented(dir, tinySeg)
+	// Replay sees the rewritten log: exactly the pre-crash state.
+	re, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,17 +195,12 @@ func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 
 func TestStoreLegacyWALMigrates(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Accept("j1", testSpec("lbm06")); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	// Rewind history: a pre-rotation daemon left a single wal.log.
-	if err := os.Rename(filepath.Join(dir, "wal-000001.log"),
-		filepath.Join(dir, "wal.log")); err != nil {
+	// A pre-rotation daemon left a single wal.log, which is again the
+	// native name: open reads it in place and rewrites nothing.
+	spec := testSpec("lbm06")
+	legacy := frame(walRecord{Op: "accept", ID: "j1", Spec: &spec})
+	path := filepath.Join(dir, "wal.log")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	re, err := OpenStore(dir)
@@ -209,18 +211,16 @@ func TestStoreLegacyWALMigrates(t *testing.T) {
 	if jobs := re.Jobs(); len(jobs) != 1 || jobs[0].ID != "j1" {
 		t.Fatalf("legacy replay got %d jobs", len(jobs))
 	}
-	if _, err := os.Stat(filepath.Join(dir, "wal.log")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("legacy wal.log still present after migration")
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, legacy) {
+		t.Fatalf("wal.log changed by a clean open (%v)", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "wal-000001.log")); err != nil {
-		t.Fatalf("migrated segment missing: %v", err)
-	}
+	onlyWALLog(t, dir)
 }
 
 func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	// The store no longer rotates, so lay down the 3-segment chain an
-	// earlier daemon would have left: four accepts per segment.
+	// Lay down the 3-segment chain a daemon that rotated its log would
+	// have left: four accepts per segment.
 	for seg := 1; seg <= 3; seg++ {
 		var buf []byte
 		for i := 0; i < 4; i++ {
@@ -234,6 +234,10 @@ func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 	files := walFiles(t, dir)
 	if len(files) < 3 {
 		t.Fatalf("need >= 3 segments for this test, got %d", len(files))
+	}
+	first, err := os.ReadFile(filepath.Join(dir, "wal-000001.log"))
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Flip a payload byte in the SECOND segment: everything after the
@@ -249,43 +253,49 @@ func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenStoreSegmented(dir, tinySeg)
+	re, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Truncated == 0 {
-		t.Fatal("Truncated = 0, want the discarded bytes counted")
+	// The three segments are the same size.
+	if want := int64(2 * len(data)); re.Truncated != want {
+		t.Fatalf("Truncated = %d, want segments 2 and 3's %d bytes", re.Truncated, want)
 	}
 	// Only segment 1's records (plus none of the corrupt segment's) survive.
-	first, err := os.ReadFile(filepath.Join(dir, "wal-000001.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := &Store{jobs: map[string]*StoredJob{}, sweeps: map[string]*StoredSweep{}}
+	probe := newStore(dir)
 	probe.replay(first)
-	if len(re.Jobs()) != len(probe.jobs) {
+	if !reflect.DeepEqual(re.Jobs(), probe.Jobs()) {
 		t.Fatalf("replayed %d jobs, want exactly segment 1's %d", len(re.Jobs()), len(probe.jobs))
 	}
-	for _, p := range walFiles(t, dir) {
-		var idx int
-		fmt.Sscanf(filepath.Base(p), "wal-%06d.log", &idx)
-		if idx > 2 {
-			t.Fatalf("segment %s survived a mid-chain corruption before it", p)
-		}
-	}
-	// The repaired store accepts appends and replays them on the next boot.
-	if err := re.Accept("fresh", testSpec("mcf06")); err != nil {
-		t.Fatal(err)
+	// Open rewrote the kept state into wal.log and deleted every segment.
+	onlyWALLog(t, dir)
+	if n := re.CompactedSegments(); n != 4 {
+		t.Fatalf("CompactedSegments() = %d, want the rewrite and 3 segments", n)
 	}
 	re.Close()
-	re2, err := OpenStoreSegmented(dir, tinySeg)
+
+	// The repaired directory reopens without truncating anything, to the
+	// same state, and accepts appends that the next boot replays.
+	re2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re2.Close()
+	if re2.Truncated != 0 || !reflect.DeepEqual(re2.Jobs(), probe.Jobs()) {
+		t.Fatalf("reopen truncated %d bytes, jobs %d, want 0 and %d", re2.Truncated, len(re2.Jobs()), len(probe.jobs))
+	}
+	if err := re2.Accept("fresh", testSpec("mcf06")); err != nil {
+		t.Fatal(err)
+	}
+	re2.Close()
+	re3, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re3.Close()
 	found := false
-	for _, j := range re2.Jobs() {
+	for _, j := range re3.Jobs() {
 		if j.ID == "fresh" {
 			found = true
 		}
@@ -295,13 +305,12 @@ func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 	}
 }
 
-// TestStoreCheckpointKeepsPendingJobs: the segment Checkpoint writes must
-// record the ids it summarizes. Otherwise, once later appends seal it,
-// live compaction sees a segment referencing nothing, deletes it, and
-// loses the accept record of a job that is still pending.
+// TestStoreCheckpointKeepsPendingJobs: every rewrite after a Checkpoint
+// must carry the accept record of a job that is still pending, or the
+// job is lost.
 func TestStoreCheckpointKeepsPendingJobs(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, 512)
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +333,11 @@ func TestStoreCheckpointKeepsPendingJobs(t *testing.T) {
 		}
 	}
 	if st.CompactedSegments() <= 1 {
-		t.Fatal("no segment was compacted after the checkpoint; the test no longer exercises live compaction")
+		t.Fatal("the log was not rewritten after the checkpoint; the test no longer exercises rewrites")
 	}
 	st.Close()
 
-	re, err := OpenStoreSegmented(dir, 512)
+	re, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +363,7 @@ func TestStoreCheckpointKeepsPendingJobs(t *testing.T) {
 // logarithmic in the job count and the log within twice its summary.
 func TestStoreRewriteIsAmortized(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, tinySeg)
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +381,7 @@ func TestStoreRewriteIsAmortized(t *testing.T) {
 		}
 	}
 	if n := st.CompactedSegments(); n > 20 {
-		t.Fatalf("%d segments removed for %d jobs, want <= 20 (rewrites not amortized)", n, jobs)
+		t.Fatalf("%d rewrites for %d jobs, want <= 20 (rewrites not amortized)", n, jobs)
 	}
 	var summary int64
 	for _, j := range st.Jobs() {
@@ -388,12 +397,12 @@ func TestStoreRewriteIsAmortized(t *testing.T) {
 		}
 		onDisk += fi.Size()
 	}
-	if onDisk > 2*summary+tinySeg {
-		t.Fatalf("log holds %d bytes, want <= 2 x %d summary + %d", onDisk, summary, tinySeg)
+	if onDisk > 2*summary {
+		t.Fatalf("log holds %d bytes, want <= 2 x %d summary", onDisk, summary)
 	}
 	st.Close()
 
-	re, err := OpenStoreSegmented(dir, tinySeg)
+	re, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,9 +420,9 @@ func TestStoreRewriteIsAmortized(t *testing.T) {
 
 // TestStoreEarlierDaemonChainCollapses: a daemon that rotated segments
 // left a chain behind, with a still-pending job's accept in the oldest
-// segment. The store replays every state from it, and its first rewrite
-// (a Checkpoint, or the first append past the floor) collapses the chain
-// to one segment that replays to the same states.
+// segment. Open replays every state from it and collapses the chain into
+// wal.log, which replays to the same states after the store's next
+// rewrite (a Checkpoint, or the first append after open).
 func TestStoreEarlierDaemonChainCollapses(t *testing.T) {
 	for _, name := range []string{"checkpoint", "rewrite"} {
 		t.Run(name, func(t *testing.T) {
@@ -456,35 +465,34 @@ func TestStoreEarlierDaemonChainCollapses(t *testing.T) {
 				}
 			}
 
-			st, err := OpenStoreSegmented(dir, tinySeg)
+			st, err := OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(st)
-			if n := st.Segments(); n != 3 {
-				t.Fatalf("Segments() = %d after opening a 3-segment chain", n)
+			onlyWALLog(t, dir)
+			if n := st.CompactedSegments(); n != 4 {
+				t.Fatalf("CompactedSegments() = %d after open, want the rewrite and the chain's 3", n)
 			}
 			if name == "checkpoint" {
 				err = st.Checkpoint()
 			} else {
-				// The chain already passes the tiny floor: the next append
-				// rewrites it.
+				// The last rewrite counts as 0 bytes after open: the next
+				// append rewrites the log.
 				err = st.Accept("c", ok)
 				want["c"] = StateAccepted
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if files := walFiles(t, dir); len(files) != 1 {
-				t.Fatalf("%d segments after the first rewrite, want 1: %v", len(files), files)
-			}
-			if n := st.CompactedSegments(); n != 3 {
-				t.Fatalf("CompactedSegments() = %d, want the chain's 3", n)
+			onlyWALLog(t, dir)
+			if n := st.CompactedSegments(); n != 5 {
+				t.Fatalf("CompactedSegments() = %d, want one more rewrite than open's 4", n)
 			}
 			check(st)
 			st.Close()
 
-			re, err := OpenStoreSegmented(dir, tinySeg)
+			re, err := OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

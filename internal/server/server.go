@@ -21,12 +21,11 @@ import (
 // Config configures a daemon instance. The zero value of an optional
 // field selects the documented default.
 type Config struct {
-	Dir          string        // job-store directory (required)
-	Parallel     int           // simulations, and so jobs, at once (default GOMAXPROCS)
-	QueueCap     int           // max jobs waiting for a worker (default 64)
-	TenantQuota  int           // max queued+running jobs per tenant (0 = unlimited)
-	JobTimeout   time.Duration // default per-scheme deadline (0 = none; spec may override)
-	SegmentBytes int64         // WAL size below which the log is never rewritten (default DefaultSegmentBytes)
+	Dir         string        // job-store directory (required)
+	Parallel    int           // simulations, and so jobs, at once (default GOMAXPROCS)
+	QueueCap    int           // max jobs waiting for a worker (default 64)
+	TenantQuota int           // max queued+running jobs per tenant (0 = unlimited)
+	JobTimeout  time.Duration // default per-scheme deadline (0 = none; spec may override)
 	// RunSim is the simulation entry point (nil = sim.RunContext). Tests
 	// substitute fakes and fault injectors; it must be set here — not
 	// after New — because recovery may hand replayed jobs to workers
@@ -108,7 +107,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("server: Config.Dir is required")
 	}
-	store, err := OpenStoreSegmented(cfg.Dir, cfg.SegmentBytes)
+	store, err := OpenStore(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}

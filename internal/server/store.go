@@ -8,44 +8,51 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
-// The on-disk job store is a segmented write-ahead log plus an atomic
-// result directory:
+// The on-disk job store is one write-ahead log plus an atomic result
+// directory:
 //
-//	<dir>/wal-NNNNNN.log     length+CRC framed, fsync'd append-only segments
-//	<dir>/results/<key>.json whole-file job results, written tmp+rename+fsync
+//	<dir>/wal.log                  length+CRC framed, fsync'd appends
+//	<dir>/results/<key>.json       whole-file job results, written tmp+rename+fsync
 //	<dir>/results/<key>.trace.json per-job Chrome-trace artifacts (best effort)
 //
 // Each WAL record is [len uint32][crc32 uint32][payload JSON], little
 // endian. Appends are fsync'd before the caller is told the operation
 // succeeded — Accept returning nil IS the daemon's 202, so a kill -9 at
-// any later instant cannot lose the job. Because segments are
-// append-only, a torn write can exist only at the tail of the newest
-// segment: replay stops at the first frame whose length or checksum does
-// not hold, truncates there, and the store is exactly the prefix of
-// operations that were fully written. Results are never written in
-// place; a result file either does not exist or is complete.
+// any later instant cannot lose the job. Because the log is append-only,
+// a torn write can exist only at its tail: replay stops at the first
+// frame whose length or checksum does not hold, and the store is exactly
+// the prefix of operations that were fully written. Results are never
+// written in place; a result file either does not exist or is complete.
 //
-// Rewrite: appends go to one segment. When the log on disk (that segment
-// plus any older ones still present) reaches max(SegmentBytes, 2 x the
-// bytes the last rewrite wrote), the store writes every job's and
-// sweep's summary records (a job's accept, plus its done once terminal;
-// a sweep's sweep record) into the next segment through writeFileAtomic,
-// deletes every older segment, and appends to the new one. A rewrite
-// writes at most twice the bytes appended since the previous one, so the
-// bytes rewritten stay within 2x the bytes appended. Done and failed
-// jobs are kept for good (resubmissions dedupe against them), so the log
-// holds O(jobs ever accepted) summary bytes, not O(live jobs). Replay is
-// idempotent: a duplicate accept keeps the first spec, a duplicate done
-// re-applies the same terminal state. A crash after the new segment is
-// durable but before the deletes replays the old chain and then its
-// summary, which is the same state. Checkpoint (graceful drain) is the
-// same rewrite without the size check.
+// Rewrite: when wal.log reaches twice the bytes the last rewrite wrote,
+// the store writes every job's and sweep's summary records (a job's
+// accept, plus its done once terminal; a sweep's sweep record) to a temp
+// file, renames it over wal.log (writeFileAtomic) and appends to the new
+// file. No crash can leave two logs. A rewrite writes at most twice the
+// bytes appended since the previous one, so the bytes rewritten stay
+// within 2x the bytes appended. The last rewrite counts as 0 bytes after
+// open, so a boot's first append collapses whatever the boot replayed.
+// Done and failed jobs are kept for good (resubmissions dedupe against
+// them), so the log holds O(jobs ever accepted) summary bytes, not O(live
+// jobs). A failed rewrite fails no append: the batch that triggered it is
+// already durable, and the next append retries. Checkpoint (graceful
+// drain) is the same rewrite without the size check.
 //
-// Crash-recovery state machine (replayed in segment + WAL order):
+// Open folds the log files' bytes (fold), stopping at the first frame
+// that does not hold: first any wal-NNNNNN.log segments that a daemon
+// which rotated its log left, oldest first, then wal.log. If the fold
+// stopped early or read a segment, open rewrites wal.log from the state
+// it kept and deletes the segments. A segment it cannot delete fails the
+// open: a later boot would fold it ahead of wal.log, and a torn frame in
+// it would discard every append in wal.log. Replay is idempotent: a
+// duplicate accept keeps the first spec, a duplicate done re-applies the
+// same terminal state, so a crash between that rewrite and the deletes
+// replays to the same state.
+//
+// Crash-recovery state machine (replayed in log order):
 //
 //	accept(id)        -> job pending
 //	sweep(id)         -> sweep known (children are ordinary jobs)
@@ -64,7 +71,8 @@ import (
 // ErrStoreDead is returned by every operation after an injected crash:
 // the chaos harness uses it to guarantee a "dead" store stops mutating
 // disk at exactly the injected point, like the process it stands in for.
-var ErrStoreDead = errors.New("server: job store is dead (injected crash)")
+// A rewrite that cannot reopen wal.log kills the store the same way.
+var ErrStoreDead = errors.New("server: job store is dead")
 
 // CrashPoint names the instants the chaos harness may kill the store at.
 type CrashPoint string
@@ -74,16 +82,12 @@ const (
 	CrashAfterWrite    CrashPoint = "after-write"    // written, not synced: tail may tear
 	CrashAfterSync     CrashPoint = "after-sync"     // durable, caller never told
 	CrashAfterResult   CrashPoint = "after-result"   // result durable, done record absent
-	CrashDuringCompact CrashPoint = "during-compact" // rewritten segment durable, older ones not yet deleted
+	CrashDuringCompact CrashPoint = "during-compact" // rewritten wal.log renamed in, store still on the old file
 )
 
 // maxRecord bounds one WAL payload; anything larger during replay is
 // treated as a torn/corrupt tail.
 const maxRecord = 1 << 20
-
-// DefaultSegmentBytes is the log size below which the store never
-// rewrites, when the caller does not choose one.
-const DefaultSegmentBytes = 4 << 20
 
 // walRecord is the JSON payload of one frame.
 type walRecord struct {
@@ -116,15 +120,13 @@ type StoredSweep struct {
 // Store is the durable job store. All methods are safe for concurrent
 // use; every mutation is fsync'd before it reports success.
 type Store struct {
-	dir      string
-	segBytes int64
+	dir string
 
 	mu         sync.Mutex
-	wal        *os.File // the segment appends go to
-	walIndex   int      // its index
-	older      []string // older segments still on disk, oldest first
-	logBytes   int64    // bytes in every segment on disk
+	wal        *os.File // wal.log, opened for appends
+	logBytes   int64    // bytes in wal.log
 	rewritten  int64    // bytes the last rewrite wrote
+	compacted  int      // log files rewrites replaced or open deleted
 	jobs       map[string]*StoredJob
 	order      []string
 	sweeps     map[string]*StoredSweep
@@ -137,9 +139,6 @@ type Store struct {
 	Truncated int64
 	// Replayed counts the records recovered from the existing WAL.
 	Replayed int
-	// Compacted counts segment files that rewrites removed over this
-	// store's lifetime.
-	Compacted int
 
 	// crash is the chaos hook (nil in production): consulted at each
 	// CrashPoint; a non-nil return kills the store there.
@@ -150,29 +149,48 @@ type Store struct {
 	fault func(op string) error
 }
 
-// OpenStore opens (creating if needed) the job store in dir with the
-// default segment size and replays the WAL, truncating a torn tail.
-func OpenStore(dir string) (*Store, error) {
-	return OpenStoreSegmented(dir, DefaultSegmentBytes)
+// newStore returns an empty store over dir, holding no file.
+func newStore(dir string) *Store {
+	return &Store{dir: dir, jobs: make(map[string]*StoredJob), sweeps: make(map[string]*StoredSweep)}
 }
 
-// OpenStoreSegmented opens the store with an explicit rewrite floor: a
-// log smaller than segBytes is never rewritten (tests use tiny values to
-// force rewrites).
-func OpenStoreSegmented(dir string, segBytes int64) (*Store, error) {
-	if segBytes <= 0 {
-		segBytes = DefaultSegmentBytes
-	}
+// OpenStore opens (creating if needed) the job store in dir and replays
+// its log; a torn tail or an earlier daemon's segments are rewritten into
+// one wal.log.
+func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
 		return nil, fmt.Errorf("server: store: %w", err)
 	}
-	s := &Store{
-		dir: dir, segBytes: segBytes,
-		jobs:   make(map[string]*StoredJob),
-		sweeps: make(map[string]*StoredSweep),
-	}
-	if err := s.openSegments(); err != nil {
+	s := newStore(dir)
+	segs, err := legacySegments(dir)
+	if err != nil {
 		return nil, err
+	}
+	files := make([][]byte, 0, len(segs)+1)
+	for _, p := range append(segs, s.walPath()) {
+		data, err := os.ReadFile(p)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("server: store: %w", err)
+		}
+		files = append(files, data)
+	}
+	s.logBytes = s.fold(files)
+	if s.wal, err = os.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return nil, fmt.Errorf("server: store: %w", err)
+	}
+	if s.Truncated > 0 || len(segs) > 0 {
+		if err := s.rewriteLocked(); err != nil {
+			s.wal.Close()
+			return nil, err
+		}
+		for _, p := range segs {
+			if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+				s.wal.Close()
+				return nil, fmt.Errorf("server: store: remove %s: %w", filepath.Base(p), err)
+			}
+			s.compacted++
+		}
+		s.rewritten = 0
 	}
 	if err := syncDir(dir); err != nil {
 		s.wal.Close()
@@ -181,87 +199,40 @@ func OpenStoreSegmented(dir string, segBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// segPath names segment i.
-func (s *Store) segPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("wal-%06d.log", i))
+func (s *Store) walPath() string { return filepath.Join(s.dir, "wal.log") }
+
+// legacySegments lists the wal-NNNNNN.log segments a daemon that rotated
+// its log left in dir, oldest first (ReadDir sorts by name, and the
+// indices are zero-padded). Other names are not ours.
+func legacySegments(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("server: store: %w", err)
+	}
+	var segs []string
+	for _, e := range entries {
+		var idx int
+		if _, err := fmt.Sscanf(e.Name(), "wal-%d.log", &idx); err == nil && e.Name() == fmt.Sprintf("wal-%06d.log", idx) {
+			segs = append(segs, filepath.Join(dir, e.Name()))
+		}
+	}
+	return segs, nil
 }
 
-// openSegments discovers, replays, and repairs the segment chain, leaving
-// s.wal positioned for appends on the newest segment.
-func (s *Store) openSegments() error {
-	// Migrate a pre-rotation store: its single wal.log becomes segment 1.
-	legacy := filepath.Join(s.dir, "wal.log")
-	if _, err := os.Stat(legacy); err == nil {
-		if _, err := os.Stat(s.segPath(1)); errors.Is(err, os.ErrNotExist) {
-			if err := os.Rename(legacy, s.segPath(1)); err != nil {
-				return fmt.Errorf("server: store: migrate wal.log: %w", err)
-			}
+// fold replays files in order up to the first frame that does not hold
+// and returns the bytes it kept: every file before that frame whole, then
+// that file's prefix. The rest of the input counts as Truncated. fold
+// touches no file except the result artifacts apply checks for.
+func (s *Store) fold(files [][]byte) int64 {
+	var kept, total int64
+	for _, data := range files {
+		if kept == total {
+			kept += s.replay(data)
 		}
+		total += int64(len(data))
 	}
-	paths, err := filepath.Glob(filepath.Join(s.dir, "wal-*.log"))
-	if err != nil {
-		return fmt.Errorf("server: store: %w", err)
-	}
-	type segment struct {
-		index int
-		path  string
-	}
-	var segs []segment
-	for _, p := range paths {
-		var idx int
-		if _, err := fmt.Sscanf(filepath.Base(p), "wal-%06d.log", &idx); err != nil {
-			continue // not ours
-		}
-		segs = append(segs, segment{idx, p})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
-	if len(segs) == 0 {
-		segs = []segment{{1, s.segPath(1)}}
-	}
-
-	// Replay in order. An invalid frame in the NEWEST segment is the torn
-	// tail a synced append-only log can legitimately suffer: truncate and
-	// continue appending there. An invalid frame in an older segment means
-	// everything after it is untrustworthy (same policy as the single-log
-	// store): truncate that segment, discard all later segments, and make
-	// the truncated one the active segment again. Older segments exist
-	// when an earlier daemon rotated, or a rewrite crashed before its
-	// deletes; the next rewrite removes them.
-	active := len(segs) - 1
-	var activeValid int64
-	for i, seg := range segs {
-		data, err := os.ReadFile(seg.path)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("server: store: %w", err)
-		}
-		valid := s.replay(data)
-		s.logBytes += valid
-		activeValid = valid
-		if valid < int64(len(data)) || err != nil {
-			s.Truncated += int64(len(data)) - valid
-			for _, later := range segs[i+1:] {
-				if st, serr := os.Stat(later.path); serr == nil {
-					s.Truncated += st.Size()
-				}
-				os.Remove(later.path)
-			}
-			active = i
-			break
-		}
-	}
-	for _, seg := range segs[:active] {
-		s.older = append(s.older, seg.path)
-	}
-	f, err := os.OpenFile(segs[active].path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: store: %w", err)
-	}
-	if err := f.Truncate(activeValid); err != nil {
-		f.Close()
-		return fmt.Errorf("server: store: truncate torn tail: %w", err)
-	}
-	s.wal, s.walIndex = f, segs[active].index
-	return nil
+	s.Truncated += total - kept
+	return kept
 }
 
 // replay applies every fully-written record in data and returns the byte
@@ -354,20 +325,19 @@ func (s *Store) Sweeps() []*StoredSweep {
 	return out
 }
 
-// Segments reports how many WAL segments are on disk: the one appends go
-// to plus any older ones the next rewrite removes.
+// Segments reports how many WAL files are on disk: wal.log, alone after
+// any successful open, plus any segment beside it.
 func (s *Store) Segments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.older) + 1
+	segs, _ := legacySegments(s.dir)
+	return len(segs) + 1
 }
 
-// CompactedSegments reports how many segment files rewrites removed over
-// this store's lifetime.
+// CompactedSegments reports how many log files rewrites replaced or open
+// deleted over this store's lifetime.
 func (s *Store) CompactedSegments() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.Compacted
+	return s.compacted
 }
 
 // frame encodes one record as [len][crc][payload].
@@ -384,7 +354,8 @@ func frame(rec walRecord) []byte {
 // rewrites the log if it reached the trigger size. Batching is what makes
 // a wide sweep fan-out one durability round-trip instead of one per
 // child. The rewrite runs after apply so it summarizes the batch that
-// triggered it.
+// triggered it, and its failure is not the batch's: only a store the
+// rewrite killed reports an error.
 func (s *Store) appendAll(recs []walRecord) error {
 	if s.dead || s.wal == nil {
 		return ErrStoreDead
@@ -417,8 +388,10 @@ func (s *Store) appendAll(recs []walRecord) error {
 	for _, rec := range recs {
 		s.apply(rec)
 	}
-	if s.logBytes >= max(s.segBytes, 2*s.rewritten) {
-		return s.rewriteLocked()
+	if s.logBytes >= 2*s.rewritten {
+		if err := s.rewriteLocked(); s.dead {
+			return err
+		}
 	}
 	return nil
 }
@@ -445,13 +418,9 @@ func (sw *StoredSweep) summary() walRecord {
 	return walRecord{Op: "sweep", ID: sw.ID, Sweep: &spec}
 }
 
-// rewriteLocked writes every job's and sweep's summary records, in
-// acceptance order, into the next segment through writeFileAtomic, then
-// deletes every older segment and appends to the new one from here on.
-// A crash between the durable new segment and the deletes replays the
-// old chain and then its duplicate summary: the same state. A segment
-// that cannot be deleted stays on disk for the next rewrite.
-func (s *Store) rewriteLocked() error {
+// summaryLocked frames every job's and sweep's summary records, in
+// acceptance order: the bytes a rewrite leaves in wal.log.
+func (s *Store) summaryLocked() []byte {
 	var buf []byte
 	for _, id := range s.order {
 		for _, rec := range s.jobs[id].summary() {
@@ -461,30 +430,39 @@ func (s *Store) rewriteLocked() error {
 	for _, id := range s.sweepOrder {
 		buf = append(buf, frame(s.sweeps[id].summary())...)
 	}
-	next := s.walIndex + 1
-	path := s.segPath(next)
-	if err := writeFileAtomic(path, buf); err != nil {
-		return err
+	return buf
+}
+
+// rewriteLocked renames the summary over wal.log through writeFileAtomic
+// and appends to the new file from here on. Whether or not the rename
+// landed, wal.log holds every applied record, so a failed rewrite reopens
+// it too: no later append may land in an unlinked inode. A store that
+// cannot reopen wal.log dies. After a failure logBytes keeps its old
+// count, so the next append retries.
+func (s *Store) rewriteLocked() error {
+	buf := s.summaryLocked()
+	err := writeFileAtomic(s.walPath(), buf)
+	if err == nil {
+		if err := s.at(CrashDuringCompact); err != nil {
+			return err
+		}
+		if s.fault != nil {
+			err = s.fault("rewrite")
+		}
 	}
-	if err := s.at(CrashDuringCompact); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: wal rewrite: %w", err)
+	f, oerr := os.OpenFile(s.walPath(), os.O_WRONLY|os.O_APPEND, 0o644)
+	if oerr != nil {
+		s.dead = true
+		return errors.Join(err, fmt.Errorf("server: wal rewrite: %w", oerr))
 	}
 	s.wal.Close()
-	old := append(s.older, s.segPath(s.walIndex))
-	s.wal, s.walIndex, s.older = f, next, nil
-	s.logBytes, s.rewritten = int64(len(buf)), int64(len(buf))
-	for _, p := range old {
-		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
-			s.older = append(s.older, p)
-			continue
-		}
-		s.Compacted++
+	s.wal = f
+	if err != nil {
+		return err
 	}
-	return syncDir(s.dir)
+	s.logBytes, s.rewritten = int64(len(buf)), int64(len(buf))
+	s.compacted++
+	return nil
 }
 
 // at consults the crash hook; on injection the store dies in place.

@@ -91,7 +91,7 @@ func TestStoreTornTailTruncated(t *testing.T) {
 	st.Accept("j2", testSpec("mcf06"))
 	st.Close()
 
-	wal := filepath.Join(dir, "wal-000001.log")
+	wal := filepath.Join(dir, "wal.log")
 	data, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,17 @@ func TestStoreTornTailTruncated(t *testing.T) {
 	if re.Truncated == 0 {
 		t.Fatal("Truncated = 0, want the torn record's remaining bytes")
 	}
-	// The truncated log must accept new appends cleanly.
+	// Open repaired the tail by rewriting wal.log: a reopen truncates
+	// nothing.
+	re.Close()
+	re, err = OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Truncated != 0 || len(re.Jobs()) != 1 {
+		t.Fatalf("reopen after repair: Truncated %d, %d jobs, want 0 and 1", re.Truncated, len(re.Jobs()))
+	}
+	// The repaired log must accept new appends cleanly.
 	if err := re.Accept("j3", testSpec("lbm06")); err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +133,21 @@ func TestStoreTornTailTruncated(t *testing.T) {
 	if n := len(re2.Jobs()); n != 2 {
 		t.Fatalf("after repair+append: %d jobs, want 2", n)
 	}
+	onlyWALLog(t, dir)
 }
 
 func TestStoreCorruptMiddleStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := OpenStore(dir)
 	st.Accept("j1", testSpec("lbm06"))
-	end1, _ := os.Stat(filepath.Join(dir, "wal-000001.log"))
+	end1, _ := os.Stat(filepath.Join(dir, "wal.log"))
 	st.Accept("j2", testSpec("mcf06"))
 	st.Close()
 
 	// Flip one payload byte inside the second record: its CRC fails, and
 	// replay keeps only the prefix (a mid-log corruption means everything
 	// after it is untrustworthy).
-	wal := filepath.Join(dir, "wal-000001.log")
+	wal := filepath.Join(dir, "wal.log")
 	data, _ := os.ReadFile(wal)
 	data[end1.Size()+20] ^= 0xFF
 	os.WriteFile(wal, data, 0o644)
@@ -206,5 +217,47 @@ func TestStoreInjectedCrashKillsStore(t *testing.T) {
 	}
 	if err := st.Checkpoint(); !errors.Is(err, ErrStoreDead) {
 		t.Fatalf("post-crash Checkpoint err = %v, want ErrStoreDead", err)
+	}
+}
+
+// TestStoreFailedRewriteSwitchesFile: a rewrite that fails after renaming
+// the new wal.log in leaves the old file unlinked. The append that
+// triggered it still succeeds, and the next append must land in the new
+// wal.log: killing the store once that append is durable, before any
+// later rewrite, loses neither record.
+func TestStoreFailedRewriteSwitchesFile(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.fault = func(op string) error {
+		if op == "rewrite" {
+			return errors.New("rewrite hiccup")
+		}
+		return nil
+	}
+	if err := st.Accept("j1", testSpec("lbm06")); err != nil {
+		t.Fatalf("Accept = %v, want nil: the record is durable whatever the rewrite did", err)
+	}
+	boom := errors.New("crash")
+	st.crash = func(p CrashPoint) error {
+		if p == CrashAfterSync {
+			return boom
+		}
+		return nil
+	}
+	if err := st.Accept("j2", testSpec("mcf06")); !errors.Is(err, boom) {
+		t.Fatalf("Accept = %v, want the injected crash", err)
+	}
+	st.Close()
+
+	re, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if jobs := re.Jobs(); len(jobs) != 2 || jobs[0].ID != "j1" || jobs[1].ID != "j2" {
+		t.Fatalf("reopen replayed %d jobs, want j1 and j2", len(jobs))
 	}
 }

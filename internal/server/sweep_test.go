@@ -215,8 +215,8 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 }
 
-// walRecordsIn decodes every record in dir's WAL segments, which must
-// hold whole frames only.
+// walRecordsIn decodes every record in dir's WAL files, which must hold
+// whole frames only.
 func walRecordsIn(t *testing.T, dir string) []walRecord {
 	t.Helper()
 	var recs []walRecord

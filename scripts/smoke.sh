@@ -86,8 +86,8 @@ echo "smoke: chaos campaign clean (200 trials, zero lost)"
 ./scripts/smoke_ptmcd.sh
 echo "smoke: daemon crash recovery byte-identical, drains exit 0"
 
-# Daemon load stage: 200 mixed-priority jobs against the real binary with
-# tiny WAL segments, kill -9 mid-flight, restart — zero lost jobs, zero
+# Daemon load stage: 200 mixed-priority jobs against the real binary,
+# kill -9 mid-flight, restart — zero lost jobs, zero
 # duplicate simulations (sims_run arithmetic), every artifact served.
 ./scripts/smoke_load.sh
 echo "smoke: daemon load campaign clean (0 lost, 0 duplicate sims)"

@@ -4,7 +4,7 @@
 # and then zero lost jobs, zero duplicate simulations, every artifact
 # served. This is the shell-level counterpart of the in-process
 # TestLoadKillRestart (internal/server/load_test.go), run against the real
-# binary, real WAL segments, and a real kill -9.
+# binary, a real WAL, and a real kill -9.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -19,13 +19,11 @@ trap cleanup EXIT
 
 go build -o "$work/ptmcd" ./cmd/ptmcd
 
-# boot_daemon DATA_DIR PARALLEL -> sets $daemon_pid and $base (URL). A
-# tiny WAL rewrite floor (-wal-segment) so the load exercises live log
-# rewrites, not just appends.
+# boot_daemon DATA_DIR PARALLEL -> sets $daemon_pid and $base (URL).
 boot_daemon() {
 	rm -f "$work/addr"
 	"$work/ptmcd" -addr 127.0.0.1:0 -addr-file "$work/addr" -data "$1" \
-		-parallel "$2" -queue $((jobs + 16)) -wal-segment 4096 \
+		-parallel "$2" -queue $((jobs + 16)) \
 		>> "$work/daemon.log" 2>&1 &
 	daemon_pid=$!
 	i=0
@@ -120,10 +118,8 @@ fi
 id="$(head -n 1 "$work/ids")"
 "$work/ptmcd" result -server "$base" -id "$id" > /dev/null
 
-# The ledger is many times the 4 KiB rewrite floor, so the restarted
-# daemon has rewritten its log: some segment files were removed, and at
-# most one older segment (a rewrite's crash window) is left beside the
-# one appends go to.
+# The restarted daemon's first append rewrites its log, so it has
+# replaced at least one log file, and wal.log is the only one on disk.
 metrics="$("$work/ptmcd" metrics -server "$base")"
 compacted="$(echo "$metrics" | awk '$1 == "ptmcd.wal_compacted_segments" {print $2}')"
 segments="$(echo "$metrics" | awk '$1 == "ptmcd.wal_segments" {print $2}')"
