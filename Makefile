@@ -61,7 +61,9 @@ smoke:
 # Each line names a package, a target and its exec floor: the recipe
 # fails when the target's last "fuzz: elapsed: ..., execs: N" line
 # reports fewer than the floor, since a target that does almost no work
-# in its window fuzzes nothing.
+# in its window fuzzes nothing. The floors are exec counts for the
+# default FUZZTIME=10s window (about half the lowest of five fresh-corpus
+# windows on a 2-vCPU host); a shorter FUZZTIME fails them by design.
 fuzz-smoke:
 	@for t in \
 		"./internal/core/ FuzzMarkerClassify 260000" \

@@ -422,7 +422,7 @@ func TestStoreRewriteIsAmortized(t *testing.T) {
 // left a chain behind, with a still-pending job's accept in the oldest
 // segment. Open replays every state from it and collapses the chain into
 // wal.log, which replays to the same states after the store's next
-// rewrite (a Checkpoint, or the first append after open).
+// rewrite (a Checkpoint, or the append that doubles the log).
 func TestStoreEarlierDaemonChainCollapses(t *testing.T) {
 	for _, name := range []string{"checkpoint", "rewrite"} {
 		t.Run(name, func(t *testing.T) {
@@ -475,15 +475,25 @@ func TestStoreEarlierDaemonChainCollapses(t *testing.T) {
 				t.Fatalf("CompactedSegments() = %d after open, want the rewrite and the chain's 3", n)
 			}
 			if name == "checkpoint" {
-				err = st.Checkpoint()
+				if err := st.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
 			} else {
-				// The last rewrite counts as 0 bytes after open: the next
-				// append rewrites the log.
-				err = st.Accept("c", ok)
-				want["c"] = StateAccepted
-			}
-			if err != nil {
-				t.Fatal(err)
+				// Open's rewrite is the last rewrite: appends rewrite the
+				// log only once it holds twice the summary open wrote.
+				for i := 0; st.CompactedSegments() == 4; i++ {
+					if i == 10 {
+						t.Fatal("10 appends after open did not rewrite the log")
+					}
+					id := fmt.Sprintf("c%d", i)
+					if err := st.Accept(id, ok); err != nil {
+						t.Fatal(err)
+					}
+					want[id] = StateAccepted
+					if i == 0 && st.CompactedSegments() != 4 {
+						t.Fatal("the first append after open's rewrite rewrote the log again")
+					}
+				}
 			}
 			onlyWALLog(t, dir)
 			if n := st.CompactedSegments(); n != 5 {
@@ -498,6 +508,89 @@ func TestStoreEarlierDaemonChainCollapses(t *testing.T) {
 			}
 			defer re.Close()
 			check(re)
+		})
+	}
+}
+
+// TestStoreCrashBetweenSegmentDeletesLosesNothing: open collapses an
+// earlier daemon's chain by renaming the summary over wal.log and then
+// deleting the segments. A crash after any of those deletes must reopen
+// to the state the first open kept, whether the chain ends in a torn
+// tail or holds a corrupt frame mid-chain. Jobs accepted in the oldest
+// segment settle in later ones, so a boot that folded a later segment
+// without the oldest would drop those done records as unknown ids.
+func TestStoreCrashBetweenSegmentDeletesLosesNothing(t *testing.T) {
+	ok := testSpec("lbm06")
+	chain := [][]walRecord{
+		{{Op: "accept", ID: "a", Spec: &ok}, {Op: "accept", ID: "b", Spec: &ok}},
+		{{Op: "done", ID: "a", Status: "ok"}, {Op: "accept", ID: "c", Spec: &ok}},
+		{{Op: "done", ID: "b", Status: "failed", FailKind: FailKindSim, Error: "boom"}, {Op: "accept", ID: "d", Spec: &ok}},
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(segs [][]byte)
+		want   map[string]string
+	}{
+		{"torn-tail", func(segs [][]byte) { segs[2] = segs[2][:len(segs[2])-3] },
+			map[string]string{"a": StateDone, "b": StateFailed, "c": StateAccepted}},
+		{"corrupt-middle", func(segs [][]byte) { segs[1][12] ^= 0xFF },
+			map[string]string{"a": StateAccepted, "b": StateAccepted}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for crashAfter := 0; crashAfter < len(chain); crashAfter++ {
+				dir := t.TempDir()
+				segs := make([][]byte, len(chain))
+				for i, recs := range chain {
+					for _, rec := range recs {
+						segs[i] = append(segs[i], frame(rec)...)
+					}
+				}
+				tc.damage(segs)
+				for i, data := range segs {
+					if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%06d.log", i+1)), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, "results", "a.json"), []byte(`{}`), 0o644); err != nil {
+					t.Fatal(err)
+				}
+
+				// The process dies after crashAfter deletes.
+				crash := errors.New("crash")
+				st, deletes := newStore(dir), 0
+				st.fault = func(op string) error {
+					if op == "remove" {
+						if deletes == crashAfter {
+							return crash
+						}
+						deletes++
+					}
+					return nil
+				}
+				if err := st.open(); !errors.Is(err, crash) {
+					t.Fatalf("crash after %d deletes: open returned %v", crashAfter, err)
+				}
+				if n := len(walFiles(t, dir)); n != 1+len(chain)-crashAfter {
+					t.Fatalf("crash after %d deletes left %d WAL files", crashAfter, n)
+				}
+
+				re, err := OpenStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := map[string]string{}
+				for _, j := range re.Jobs() {
+					got[j.ID] = j.State
+				}
+				re.Close()
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("crash after %d deletes: reopen got %v, want %v", crashAfter, got, tc.want)
+				}
+				onlyWALLog(t, dir)
+			}
 		})
 	}
 }

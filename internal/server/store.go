@@ -33,8 +33,9 @@ import (
 // file, renames it over wal.log (writeFileAtomic) and appends to the new
 // file. No crash can leave two logs. A rewrite writes at most twice the
 // bytes appended since the previous one, so the bytes rewritten stay
-// within 2x the bytes appended. The last rewrite counts as 0 bytes after
-// open, so a boot's first append collapses whatever the boot replayed.
+// within 2x the bytes appended. After an open that rewrote nothing the
+// last rewrite counts as 0 bytes, so a boot's first append collapses
+// whatever the boot replayed.
 // Done and failed jobs are kept for good (resubmissions dedupe against
 // them), so the log holds O(jobs ever accepted) summary bytes, not O(live
 // jobs). A failed rewrite fails no append: the batch that triggered it is
@@ -45,11 +46,12 @@ import (
 // that does not hold: first any wal-NNNNNN.log segments that a daemon
 // which rotated its log left, oldest first, then wal.log. If the fold
 // stopped early or read a segment, open rewrites wal.log from the state
-// it kept and deletes the segments. A segment it cannot delete fails the
-// open: a later boot would fold it ahead of wal.log, and a torn frame in
-// it would discard every append in wal.log. Replay is idempotent: a
-// duplicate accept keeps the first spec, a duplicate done re-applies the
-// same terminal state, so a crash between that rewrite and the deletes
+// it kept and deletes the segments, newest first. A segment it cannot
+// delete fails the open: a later boot would fold it ahead of wal.log, and
+// a torn frame in it would discard every append in wal.log. Replay is
+// idempotent: a duplicate accept keeps the first spec, a duplicate done
+// re-applies the same terminal state, so a crash between that rewrite and
+// the deletes, which leaves the summary behind a prefix of the chain,
 // replays to the same state.
 //
 // Crash-recovery state machine (replayed in log order):
@@ -158,45 +160,67 @@ func newStore(dir string) *Store {
 // its log; a torn tail or an earlier daemon's segments are rewritten into
 // one wal.log.
 func OpenStore(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
-		return nil, fmt.Errorf("server: store: %w", err)
-	}
 	s := newStore(dir)
-	segs, err := legacySegments(dir)
-	if err != nil {
+	if err := s.open(); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// open folds the log files into s and opens wal.log for appends. After a
+// repair rewrite it deletes the segments newest first, so a crash between
+// deletes leaves the summary behind a prefix of the chain: a prefix the
+// fold kept whole replays into the summary's duplicates, and one holding
+// the frame the fold stopped at stops there again.
+func (s *Store) open() error {
+	if err := os.MkdirAll(filepath.Join(s.dir, "results"), 0o755); err != nil {
+		return fmt.Errorf("server: store: %w", err)
+	}
+	segs, err := legacySegments(s.dir)
+	if err != nil {
+		return err
 	}
 	files := make([][]byte, 0, len(segs)+1)
 	for _, p := range append(segs, s.walPath()) {
 		data, err := os.ReadFile(p)
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("server: store: %w", err)
+			return fmt.Errorf("server: store: %w", err)
 		}
 		files = append(files, data)
 	}
 	s.logBytes = s.fold(files)
 	if s.wal, err = os.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-		return nil, fmt.Errorf("server: store: %w", err)
+		return fmt.Errorf("server: store: %w", err)
 	}
 	if s.Truncated > 0 || len(segs) > 0 {
-		if err := s.rewriteLocked(); err != nil {
-			s.wal.Close()
-			return nil, err
-		}
-		for _, p := range segs {
-			if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
-				s.wal.Close()
-				return nil, fmt.Errorf("server: store: remove %s: %w", filepath.Base(p), err)
+		err = s.rewriteLocked()
+		for i := len(segs) - 1; i >= 0 && err == nil; i-- {
+			if err = s.removeSegment(segs[i]); err == nil {
+				s.compacted++
 			}
-			s.compacted++
 		}
-		s.rewritten = 0
 	}
-	if err := syncDir(dir); err != nil {
+	if err == nil {
+		err = syncDir(s.dir)
+	}
+	if err != nil {
 		s.wal.Close()
-		return nil, err
 	}
-	return s, nil
+	return err
+}
+
+// removeSegment deletes one legacy segment and syncs the directory, so
+// the delete is durable before open deletes the next, older one.
+func (s *Store) removeSegment(p string) error {
+	if s.fault != nil {
+		if err := s.fault("remove"); err != nil {
+			return err
+		}
+	}
+	if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("server: store: remove %s: %w", filepath.Base(p), err)
+	}
+	return syncDir(s.dir)
 }
 
 func (s *Store) walPath() string { return filepath.Join(s.dir, "wal.log") }
@@ -325,12 +349,9 @@ func (s *Store) Sweeps() []*StoredSweep {
 	return out
 }
 
-// Segments reports how many WAL files are on disk: wal.log, alone after
-// any successful open, plus any segment beside it.
-func (s *Store) Segments() int {
-	segs, _ := legacySegments(s.dir)
-	return len(segs) + 1
-}
+// Segments reports how many WAL files the store keeps on disk: always 1,
+// since open fails unless it deleted every legacy segment beside wal.log.
+func (s *Store) Segments() int { return 1 }
 
 // CompactedSegments reports how many log files rewrites replaced or open
 // deleted over this store's lifetime.

@@ -118,8 +118,9 @@ fi
 id="$(head -n 1 "$work/ids")"
 "$work/ptmcd" result -server "$base" -id "$id" > /dev/null
 
-# The restarted daemon's first append rewrites its log, so it has
-# replaced at least one log file, and wal.log is the only one on disk.
+# The restarted daemon's open (after a torn tail) or its first append
+# rewrites its log, so it has replaced at least one log file, and wal.log
+# is the only one on disk.
 metrics="$("$work/ptmcd" metrics -server "$base")"
 compacted="$(echo "$metrics" | awk '$1 == "ptmcd.wal_compacted_segments" {print $2}')"
 segments="$(echo "$metrics" | awk '$1 == "ptmcd.wal_segments" {print $2}')"
