@@ -219,18 +219,20 @@ func (g *MarkerGen) CollidesWithMarkers(a mem.LineAddr, data []byte) bool {
 	return isMarkerIL(g, a, data, false)
 }
 
-// MayCollide is CollidesWithMarkers screened from two words of the line:
-// w0 (bytes 0-7) and tail (bytes 60-63). It is true whenever the tail
-// matches a compression marker or word 0 matches Marker-IL's, hence for
-// every colliding line, so a false result proves the line can be stored
-// raw without building it; CollidesWithMarkers on the whole line settles a
-// true one.
-func (g *MarkerGen) MayCollide(a mem.LineAddr, w0 uint64, tail uint32) bool {
+// MayCollide is CollidesWithMarkers screened from a bound on two words of
+// the line: word 0 (bytes 0-7) and the tail word (bytes 60-63). It is true
+// whenever the tail interval holds a compression marker or the word-0
+// interval holds Marker-IL's word 0, hence for every colliding line whose
+// words lie in b, so a false result proves the line can be stored raw
+// without building it. A true result from a wider bound is settled by the
+// line's exact words (a zero-span bound), a true one from those by
+// CollidesWithMarkers on the whole line.
+func (g *MarkerGen) MayCollide(a mem.LineAddr, b mem.LineBound) bool {
 	m2, m4 := g.markers(a)
-	if tail == m2 || tail == m4 {
+	if b.HasTail(m2) || b.HasTail(m4) {
 		return true
 	}
-	return w0 == mix(mix(uint64(a)^g.keyIL)+0x9E3779B97F4A7C15)
+	return b.HasW0(mix(mix(uint64(a)^g.keyIL) + 0x9E3779B97F4A7C15))
 }
 
 // Invert returns the bitwise complement of a line.

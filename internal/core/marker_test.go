@@ -180,6 +180,46 @@ func TestQuickClassifySound(t *testing.T) {
 	}
 }
 
+// TestMayCollideBoundIsSound: a bound screens in every line its exact
+// words screen in. Bounds of random spans around random lines, and around
+// lines engineered to carry each compression marker in the tail or
+// Marker-IL's word 0, must screen in whenever the exact words do, and the
+// engineered ones always.
+func TestMayCollideBoundIsSound(t *testing.T) {
+	g := NewMarkerGen(9)
+	rng := rand.New(rand.NewSource(11))
+	widen := func(w mem.LineBound) mem.LineBound { // spans 0 to full
+		s0, st := ^uint64(0)>>rng.Intn(65), ^uint32(0)>>rng.Intn(33)
+		return mem.LineBound{W0: w.W0 - rng.Uint64()&s0, W0Span: s0, Tail: w.Tail - rng.Uint32()&st, TailSpan: st}
+	}
+	for i := 0; i < 20000; i++ {
+		a := mem.LineAddr(rng.Uint64() >> 6)
+		line := make([]byte, mem.LineSize)
+		rng.Read(line)
+		switch i % 4 {
+		case 1:
+			binary.LittleEndian.PutUint32(line[CompressedBudget:], g.Marker2(a))
+		case 2:
+			binary.LittleEndian.PutUint32(line[CompressedBudget:], g.Marker4(a))
+		case 3:
+			il := g.MarkerIL(a)
+			copy(line, il[:8])
+		}
+		w := mem.ExactBound(line)
+		b := widen(w)
+		if !b.HasW0(w.W0) || !b.HasTail(w.Tail) {
+			t.Fatalf("widened bound %+v misses the words %+v", b, w)
+		}
+		exact := g.MayCollide(a, w)
+		if i%4 != 0 && !exact {
+			t.Fatalf("line %d case %d: engineered collision not screened in", a, i%4)
+		}
+		if exact && !g.MayCollide(a, b) {
+			t.Fatalf("line %d case %d: exact words screen in, bound %+v does not", a, i%4, b)
+		}
+	}
+}
+
 func TestInvertLength(t *testing.T) {
 	in := []byte{0x00, 0xFF, 0xA5}
 	out := Invert(in)
@@ -197,7 +237,7 @@ func TestMayCollideScreensEveryCollision(t *testing.T) {
 	g := NewMarkerGen(5)
 	rng := rand.New(rand.NewSource(3))
 	screen := func(a mem.LineAddr, line []byte) bool {
-		return g.MayCollide(a, binary.LittleEndian.Uint64(line), binary.LittleEndian.Uint32(line[CompressedBudget:]))
+		return g.MayCollide(a, mem.ExactBound(line))
 	}
 	for i := 0; i < 2000; i++ {
 		a := mem.LineAddr(rng.Uint64() >> 6)

@@ -487,30 +487,30 @@ func (d *DRAM) issueFRFCFS(c *channel, q *[]*Request, isWrite bool, now int64) b
 // changed) or the first cycle a selected-queue bank frees up (nothing was
 // issuable, and the scheduler provably re-selects the same queue until its
 // state changes). Enqueue bids recorded on c.wakeAt during this channel's
-// own callbacks are folded in via min.
+// own callbacks are folded in via min. Completions and bank frees wake the
+// channel at the bus tick that observes them; rounding up to a tick is
+// monotone, so the earliest of them is rounded once.
 func (d *DRAM) reschedule(c *channel, q *[]*Request, issued bool, now int64) {
 	w := c.wakeAt
+	next := farFuture // earliest completion or bank free, unrounded
 	for _, r := range c.inflight {
-		if t := d.busTickAtOrAfter(r.completeAt); t < w {
-			w = t
-		}
+		next = min(next, r.completeAt)
 	}
 	if len(c.readQ)+len(c.writeQ) > 0 {
 		switch {
 		case issued:
-			if t := now + int64(d.cfg.BusRatio); t < w {
-				w = t
-			}
+			w = min(w, now+int64(d.cfg.BusRatio))
 		case q != nil:
 			// Every candidate's bank was busy; queues, drain state, and the
 			// selection they imply are static until a bank frees or an
 			// enqueue bids its own wake.
 			for _, r := range *q {
-				if t := d.busTickAtOrAfter(c.banks[r.bankIdx].freeAt); t < w {
-					w = t
-				}
+				next = min(next, c.banks[r.bankIdx].freeAt)
 			}
 		}
+	}
+	if next < farFuture {
+		w = min(w, d.busTickAtOrAfter(next))
 	}
 	c.wakeAt = w
 }

@@ -16,9 +16,10 @@
 // are stored ("materialized"). An unmaterialized line of a lazily filled
 // page (MarkLazy) holds the value the store's fill callback synthesizes for
 // it; any other unmaterialized line reads as zero. The simulator registers
-// every first-touched page lazily in both stores, because a line's initial
-// value is a pure function of its identity, so a run stores only the few
-// lines the cores and the controller actually reach.
+// every first-touched page lazily in both stores, because a line's value is
+// a pure function of its identity and its store count: the image stores
+// only the lines the controller writes, and the architectural store, whose
+// fill synthesizes each line at its current count, stores none.
 package mem
 
 import (

@@ -111,8 +111,9 @@ func (c *controllerRun) markers() *core.MarkerGen {
 }
 
 // touch first-touches a's page if needed, with the simulator's protocol:
-// register the page lazily in both stores, screen every line from two
-// words, then InitLine the screened-in lines in ascending order.
+// register the page lazily in both stores, screen every line from its
+// exact words (a zero-span bound), then InitLine the screened-in lines in
+// ascending order.
 func (c *controllerRun) touch(a mem.LineAddr, sel byte) {
 	base := a &^ (mem.PageLines - 1)
 	if c.r.arch.Touched(base) {
@@ -127,7 +128,7 @@ func (c *controllerRun) touch(a mem.LineAddr, sel byte) {
 	c.r.arch.MarkLazy(base)
 	for i := mem.LineAddr(0); i < mem.PageLines; i++ {
 		v := c.init[base+i]
-		if c.r.ctrl.InitScreen(base+i, binary.LittleEndian.Uint64(v), binary.LittleEndian.Uint32(v[60:])) {
+		if c.r.ctrl.InitScreen(base+i, mem.ExactBound(v)) {
 			screened = append(screened, base+i)
 		}
 	}

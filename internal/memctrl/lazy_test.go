@@ -11,7 +11,8 @@ import (
 
 // initLazyPage registers the page at base lazily in both stores and runs
 // the simulator's first-touch protocol over it: screen every line from its
-// two words, then run InitLine on the screened-in lines in order.
+// exact words (a zero-span bound), then run InitLine on the screened-in
+// lines in order.
 func initLazyPage(r *testRig, base mem.LineAddr, fill func(mem.LineAddr, []byte)) {
 	r.img.MarkLazy(base)
 	r.arch.MarkLazy(base)
@@ -20,7 +21,7 @@ func initLazyPage(r *testRig, base mem.LineAddr, fill func(mem.LineAddr, []byte)
 	for i := 0; i < mem.PageLines; i++ {
 		a := base + mem.LineAddr(i)
 		fill(a, line[:])
-		if r.ctrl.InitScreen(a, binary.LittleEndian.Uint64(line[:]), binary.LittleEndian.Uint32(line[60:])) {
+		if r.ctrl.InitScreen(a, mem.ExactBound(line[:])) {
 			screened = append(screened, a)
 		}
 	}

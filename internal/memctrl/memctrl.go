@@ -133,13 +133,15 @@ type Controller interface {
 
 	// InitScreen is the first-touch screen of one line of a lazily
 	// initialized page, whose image line holds the raw synthesized value
-	// without storing it. Given word 0 (bytes 0-7) and the tail word
-	// (bytes 60-63) of that value, it reports whether the line needs
-	// InitLine. False proves the raw value is a valid initial image and
-	// that the controller records nothing for the line. The caller runs
-	// InitLine on the screened-in lines after screening the whole page,
-	// in ascending address order.
-	InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool
+	// without storing it. Given a bound on word 0 (bytes 0-7) and the tail
+	// word (bytes 60-63) of that value, it reports whether the line may
+	// need InitLine. False proves the raw value is a valid initial image
+	// and that the controller records nothing for the line. A true answer
+	// from a bound wider than the exact words is screened again from
+	// them (mem.ExactBound); the caller runs InitLine on the lines the
+	// exact words screen in, after screening the whole page, in
+	// ascending address order.
+	InitScreen(a mem.LineAddr, b mem.LineBound) bool
 	// NextEventCycle returns the earliest CPU cycle at which ticking the
 	// controller can change state; the run loop skips the cycles before it.
 	NextEventCycle(now int64) int64
@@ -353,7 +355,7 @@ func (b *base) InitLine(a mem.LineAddr) { b.img.Write(a, b.archLineSlot(a, 0)) }
 
 // InitScreen implements Controller: a raw-image scheme never needs to see
 // a first-touched line.
-func (b *base) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool { return false }
+func (b *base) InitScreen(mem.LineAddr, mem.LineBound) bool { return false }
 
 // SetDecompressCycles overrides the decompression latency (ablations).
 func (b *base) SetDecompressCycles(n int64) { b.decompLat = n }

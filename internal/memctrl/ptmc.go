@@ -95,8 +95,8 @@ func (p *PTMC) Dynamic() *core.Dynamic { return p.dyn }
 // settles it on the whole line. The screen is against the current
 // generation only; reKey re-screens every line still unmaterialized in the
 // image against each new one.
-func (p *PTMC) InitScreen(a mem.LineAddr, w0 uint64, tail uint32) bool {
-	return p.markers.MayCollide(a, w0, tail)
+func (p *PTMC) InitScreen(a mem.LineAddr, b mem.LineBound) bool {
+	return p.markers.MayCollide(a, b)
 }
 
 // sampled reports whether a line belongs to a sampled (always-compress)

@@ -19,63 +19,112 @@ type source interface {
 	FillLineInit(vline uint64, buf []byte)
 }
 
-// pageWorder screens a first-touched page without synthesizing it
-// (workload.Stream.PageInitWords). A source that lacks it is screened from
-// lines FillLineInit synthesizes, with an identical result.
-type pageWorder interface {
-	PageInitWords(vlineBase uint64, out *[vm.PageLines]workload.LineWords)
+// pageBounder bounds a first-touched page's screen words without
+// synthesizing its lines (workload.Stream.PageInitBounds), and gives the
+// exact words of a line whose bound the screen could not settle
+// (InitWords). A source that lacks it is screened from lines FillLineInit
+// synthesizes, with an identical result.
+type pageBounder interface {
+	PageInitBounds(vlineBase uint64, out *[vm.PageLines]mem.LineBound)
+	InitWords(vline uint64) mem.LineBound
 }
 
 // pageOrigin identifies which stream's virtual page a physical page was
-// allocated for — what archLine needs to re-synthesize its lines.
+// allocated for — what the lazy fills need to synthesize its lines, and
+// the one core whose private caches can hold them — and which of its lines
+// a store has reached. The core sits in the low bits of the page's first
+// virtual line, a multiple of vm.PageLines, which keeps an entry at 16
+// bytes per allocated page.
 type pageOrigin struct {
-	core      int32
-	vlineBase uint64
+	vline  uint64 // the page's first virtual line | its core
+	stored uint64 // bit i: a store has reached line i
 }
 
-// archLine is the lazy-fill callback of both stores: it synthesizes one
-// line of a page registered by initPage at its first-touch value. That is
-// the architectural value of a line that was never stored to — the
-// architectural store synthesizes a line only when it is read before being
-// written, and a never-written line has never been mutated — and the image
-// value of a line the controller never wrote.
+// Every core number fits below a page's first virtual line.
+const _ = uint(vm.PageLines - MaxCores)
+
+// core returns the page's core.
+func (o *pageOrigin) core() int { return int(o.vline % vm.PageLines) }
+
+// line returns the virtual line of line a of the page.
+func (o *pageOrigin) line(a mem.LineAddr) uint64 {
+	return o.vline&^(vm.PageLines-1) + uint64(a)%vm.PageLines
+}
+
+// origin returns the origin of the page holding line a.
+func (s *Simulator) origin(a mem.LineAddr) *pageOrigin {
+	return &s.origins[s.vmsys.PageIndex(uint64(a)/vm.PageLines)]
+}
+
+// archLine is the architectural store's lazy fill: line a's current value,
+// synthesized at its stream's mutation count. The production path never
+// writes the architectural store — a store only advances the count
+// (commitStore) — so this is every line's architectural value. A line no
+// store has reached is at count 0, which FillLineInit synthesizes without
+// looking the count up.
 func (s *Simulator) archLine(a mem.LineAddr, buf []byte) {
-	o := s.origins[s.vmsys.PageIndex(uint64(a)/vm.PageLines)]
-	s.streams[o.core].FillLineInit(o.vlineBase+uint64(a)%vm.PageLines, buf)
+	o := s.origin(a)
+	if o.stored&(1<<(uint64(a)%vm.PageLines)) == 0 {
+		s.streams[o.core()].FillLineInit(o.line(a), buf)
+		return
+	}
+	s.streams[o.core()].FillLine(o.line(a), buf)
+}
+
+// imageLine is the image store's lazy fill: line a's first-touch value,
+// which the image holds until the controller writes the line.
+func (s *Simulator) imageLine(a mem.LineAddr, buf []byte) {
+	o := s.origin(a)
+	s.streams[o.core()].FillLineInit(o.line(a), buf)
 }
 
 // initPage is first-touch page initialization: the page is registered
-// lazily in both stores, so no line is synthesized or stored, and the
-// controller screens each line from two of its words
-// (Controller.InitScreen). The screened-in lines — possible marker
-// collisions — go through InitLine after the whole page has been screened,
-// in ascending address order.
+// lazily in both stores, so no line is synthesized or stored, and only the
+// lines screenPage screens in — possible marker collisions — go through
+// InitLine, in ascending address order, after the whole page has been
+// screened.
 func (s *Simulator) initPage(coreID int, pageBase mem.LineAddr, vlineBase uint64) {
-	stream := s.streams[coreID]
 	i := s.vmsys.PageIndex(uint64(pageBase) / vm.PageLines)
 	if n := uint64(len(s.origins)); i >= n {
 		s.origins = append(s.origins, make([]pageOrigin, i+1-n)...)
 	}
-	s.origins[i] = pageOrigin{core: int32(coreID), vlineBase: vlineBase}
+	s.origins[i] = pageOrigin{vline: vlineBase | uint64(coreID)}
 	s.arch.MarkLazy(pageBase)
 	s.img.MarkLazy(pageBase)
-	if pw, ok := stream.(pageWorder); ok {
-		pw.PageInitWords(vlineBase, &s.initWords)
+	for _, a := range s.screenPage(s.streams[coreID], pageBase, vlineBase) {
+		s.ctrl.InitLine(a)
+	}
+}
+
+// screenPage returns, in ascending order, the lines of the page at
+// pageBase (virtual lines from vlineBase of stream) that the controller
+// screens in at first touch (Controller.InitScreen). Each line is screened
+// from a bound on two of its words; a line the bound cannot clear is
+// screened again from its exact words, which decide. A stream that gives
+// no bounds is screened from the exact words of the lines FillLineInit
+// synthesizes.
+func (s *Simulator) screenPage(stream source, pageBase mem.LineAddr, vlineBase uint64) []mem.LineAddr {
+	pb, bounded := stream.(pageBounder)
+	if bounded {
+		pb.PageInitBounds(vlineBase, &s.initBounds)
 	} else {
-		for i := range s.initWords {
-			stream.FillLineInit(vlineBase+uint64(i), s.initLine[:])
-			s.initWords[i] = workload.WordsOf(s.initLine[:])
+		for i := range s.initBounds {
+			stream.FillLineInit(vlineBase+uint64(i), s.scratch[:])
+			s.initBounds[i] = mem.ExactBound(s.scratch[:])
 		}
 	}
 	var screened []mem.LineAddr // rare: possible marker collisions only
-	for i, w := range s.initWords {
-		if a := pageBase + mem.LineAddr(i); s.ctrl.InitScreen(a, w.W0, w.Tail) {
-			screened = append(screened, a)
+	for i, b := range s.initBounds {
+		a := pageBase + mem.LineAddr(i)
+		if !s.ctrl.InitScreen(a, b) {
+			continue
 		}
+		if !b.Exact() && !s.ctrl.InitScreen(a, pb.InitWords(vlineBase+uint64(i))) {
+			continue
+		}
+		screened = append(screened, a)
 	}
-	for _, a := range screened {
-		s.ctrl.InitLine(a)
-	}
+	return screened
 }
 
 // stopped applies the termination checks both run loops share, in order:

@@ -76,10 +76,13 @@ type Simulator struct {
 
 	// reference selects the test-only reference path (newSimulator): the
 	// per-cycle runReference loop, eager page initialization through
-	// InitLine, and the DRAM model's scan-every-channel mode.
+	// InitLine, an architectural store that holds every line's bytes and
+	// takes every store's new value, back-invalidation of every core's
+	// private caches, and the DRAM model's scan-every-channel mode.
 	reference bool
-	// origins records each lazily initialized page's stream and virtual
-	// base for archLine, indexed by the page's allocation index
+	// origins records each lazily initialized page's stream, virtual base
+	// and stored lines for the stores' lazy fills and its owning core for
+	// backInvalidate, indexed by the page's allocation index
 	// (vm.System.PageIndex).
 	origins []pageOrigin
 
@@ -93,13 +96,13 @@ type Simulator struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
-	scratch [64]byte // reusable line buffer for store mutation
-
-	// initPage's buffers: one synthesized line and one page's screen
-	// words. Fields rather than locals because the sources they are
-	// handed to are interfaces, which would move locals to the heap.
-	initLine  [mem.LineSize]byte
-	initWords [vm.PageLines]workload.LineWords
+	// Line and page buffers: scratch holds one synthesized line (the
+	// reference path's stores, screenPage's exact-words fallback),
+	// initBounds one page's screen bounds. Fields rather than locals
+	// because the sources they are handed to are interfaces, which would
+	// move locals to the heap.
+	scratch    [mem.LineSize]byte
+	initBounds [vm.PageLines]mem.LineBound
 
 	// Measured-window counters.
 	demandAccesses uint64
@@ -271,12 +274,14 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	s.obs, _ = s.ctrl.(prefetchObserver)
 
 	// The run loop needs the DRAM model's O(1) wake schedule. Both stores
-	// synthesize a page's lines on demand (initPage, archLine).
+	// synthesize a page's lines on demand (initPage): the architectural
+	// store at each line's current value, the image at its first-touch
+	// value.
 	if !reference {
 		s.ctrl.DRAM().SetEngineMode(true)
 	}
 	s.arch.SetLazyFill(s.archLine)
-	s.img.SetLazyFill(s.archLine)
+	s.img.SetLazyFill(s.imageLine)
 
 	// Observability wiring. The tracer attaches to the controller (every
 	// scheme embeds memctrl's base, which implements SetTracer) and, for
@@ -387,16 +392,45 @@ func (s *Simulator) registerMetrics() {
 	}
 }
 
-// backInvalidate enforces inclusion: remove a from every private cache.
+// backInvalidate enforces inclusion: remove a from the private caches. A
+// physical page belongs to one core (vm), and only that core's accesses
+// fill its private caches, so only the page's owner can hold a, and no
+// core a page nobody owns yet (a next-line prefetch can bring one of its
+// lines into the L3). The reference path clears every core's instead.
 func (s *Simulator) backInvalidate(a mem.LineAddr) {
-	for i := range s.l1 {
-		s.l1[i].Invalidate(a)
-		s.l2[i].Invalidate(a)
+	if s.reference {
+		for i := range s.l1 {
+			s.l1[i].Invalidate(a)
+			s.l2[i].Invalidate(a)
+		}
+		return
+	}
+	// Pages are filed under their allocation index, so origins covers
+	// exactly the allocated pages.
+	if i := s.vmsys.PageIndex(uint64(a) / vm.PageLines); i < uint64(len(s.origins)) {
+		c := s.origins[i].core()
+		s.l1[c].Invalidate(a)
+		s.l2[c].Invalidate(a)
 	}
 }
 
-// translate maps and, on first touch of a page, synthesizes its contents
-// into the architectural store and the scheme's memory image.
+// commitStore makes a store to line paddr (virtual address vaddr, core
+// coreID) architectural: the line's stream counts it, which advances the
+// value archLine synthesizes. The reference path also writes the new value
+// into its architectural store, which keeps every line's bytes.
+func (s *Simulator) commitStore(coreID int, vaddr uint64, paddr mem.LineAddr) {
+	if !s.reference {
+		s.streams[coreID].MutateLine(vaddr>>6, nil)
+		s.origin(paddr).stored |= 1 << (uint64(paddr) % vm.PageLines)
+		return
+	}
+	s.streams[coreID].MutateLine(vaddr>>6, s.scratch[:])
+	s.arch.Write(paddr, s.scratch[:])
+}
+
+// translate maps and, on first touch of a page, initializes its contents
+// in the architectural store and the scheme's memory image: lazily
+// (initPage), or eagerly, line by line, on the reference path.
 func (s *Simulator) translate(coreID int, vaddr uint64) (mem.LineAddr, bool) {
 	paddr, allocated, err := s.vmsys.Translate(coreID, vaddr)
 	if err != nil {
@@ -432,8 +466,7 @@ func (s *Simulator) access(coreID int, vaddr uint64, write bool, now int64, done
 	if write {
 		if _, resident := s.l3.Probe(paddr); resident {
 			// Store to a resident line commits immediately.
-			s.streams[coreID].MutateLine(vaddr>>6, s.scratch[:])
-			s.arch.Write(paddr, s.scratch[:])
+			s.commitStore(coreID, vaddr, paddr)
 		}
 	}
 
@@ -545,8 +578,7 @@ func (s *Simulator) fillDone(slot int, c int64) {
 		for i := head; i >= 0; i = s.waiters[i].next {
 			if w := &s.waiters[i]; w.write {
 				// The write-allocate fill has arrived: commit the store.
-				s.streams[w.coreID].MutateLine(w.vaddr>>6, s.scratch[:])
-				s.arch.Write(paddr, s.scratch[:])
+				s.commitStore(w.coreID, w.vaddr, paddr)
 				e.Dirty = true
 			}
 		}

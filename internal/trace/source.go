@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 
+	"ptmc/internal/mem"
 	"ptmc/internal/vm"
 	"ptmc/internal/workload"
 )
@@ -112,10 +113,15 @@ func (t *Replay) MutateLine(vline uint64, buf []byte) { t.values.MutateLine(vlin
 // initialization, so a first-touched line is at version 0.
 func (t *Replay) FillLineInit(vline uint64, buf []byte) { t.values.FillLineInit(vline, buf) }
 
-// PageInitWords screens a first-touched page (workload.Stream.PageInitWords).
-func (t *Replay) PageInitWords(vlineBase uint64, out *[vm.PageLines]workload.LineWords) {
-	t.values.PageInitWords(vlineBase, out)
+// PageInitBounds bounds a first-touched page's screen words
+// (workload.Stream.PageInitBounds).
+func (t *Replay) PageInitBounds(vlineBase uint64, out *[vm.PageLines]mem.LineBound) {
+	t.values.PageInitBounds(vlineBase, out)
 }
+
+// InitWords returns a first-touched line's exact screen words
+// (workload.Stream.InitWords).
+func (t *Replay) InitWords(vline uint64) mem.LineBound { return t.values.InitWords(vline) }
 
 // Len returns the number of recorded events.
 func (t *Replay) Len() int { return len(t.events) }

@@ -1,6 +1,10 @@
 package workload
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"ptmc/internal/mem"
+)
 
 // ValueKind selects the data-value synthesizer for a page. Kinds map to the
 // patterns FPC/BDI were designed around, so the *measured* compressibility
@@ -75,13 +79,13 @@ func synthLine(kind ValueKind, vline uint64, version uint32, seed uint64, buf []
 			binary.LittleEndian.PutUint32(buf[i*4:], uint32(h%251)-125)
 		}
 	case KindDelta8:
-		base := mix64(vline>>3^seed) | 1<<40 // large shared base per line
+		base := delta8Base(vline, seed)
 		for i := 0; i < 8; i++ {
 			h = mix64(h + uint64(i))
 			binary.LittleEndian.PutUint64(buf[i*8:], base+uint64(h%120)+uint64(version))
 		}
 	case KindPointer:
-		region := uint64(0x7F00_0000_0000) | (mix64(vline>>6^seed)&0xFFFF)<<24
+		region := pointerRegion(vline, seed)
 		for i := 0; i < 8; i++ {
 			h = mix64(h + uint64(i))
 			binary.LittleEndian.PutUint64(buf[i*8:], region|h&0xFF_FFF8)
@@ -104,30 +108,29 @@ func synthLine(kind ValueKind, vline uint64, version uint32, seed uint64, buf []
 	}
 }
 
-// LineWords is what first-touch marker screening needs of a line's value:
-// word 0 (bytes 0-7) and the tail word (bytes 60-63), both little-endian.
-type LineWords struct {
-	W0   uint64
-	Tail uint32
+// delta8Base is the large base a Delta8 line's words are small deltas
+// from, shared by each aligned run of eight lines.
+func delta8Base(vline, seed uint64) uint64 { return mix64(vline>>3^seed) | 1<<40 }
+
+// pointerRegion is the high bits every Pointer word of vline's page
+// shares; its low 24 bits are zero.
+func pointerRegion(vline, seed uint64) uint64 {
+	return uint64(0x7F00_0000_0000) | (mix64(vline>>6^seed)&0xFFFF)<<24
 }
 
-// WordsOf reads the LineWords of a 64-byte line.
-func WordsOf(line []byte) LineWords {
-	return LineWords{W0: binary.LittleEndian.Uint64(line), Tail: binary.LittleEndian.Uint32(line[60:])}
-}
-
-// initWords returns WordsOf(synthLine(kind, vline, 0, seed)) without
-// building the line: it runs the same hash chain but keeps only the two
-// words, and stops early where a kind's tail does not depend on the chain.
-func initWords(kind ValueKind, vline, seed uint64) LineWords {
+// initWords returns mem.ExactBound(synthLine(kind, vline, 0, seed)) without
+// building the line: it runs the same hash chain but keeps only word 0 and
+// the tail word, and stops early where a kind's tail does not depend on
+// the chain.
+func initWords(kind ValueKind, vline, seed uint64) mem.LineBound {
 	h := mix64(vline*0x9E3779B97F4A7C15 ^ seed)
 	switch kind {
 	case KindZero:
 		// Bytes 0-3 hold the version (0), bytes 4-7 a small counter; the
 		// rest is zero.
-		return LineWords{W0: (h % 16) << 32}
+		return mem.LineBound{W0: (h % 16) << 32}
 	case KindSmallInt:
-		var w LineWords
+		var w mem.LineBound
 		for i := uint64(0); i < 16; i++ {
 			h = mix64(h + i)
 			v := uint32(h%251) - 125
@@ -144,8 +147,8 @@ func initWords(kind ValueKind, vline, seed uint64) LineWords {
 	case KindPointer:
 		// Each word is region | (h & 0xFF_FFF8); the low 24 bits never
 		// reach the tail, so the tail is the region's high half.
-		region := uint64(0x7F00_0000_0000) | (mix64(vline>>6^seed)&0xFFFF)<<24
-		return LineWords{W0: region | mix64(h)&0xFF_FFF8, Tail: uint32(region >> 32)}
+		region := pointerRegion(vline, seed)
+		return mem.LineBound{W0: region | mix64(h)&0xFF_FFF8, Tail: uint32(region >> 32)}
 	}
 	// The 8-word kinds: word 0 and word 7 of the chain.
 	h = mix64(h)
@@ -156,7 +159,7 @@ func initWords(kind ValueKind, vline, seed uint64) LineWords {
 	last := h
 	switch kind {
 	case KindDelta8:
-		base := mix64(vline>>3^seed) | 1<<40
+		base := delta8Base(vline, seed)
 		first, last = base+first%120, base+last%120
 	case KindFP:
 		mask := uint64(0x000F_FFFF_FFFF_FFFF)
@@ -165,5 +168,39 @@ func initWords(kind ValueKind, vline, seed uint64) LineWords {
 		}
 		first, last = 0x3FF0_0000_0000_0000|first&mask, 0x3FF0_0000_0000_0000|last&mask
 	}
-	return LineWords{W0: first, Tail: uint32(last >> 32)}
+	return mem.LineBound{W0: first, Tail: uint32(last >> 32)}
+}
+
+// initBound bounds word 0 and the tail word of vline's version-0 line
+// from what its kind fixes, without running the line's hash chain:
+//
+//   - Zero: the tail is 0 and word 0 at most 15<<32;
+//   - SmallInt: the tail and both halves of word 0 lie in [-125, 125],
+//     so word 0 lies in [-125<<32, 126<<32);
+//   - Pointer: the tail is the region's high word and word 0 lies in
+//     [region, region+0xFF_FFF8];
+//   - Delta8: word 0 lies in [base, base+119], so the tail is the high
+//     word of base or of base+119;
+//   - FP: the top twelve bits of word 0 and of the tail are 0x3FF.
+//
+// A Random line has no bound short of its exact words (initWords), which
+// is what it gets: a screen of a wider bound would answer "maybe" for
+// every Random line and then compute its markers again from the words.
+func initBound(kind ValueKind, vline, seed uint64) mem.LineBound {
+	switch kind {
+	case KindZero:
+		return mem.LineBound{W0Span: 15 << 32}
+	case KindSmallInt:
+		// 0xFFFF_FF83 is -125: [-125, 125] wraps through zero.
+		return mem.LineBound{W0: 0xFFFF_FF83 << 32, W0Span: 251<<32 - 1, Tail: 0xFFFF_FF83, TailSpan: 250}
+	case KindPointer:
+		region := pointerRegion(vline, seed)
+		return mem.LineBound{W0: region, W0Span: 0xFF_FFF8, Tail: uint32(region >> 32)}
+	case KindDelta8:
+		base := delta8Base(vline, seed)
+		return mem.LineBound{W0: base, W0Span: 119, Tail: uint32(base >> 32), TailSpan: uint32((base+119)>>32) - uint32(base>>32)}
+	case KindFP:
+		return mem.LineBound{W0: 0x3FF << 52, W0Span: 1<<52 - 1, Tail: 0x3FF << 20, TailSpan: 1<<20 - 1}
+	}
+	return initWords(kind, vline, seed)
 }

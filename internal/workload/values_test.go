@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ptmc/internal/compress"
+	"ptmc/internal/mem"
 )
 
 func synth(kind ValueKind, vline uint64, version uint32) []byte {
@@ -116,7 +117,7 @@ func TestInitWordsMatchSynthesis(t *testing.T) {
 			for i := uint64(0); i < 2000; i++ {
 				vline := mix64(i^seed) >> (i % 40) // small and huge addresses
 				synthLine(k, vline, 0, seed, buf)
-				if got, want := initWords(k, vline, seed), WordsOf(buf); got != want {
+				if got, want := initWords(k, vline, seed), mem.ExactBound(buf); got != want {
 					t.Fatalf("kind %d vline %d seed %d: initWords = %+v, synthLine gives %+v", k, vline, seed, got, want)
 				}
 			}
@@ -124,22 +125,94 @@ func TestInitWordsMatchSynthesis(t *testing.T) {
 	}
 }
 
-// TestPageInitWordsMatchFillLineInit: a stream's page-level screen words
-// equal the words of the lines FillLineInit synthesizes, on pages of every
-// kind of a mixed workload.
-func TestPageInitWordsMatchFillLineInit(t *testing.T) {
+// TestInitBoundHoldsInitWords: for every value kind, over a million
+// (vline, seed) samples each, the bound first-touch screening gets for a
+// line holds that line's version-0 words. A Random line's bound is its
+// exact words; every other kind's spans more than one value.
+func TestInitBoundHoldsInitWords(t *testing.T) {
+	const samples = 1 << 20
+	for k := ValueKind(0); k < numKinds; k++ {
+		for i := uint64(0); i < samples; i++ {
+			vline := mix64(i) >> (i % 48) // small and huge addresses
+			seed := mix64(i ^ 0x5EED)
+			if i%4 == 0 {
+				seed = 0
+			}
+			b, w := initBound(k, vline, seed), initWords(k, vline, seed)
+			if !b.HasW0(w.W0) || !b.HasTail(w.Tail) {
+				t.Fatalf("kind %d vline %#x seed %#x: bound %+v misses words %+v", k, vline, seed, b, w)
+			}
+			if exact := k == KindRandom; b.Exact() != exact {
+				t.Fatalf("kind %d: bound %+v, want exact %v", k, b, exact)
+			}
+		}
+	}
+}
+
+// unmix64 inverts mix64.
+func unmix64(v uint64) uint64 {
+	inv := func(c uint64) uint64 { // c odd: Newton's iteration mod 2^64
+		x := c
+		for i := 0; i < 5; i++ {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	v ^= v>>31 ^ v>>62
+	v *= inv(0x94D049BB133111EB)
+	v ^= v>>27 ^ v>>54
+	v *= inv(0xBF58476D1CE4E5B9)
+	v ^= v>>30 ^ v>>60
+	return v
+}
+
+// TestInitBoundDelta8Carry: a Delta8 line whose base sits just below a
+// 2^32 boundary has word 7 past it, so its tail is the base's high word
+// plus one, which the bound must hold. Random samples almost never reach
+// such a base (120 in 2^32), so the seed is solved for it.
+func TestInitBoundDelta8Carry(t *testing.T) {
+	carried := 0
+	for _, base := range []uint64{1<<40 | 0xFFFF_FFF0, 0xFFFF_FFFF_FFFF_FFF0} {
+		for vline := uint64(0); vline < 8; vline++ {
+			seed := unmix64(base) ^ vline>>3
+			if delta8Base(vline, seed) != base {
+				t.Fatalf("solved seed %#x gives base %#x, want %#x", seed, delta8Base(vline, seed), base)
+			}
+			b, w := initBound(KindDelta8, vline, seed), initWords(KindDelta8, vline, seed)
+			if w.Tail != uint32(base>>32) {
+				carried++
+			}
+			if !b.HasW0(w.W0) || !b.HasTail(w.Tail) {
+				t.Fatalf("base %#x line %d: bound %+v misses words %+v", base, vline, b, w)
+			}
+		}
+	}
+	if carried == 0 {
+		t.Fatal("no line's tail carried past its base's high word")
+	}
+}
+
+// TestPageInitBoundsHoldFillLineInit: a stream's page-level screen bounds
+// hold, and its InitWords equal, the words of the lines FillLineInit
+// synthesizes, on pages of every kind of a mixed workload.
+func TestPageInitBoundsHoldFillLineInit(t *testing.T) {
 	w := &Workload{Name: "allkinds", Suite: "micro", FootprintBytes: 4 << 20, MemFrac: 0.3,
 		SeqProb: 0.5, SeqRun: 4, Mix: ValueMix{{KindZero, 1}, {KindSmallInt, 1}, {KindDelta8, 1},
 			{KindPointer, 1}, {KindFP, 1}, {KindRandom, 1}}}
 	s := w.NewStream(42)
-	var words [64]LineWords
+	var bounds [64]mem.LineBound
 	buf := make([]byte, 64)
 	for page := uint64(0); page < 64; page++ {
-		s.PageInitWords(page*64, &words)
-		for i, got := range words {
-			s.FillLineInit(page*64+uint64(i), buf)
-			if want := WordsOf(buf); got != want {
-				t.Fatalf("page %d line %d: PageInitWords = %+v, FillLineInit gives %+v", page, i, got, want)
+		s.PageInitBounds(page*64, &bounds)
+		for i, b := range bounds {
+			vline := page*64 + uint64(i)
+			s.FillLineInit(vline, buf)
+			want := mem.ExactBound(buf)
+			if got := s.InitWords(vline); got != want {
+				t.Fatalf("page %d line %d: InitWords = %+v, FillLineInit gives %+v", page, i, got, want)
+			}
+			if !b.HasW0(want.W0) || !b.HasTail(want.Tail) {
+				t.Fatalf("page %d line %d: PageInitBounds = %+v misses FillLineInit's words %+v", page, i, b, want)
 			}
 		}
 	}

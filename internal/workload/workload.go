@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ptmc/internal/mem"
 	"ptmc/internal/vm"
 )
 
@@ -28,10 +29,11 @@ type Op struct {
 type Source interface {
 	// Next produces the next instruction-stream event.
 	Next() Op
-	// FillLine synthesizes the initial contents of virtual line vline.
+	// FillLine synthesizes the current contents of virtual line vline:
+	// its value after every MutateLine of it so far.
 	FillLine(vline uint64, buf []byte)
 	// MutateLine advances the line's value on a store and writes the new
-	// contents into buf.
+	// contents into buf; a nil buf only advances it.
 	MutateLine(vline uint64, buf []byte)
 }
 
@@ -218,7 +220,7 @@ func (s *Stream) newBurst() {
 }
 
 // FillLine synthesizes the current architectural contents of virtual line
-// vline (vaddr>>6) into buf. Used on first touch.
+// vline (vaddr>>6) into buf: its value at its mutation count.
 func (s *Stream) FillLine(vline uint64, buf []byte) {
 	kind := s.w.Mix.kindFor(vline>>(vm.PageShift-6), s.seed)
 	synthLine(kind, vline, s.version(vline), s.seed, buf)
@@ -232,8 +234,11 @@ func (s *Stream) version(vline uint64) uint32 {
 	return s.versions[vline]
 }
 
-// MutateLine advances the line's value (a store hit) and writes the new
-// contents into buf. The value kind — hence compressibility — is stable.
+// MutateLine advances the line's value (a store) by counting the store,
+// and writes the new contents into buf unless buf is nil: a line's value
+// is a pure function of its count, so a caller that reads values through
+// FillLine need not build them here. The value kind — hence
+// compressibility — is stable.
 func (s *Stream) MutateLine(vline uint64, buf []byte) {
 	if !s.held || vline != s.last {
 		if s.held {
@@ -242,7 +247,9 @@ func (s *Stream) MutateLine(vline uint64, buf []byte) {
 		s.held, s.last, s.lastVer = true, vline, s.versions[vline]
 	}
 	s.lastVer++
-	s.FillLine(vline, buf)
+	if buf != nil {
+		s.FillLine(vline, buf)
+	}
 }
 
 // FillLineInit is FillLine specialized to first touch, where the mutation
@@ -255,14 +262,22 @@ func (s *Stream) FillLineInit(vline uint64, buf []byte) {
 	synthLine(kind, vline, 0, s.seed, buf)
 }
 
-// PageInitWords writes the LineWords of every line FillLineInit would
-// synthesize for the page whose first virtual line is vlineBase, without
-// synthesizing any of them: first-touch page initialization screens a
-// page's lines for marker collisions and builds only the rare hit. The
-// page's value kind is looked up once.
-func (s *Stream) PageInitWords(vlineBase uint64, out *[vm.PageLines]LineWords) {
+// PageInitBounds writes, for every line FillLineInit would synthesize for
+// the page whose first virtual line is vlineBase, a bound on the two words
+// first-touch marker screening reads (initBound), without synthesizing
+// any of them or running their hash chains, except a Random page's, whose
+// bounds are its lines' exact words. The page's value kind is looked up
+// once.
+func (s *Stream) PageInitBounds(vlineBase uint64, out *[vm.PageLines]mem.LineBound) {
 	kind := s.w.Mix.kindFor(vlineBase>>(vm.PageShift-6), s.seed)
 	for i := range out {
-		out[i] = initWords(kind, vlineBase+uint64(i), s.seed)
+		out[i] = initBound(kind, vlineBase+uint64(i), s.seed)
 	}
+}
+
+// InitWords returns the exact words (a zero-span bound) of the line
+// FillLineInit would synthesize for vline, without synthesizing it: what
+// a screen that vline's PageInitBounds bound could not settle re-checks.
+func (s *Stream) InitWords(vline uint64) mem.LineBound {
+	return initWords(s.w.Mix.kindFor(vline>>(vm.PageShift-6), s.seed), vline, s.seed)
 }

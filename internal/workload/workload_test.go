@@ -238,8 +238,9 @@ func TestHotSetReuse(t *testing.T) {
 }
 
 // TestMutateLineCountsPerLine interleaves stores to a few lines — runs on
-// one line and switches between lines — and checks every synthesized
-// value against each line's own mutation count.
+// one line and switches between lines, some with a nil buffer, which only
+// counts the store — and checks every synthesized value against each
+// line's own mutation count.
 func TestMutateLineCountsPerLine(t *testing.T) {
 	w, err := Lookup("mcf06")
 	if err != nil {
@@ -252,9 +253,13 @@ func TestMutateLineCountsPerLine(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		vline := uint64(rng.Intn(6)) * 67
 		check := s.FillLine
-		if rng.Intn(3) > 0 {
+		switch rng.Intn(3) {
+		case 1:
 			count[vline]++
 			check = s.MutateLine
+		case 2: // a store that only counts; FillLine reads its value
+			count[vline]++
+			s.MutateLine(vline, nil)
 		}
 		check(vline, got)
 		synthLine(w.Mix.kindFor(vline>>(vm.PageShift-6), s.seed), vline, count[vline], s.seed, want)
