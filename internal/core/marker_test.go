@@ -188,9 +188,9 @@ func TestQuickClassifySound(t *testing.T) {
 func TestMayCollideBoundIsSound(t *testing.T) {
 	g := NewMarkerGen(9)
 	rng := rand.New(rand.NewSource(11))
-	widen := func(w mem.LineBound) mem.LineBound { // spans 0 to full
-		s0, st := ^uint64(0)>>rng.Intn(65), ^uint32(0)>>rng.Intn(33)
-		return mem.LineBound{W0: w.W0 - rng.Uint64()&s0, W0Span: s0, Tail: w.Tail - rng.Uint32()&st, TailSpan: st}
+	widen := func(w mem.LineWords) mem.LineBound { // spans 0 to full
+		span := mem.LineWords{W0: ^uint64(0) >> rng.Intn(65), Tail: ^uint32(0) >> rng.Intn(33)}
+		return mem.LineBound{Lo: mem.LineWords{W0: w.W0 - rng.Uint64()&span.W0, Tail: w.Tail - rng.Uint32()&span.Tail}, Span: span}
 	}
 	for i := 0; i < 20000; i++ {
 		a := mem.LineAddr(rng.Uint64() >> 6)
@@ -205,12 +205,12 @@ func TestMayCollideBoundIsSound(t *testing.T) {
 			il := g.MarkerIL(a)
 			copy(line, il[:8])
 		}
-		w := mem.ExactBound(line)
+		w := mem.WordsOf(line)
 		b := widen(w)
 		if !b.HasW0(w.W0) || !b.HasTail(w.Tail) {
 			t.Fatalf("widened bound %+v misses the words %+v", b, w)
 		}
-		exact := g.MayCollide(a, w)
+		exact := g.MayCollide(a, mem.LineBound{Lo: w})
 		if i%4 != 0 && !exact {
 			t.Fatalf("line %d case %d: engineered collision not screened in", a, i%4)
 		}

@@ -12,7 +12,7 @@ import (
 
 // source is a workload.Source that can also synthesize a line at its
 // first-touch value (workload.Stream.FillLineInit: mutation count provably
-// zero, version-map lookup skipped). Every page initializes lazily from
+// zero, version lookup skipped). Every page initializes lazily from
 // it, so sim.New requires it of every stream.
 type source interface {
 	workload.Source
@@ -25,16 +25,15 @@ type source interface {
 // (InitWords). A source that lacks it is screened from lines FillLineInit
 // synthesizes, with an identical result.
 type pageBounder interface {
-	PageInitBounds(vlineBase uint64, out *[vm.PageLines]mem.LineBound)
-	InitWords(vline uint64) mem.LineBound
+	PageInitBounds(vlineBase uint64, lo *[vm.PageLines]mem.LineWords) (span mem.LineWords)
+	InitWords(vline uint64) mem.LineWords
 }
 
 // pageOrigin identifies which stream's virtual page a physical page was
-// allocated for — what the lazy fills need to synthesize its lines, and
-// the one core whose private caches can hold them — and which of its lines
-// a store has reached. The core sits in the low bits of the page's first
-// virtual line, a multiple of vm.PageLines, which keeps an entry at 16
-// bytes per allocated page.
+// allocated for — what the lazy fills need to synthesize its lines — and
+// which of its lines a store has reached. The stream's core sits in the
+// low bits of the page's first virtual line, a multiple of vm.PageLines,
+// which keeps an entry at 16 bytes per allocated page.
 type pageOrigin struct {
 	vline  uint64 // the page's first virtual line | its core
 	stored uint64 // bit i: a store has reached line i
@@ -105,21 +104,23 @@ func (s *Simulator) initPage(coreID int, pageBase mem.LineAddr, vlineBase uint64
 // synthesizes.
 func (s *Simulator) screenPage(stream source, pageBase mem.LineAddr, vlineBase uint64) []mem.LineAddr {
 	pb, bounded := stream.(pageBounder)
+	var span mem.LineWords
 	if bounded {
-		pb.PageInitBounds(vlineBase, &s.initBounds)
+		span = pb.PageInitBounds(vlineBase, &s.initWords)
 	} else {
-		for i := range s.initBounds {
+		for i := range s.initWords {
 			stream.FillLineInit(vlineBase+uint64(i), s.scratch[:])
-			s.initBounds[i] = mem.ExactBound(s.scratch[:])
+			s.initWords[i] = mem.WordsOf(s.scratch[:])
 		}
 	}
+	exact := span == mem.LineWords{}
 	var screened []mem.LineAddr // rare: possible marker collisions only
-	for i, b := range s.initBounds {
+	for i, lo := range s.initWords {
 		a := pageBase + mem.LineAddr(i)
-		if !s.ctrl.InitScreen(a, b) {
+		if !s.ctrl.InitScreen(a, mem.LineBound{Lo: lo, Span: span}) {
 			continue
 		}
-		if !b.Exact() && !s.ctrl.InitScreen(a, pb.InitWords(vlineBase+uint64(i))) {
+		if !exact && !s.ctrl.InitScreen(a, mem.LineBound{Lo: pb.InitWords(vlineBase + uint64(i))}) {
 			continue
 		}
 		screened = append(screened, a)

@@ -45,8 +45,12 @@ func newScreenRig(t *testing.T, kinds ...workload.ValueKind) *screenRig {
 
 // bounds returns the screen bounds of the stream's page at vlineBase.
 func (r *screenRig) bounds(vlineBase uint64) [vm.PageLines]mem.LineBound {
+	var lo [vm.PageLines]mem.LineWords
+	span := r.stream.(pageBounder).PageInitBounds(vlineBase, &lo)
 	var b [vm.PageLines]mem.LineBound
-	r.stream.(pageBounder).PageInitBounds(vlineBase, &b)
+	for i := range b {
+		b[i] = mem.LineBound{Lo: lo[i], Span: span}
+	}
 	return b
 }
 
@@ -112,7 +116,7 @@ func TestBoundScreenMatchesExactWords(t *testing.T) {
 	// then for a stream page whose region takes it.
 	t.Run("pointer", func(t *testing.T) {
 		r := newScreenRig(t, workload.KindPointer)
-		union := mem.LineBound{W0: 0x7F00_0000_0000, W0Span: 1<<40 - 1, Tail: 0x7F00, TailSpan: 0xFF}
+		union := mem.LineBound{Lo: mem.LineWords{W0: 0x7F00_0000_0000, Tail: 0x7F00}, Span: mem.LineWords{W0: 1<<40 - 1, Tail: 0xFF}}
 		var tail, w0 bool
 		for a := mem.LineAddr(0); !(tail && w0); a++ {
 			if a == 1<<26 {
@@ -150,7 +154,7 @@ func TestBoundScreenMatchesExactWords(t *testing.T) {
 		for vp := uint64(0); vp < 1<<14; vp++ {
 			b := r.bounds(vp * vm.PageLines)
 			for i := uint64(0); i < vm.PageLines; i += 8 {
-				tails[b[i].Tail] = at{vp * vm.PageLines, i}
+				tails[b[i].Lo.Tail] = at{vp * vm.PageLines, i}
 			}
 		}
 		found := 0

@@ -77,13 +77,12 @@ type Simulator struct {
 	// reference selects the test-only reference path (newSimulator): the
 	// per-cycle runReference loop, eager page initialization through
 	// InitLine, an architectural store that holds every line's bytes and
-	// takes every store's new value, back-invalidation of every core's
-	// private caches, and the DRAM model's scan-every-channel mode.
+	// takes every store's new value, and the DRAM model's
+	// scan-every-channel mode.
 	reference bool
 	// origins records each lazily initialized page's stream, virtual base
-	// and stored lines for the stores' lazy fills and its owning core for
-	// backInvalidate, indexed by the page's allocation index
-	// (vm.System.PageIndex).
+	// and stored lines for the stores' lazy fills, indexed by the page's
+	// allocation index (vm.System.PageIndex).
 	origins []pageOrigin
 
 	now         int64
@@ -98,11 +97,11 @@ type Simulator struct {
 
 	// Line and page buffers: scratch holds one synthesized line (the
 	// reference path's stores, screenPage's exact-words fallback),
-	// initBounds one page's screen bounds. Fields rather than locals
-	// because the sources they are handed to are interfaces, which would
-	// move locals to the heap.
-	scratch    [mem.LineSize]byte
-	initBounds [vm.PageLines]mem.LineBound
+	// initWords the lower ends of one page's screen bounds (screenPage).
+	// Fields rather than locals because the sources they are handed to
+	// are interfaces, which would move locals to the heap.
+	scratch   [mem.LineSize]byte
+	initWords [vm.PageLines]mem.LineWords
 
 	// Measured-window counters.
 	demandAccesses uint64
@@ -392,25 +391,11 @@ func (s *Simulator) registerMetrics() {
 	}
 }
 
-// backInvalidate enforces inclusion: remove a from the private caches. A
-// physical page belongs to one core (vm), and only that core's accesses
-// fill its private caches, so only the page's owner can hold a, and no
-// core a page nobody owns yet (a next-line prefetch can bring one of its
-// lines into the L3). The reference path clears every core's instead.
+// backInvalidate enforces inclusion: remove a from every private cache.
 func (s *Simulator) backInvalidate(a mem.LineAddr) {
-	if s.reference {
-		for i := range s.l1 {
-			s.l1[i].Invalidate(a)
-			s.l2[i].Invalidate(a)
-		}
-		return
-	}
-	// Pages are filed under their allocation index, so origins covers
-	// exactly the allocated pages.
-	if i := s.vmsys.PageIndex(uint64(a) / vm.PageLines); i < uint64(len(s.origins)) {
-		c := s.origins[i].core()
-		s.l1[c].Invalidate(a)
-		s.l2[c].Invalidate(a)
+	for i := range s.l1 {
+		s.l1[i].Invalidate(a)
+		s.l2[i].Invalidate(a)
 	}
 }
 

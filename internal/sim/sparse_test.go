@@ -172,12 +172,12 @@ func TestUnreadPointFieldsShareRuns(t *testing.T) {
 	}
 }
 
-// TestPrivateCachesHoldOwnLines: a physical page belongs to one core, and
-// backInvalidate clears only the owner's private caches. That is sound
-// only if every valid L1 and L2 line of core c lies in a page c owns, and
-// inclusion holds: the L3 holds every such line. mix1 runs under
-// Dynamic-PTMC, whose L3 victims and ganged group drops both
-// back-invalidate, and under MemZip.
+// TestPrivateCachesHoldOwnLines: inclusion holds — the L3 holds every
+// valid L1 and L2 line, which backInvalidate keeps true for L3 victims and
+// ganged group drops — and, since vm gives each physical page to one core
+// and only a core's own accesses fill its private caches, every such line
+// of core c lies in a page c owns. mix1 runs under Dynamic-PTMC, whose L3
+// victims and ganged group drops both back-invalidate, and under MemZip.
 func TestPrivateCachesHoldOwnLines(t *testing.T) {
 	for _, scheme := range []string{SchemeDynamicPTMC, SchemeMemZip} {
 		t.Run(scheme, func(t *testing.T) {

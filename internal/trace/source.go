@@ -115,13 +115,13 @@ func (t *Replay) FillLineInit(vline uint64, buf []byte) { t.values.FillLineInit(
 
 // PageInitBounds bounds a first-touched page's screen words
 // (workload.Stream.PageInitBounds).
-func (t *Replay) PageInitBounds(vlineBase uint64, out *[vm.PageLines]mem.LineBound) {
-	t.values.PageInitBounds(vlineBase, out)
+func (t *Replay) PageInitBounds(vlineBase uint64, lo *[vm.PageLines]mem.LineWords) mem.LineWords {
+	return t.values.PageInitBounds(vlineBase, lo)
 }
 
 // InitWords returns a first-touched line's exact screen words
 // (workload.Stream.InitWords).
-func (t *Replay) InitWords(vline uint64) mem.LineBound { return t.values.InitWords(vline) }
+func (t *Replay) InitWords(vline uint64) mem.LineWords { return t.values.InitWords(vline) }
 
 // Len returns the number of recorded events.
 func (t *Replay) Len() int { return len(t.events) }

@@ -118,19 +118,19 @@ func pointerRegion(vline, seed uint64) uint64 {
 	return uint64(0x7F00_0000_0000) | (mix64(vline>>6^seed)&0xFFFF)<<24
 }
 
-// initWords returns mem.ExactBound(synthLine(kind, vline, 0, seed)) without
+// initWords returns mem.WordsOf(synthLine(kind, vline, 0, seed)) without
 // building the line: it runs the same hash chain but keeps only word 0 and
 // the tail word, and stops early where a kind's tail does not depend on
 // the chain.
-func initWords(kind ValueKind, vline, seed uint64) mem.LineBound {
+func initWords(kind ValueKind, vline, seed uint64) mem.LineWords {
 	h := mix64(vline*0x9E3779B97F4A7C15 ^ seed)
 	switch kind {
 	case KindZero:
 		// Bytes 0-3 hold the version (0), bytes 4-7 a small counter; the
 		// rest is zero.
-		return mem.LineBound{W0: (h % 16) << 32}
+		return mem.LineWords{W0: (h % 16) << 32}
 	case KindSmallInt:
-		var w mem.LineBound
+		var w mem.LineWords
 		for i := uint64(0); i < 16; i++ {
 			h = mix64(h + i)
 			v := uint32(h%251) - 125
@@ -148,7 +148,7 @@ func initWords(kind ValueKind, vline, seed uint64) mem.LineBound {
 		// Each word is region | (h & 0xFF_FFF8); the low 24 bits never
 		// reach the tail, so the tail is the region's high half.
 		region := pointerRegion(vline, seed)
-		return mem.LineBound{W0: region | mix64(h)&0xFF_FFF8, Tail: uint32(region >> 32)}
+		return mem.LineWords{W0: region | mix64(h)&0xFF_FFF8, Tail: uint32(region >> 32)}
 	}
 	// The 8-word kinds: word 0 and word 7 of the chain.
 	h = mix64(h)
@@ -168,11 +168,13 @@ func initWords(kind ValueKind, vline, seed uint64) mem.LineBound {
 		}
 		first, last = 0x3FF0_0000_0000_0000|first&mask, 0x3FF0_0000_0000_0000|last&mask
 	}
-	return mem.LineBound{W0: first, Tail: uint32(last >> 32)}
+	return mem.LineWords{W0: first, Tail: uint32(last >> 32)}
 }
 
-// initBound bounds word 0 and the tail word of vline's version-0 line
-// from what its kind fixes, without running the line's hash chain:
+// initSpan and initLo bound word 0 and the tail word of a version-0 line
+// of the kind: they lie in the intervals mem.LineBound{Lo: initLo(kind,
+// vline, seed), Span: initSpan(kind)} describes, which the kind fixes
+// without running the line's hash chain:
 //
 //   - Zero: the tail is 0 and word 0 at most 15<<32;
 //   - SmallInt: the tail and both halves of word 0 lie in [-125, 125],
@@ -180,27 +182,45 @@ func initWords(kind ValueKind, vline, seed uint64) mem.LineBound {
 //   - Pointer: the tail is the region's high word and word 0 lies in
 //     [region, region+0xFF_FFF8];
 //   - Delta8: word 0 lies in [base, base+119], so the tail is the high
-//     word of base or of base+119;
+//     word of base or the next (a carry out of base+119);
 //   - FP: the top twelve bits of word 0 and of the tail are 0x3FF.
 //
-// A Random line has no bound short of its exact words (initWords), which
-// is what it gets: a screen of a wider bound would answer "maybe" for
-// every Random line and then compute its markers again from the words.
-func initBound(kind ValueKind, vline, seed uint64) mem.LineBound {
+// The span is the kind's alone, so a page, whose lines share a kind, has
+// one. A Random line has no bound short of its exact words (initWords),
+// which is what it gets: a screen of a wider bound would answer "maybe"
+// for every Random line and then compute its markers again from the words.
+func initSpan(kind ValueKind) mem.LineWords {
 	switch kind {
 	case KindZero:
-		return mem.LineBound{W0Span: 15 << 32}
+		return mem.LineWords{W0: 15 << 32}
+	case KindSmallInt:
+		return mem.LineWords{W0: 251<<32 - 1, Tail: 250}
+	case KindPointer:
+		return mem.LineWords{W0: 0xFF_FFF8}
+	case KindDelta8:
+		return mem.LineWords{W0: 119, Tail: 1}
+	case KindFP:
+		return mem.LineWords{W0: 1<<52 - 1, Tail: 1<<20 - 1}
+	}
+	return mem.LineWords{}
+}
+
+// initLo returns the lower ends of vline's version-0 intervals (initSpan).
+func initLo(kind ValueKind, vline, seed uint64) mem.LineWords {
+	switch kind {
+	case KindZero:
+		return mem.LineWords{}
 	case KindSmallInt:
 		// 0xFFFF_FF83 is -125: [-125, 125] wraps through zero.
-		return mem.LineBound{W0: 0xFFFF_FF83 << 32, W0Span: 251<<32 - 1, Tail: 0xFFFF_FF83, TailSpan: 250}
+		return mem.LineWords{W0: 0xFFFF_FF83 << 32, Tail: 0xFFFF_FF83}
 	case KindPointer:
 		region := pointerRegion(vline, seed)
-		return mem.LineBound{W0: region, W0Span: 0xFF_FFF8, Tail: uint32(region >> 32)}
+		return mem.LineWords{W0: region, Tail: uint32(region >> 32)}
 	case KindDelta8:
 		base := delta8Base(vline, seed)
-		return mem.LineBound{W0: base, W0Span: 119, Tail: uint32(base >> 32), TailSpan: uint32((base+119)>>32) - uint32(base>>32)}
+		return mem.LineWords{W0: base, Tail: uint32(base >> 32)}
 	case KindFP:
-		return mem.LineBound{W0: 0x3FF << 52, W0Span: 1<<52 - 1, Tail: 0x3FF << 20, TailSpan: 1<<20 - 1}
+		return mem.LineWords{W0: 0x3FF << 52, Tail: 0x3FF << 20}
 	}
 	return initWords(kind, vline, seed)
 }

@@ -117,12 +117,18 @@ func TestInitWordsMatchSynthesis(t *testing.T) {
 			for i := uint64(0); i < 2000; i++ {
 				vline := mix64(i^seed) >> (i % 40) // small and huge addresses
 				synthLine(k, vline, 0, seed, buf)
-				if got, want := initWords(k, vline, seed), mem.ExactBound(buf); got != want {
+				if got, want := initWords(k, vline, seed), mem.WordsOf(buf); got != want {
 					t.Fatalf("kind %d vline %d seed %d: initWords = %+v, synthLine gives %+v", k, vline, seed, got, want)
 				}
 			}
 		}
 	}
+}
+
+// initBound is the bound first-touch screening gets for vline's version-0
+// line (initLo, initSpan).
+func initBound(kind ValueKind, vline, seed uint64) mem.LineBound {
+	return mem.LineBound{Lo: initLo(kind, vline, seed), Span: initSpan(kind)}
 }
 
 // TestInitBoundHoldsInitWords: for every value kind, over a million
@@ -200,14 +206,14 @@ func TestPageInitBoundsHoldFillLineInit(t *testing.T) {
 		SeqProb: 0.5, SeqRun: 4, Mix: ValueMix{{KindZero, 1}, {KindSmallInt, 1}, {KindDelta8, 1},
 			{KindPointer, 1}, {KindFP, 1}, {KindRandom, 1}}}
 	s := w.NewStream(42)
-	var bounds [64]mem.LineBound
+	var lo [64]mem.LineWords
 	buf := make([]byte, 64)
 	for page := uint64(0); page < 64; page++ {
-		s.PageInitBounds(page*64, &bounds)
-		for i, b := range bounds {
-			vline := page*64 + uint64(i)
+		span := s.PageInitBounds(page*64, &lo)
+		for i := range lo {
+			b, vline := mem.LineBound{Lo: lo[i], Span: span}, page*64+uint64(i)
 			s.FillLineInit(vline, buf)
-			want := mem.ExactBound(buf)
+			want := mem.WordsOf(buf)
 			if got := s.InitWords(vline); got != want {
 				t.Fatalf("page %d line %d: InitWords = %+v, FillLineInit gives %+v", page, i, got, want)
 			}

@@ -84,11 +84,11 @@ type Stream struct {
 	w        *Workload
 	rng      *rand.Rand
 	seed     uint64
-	versions map[uint64]uint32 // vline -> mutation count
+	versions versionTable // vline -> mutation count
 	// held marks last as the line most recently mutated, with lastVer
 	// its count, which versions does not hold until another line is
 	// mutated: about half of all stores repeat the previous store's line
-	// (dwell), and those skip the map.
+	// (dwell), and those skip the table.
 	held    bool
 	last    uint64
 	lastVer uint32
@@ -117,11 +117,10 @@ func (w *Workload) NewStream(seed int64) *Stream {
 		panic(err)
 	}
 	s := &Stream{
-		w:        w,
-		rng:      rand.New(rand.NewSource(seed)),
-		seed:     mix64(uint64(seed) ^ 0xC0FFEE),
-		versions: make(map[uint64]uint32),
-		lines:    w.FootprintBytes / 64,
+		w:     w,
+		rng:   rand.New(rand.NewSource(seed)),
+		seed:  mix64(uint64(seed) ^ 0xC0FFEE),
+		lines: w.FootprintBytes / 64,
 	}
 	s.hotLines = uint64(float64(s.lines) * w.HotFrac)
 	if s.hotLines < 64 {
@@ -231,7 +230,7 @@ func (s *Stream) version(vline uint64) uint32 {
 	if s.held && vline == s.last {
 		return s.lastVer
 	}
-	return s.versions[vline]
+	return s.versions.get(vline)
 }
 
 // MutateLine advances the line's value (a store) by counting the store,
@@ -242,9 +241,9 @@ func (s *Stream) version(vline uint64) uint32 {
 func (s *Stream) MutateLine(vline uint64, buf []byte) {
 	if !s.held || vline != s.last {
 		if s.held {
-			s.versions[s.last] = s.lastVer
+			s.versions.set(s.last, s.lastVer)
 		}
-		s.held, s.last, s.lastVer = true, vline, s.versions[vline]
+		s.held, s.last, s.lastVer = true, vline, s.versions.get(vline)
 	}
 	s.lastVer++
 	if buf != nil {
@@ -255,29 +254,30 @@ func (s *Stream) MutateLine(vline uint64, buf []byte) {
 // FillLineInit is FillLine specialized to first touch, where the mutation
 // count is provably zero: page initialization runs before any store can
 // reach the page (a store must translate first, and translation is what
-// triggers initialization). Skipping the version-map lookup matters because
+// triggers initialization). Skipping the version lookup matters because
 // initialization touches every line of every allocated page exactly once.
 func (s *Stream) FillLineInit(vline uint64, buf []byte) {
 	kind := s.w.Mix.kindFor(vline>>(vm.PageShift-6), s.seed)
 	synthLine(kind, vline, 0, s.seed, buf)
 }
 
-// PageInitBounds writes, for every line FillLineInit would synthesize for
-// the page whose first virtual line is vlineBase, a bound on the two words
-// first-touch marker screening reads (initBound), without synthesizing
-// any of them or running their hash chains, except a Random page's, whose
-// bounds are its lines' exact words. The page's value kind is looked up
-// once.
-func (s *Stream) PageInitBounds(vlineBase uint64, out *[vm.PageLines]mem.LineBound) {
+// PageInitBounds bounds the two words first-touch marker screening reads
+// of every line FillLineInit would synthesize for the page whose first
+// virtual line is vlineBase, without synthesizing any of them or running
+// their hash chains, except a Random page's, whose bounds are its lines'
+// exact words. Line i's bound is mem.LineBound{Lo: lo[i], Span: span}: the
+// span is the page's value kind's (initSpan), which is looked up once.
+func (s *Stream) PageInitBounds(vlineBase uint64, lo *[vm.PageLines]mem.LineWords) (span mem.LineWords) {
 	kind := s.w.Mix.kindFor(vlineBase>>(vm.PageShift-6), s.seed)
-	for i := range out {
-		out[i] = initBound(kind, vlineBase+uint64(i), s.seed)
+	for i := range lo {
+		lo[i] = initLo(kind, vlineBase+uint64(i), s.seed)
 	}
+	return initSpan(kind)
 }
 
-// InitWords returns the exact words (a zero-span bound) of the line
-// FillLineInit would synthesize for vline, without synthesizing it: what
-// a screen that vline's PageInitBounds bound could not settle re-checks.
-func (s *Stream) InitWords(vline uint64) mem.LineBound {
+// InitWords returns the exact words of the line FillLineInit would
+// synthesize for vline, without synthesizing it: what a screen that
+// vline's PageInitBounds bound could not settle re-checks.
+func (s *Stream) InitWords(vline uint64) mem.LineWords {
 	return initWords(s.w.Mix.kindFor(vline>>(vm.PageShift-6), s.seed), vline, s.seed)
 }
